@@ -2,9 +2,10 @@
 
 The ansatz is a seed state |psi> expanded by M phase-free Pauli strings,
 identity first.  Every overlap entry <psi_a| Op |psi_b> reduces, through
-the closed Pauli algebra, to a single phase-tagged string evaluated on the
-seed state; distinct reduced strings are evaluated once and cached, which
-is also how a device would measure them.
+the closed Pauli algebra, to a single phase-tagged string s_a u s_b on
+the seed state.  :func:`build_overlaps` forms them for blocks of entries
+with one vectorized product, deduplicates once per call across all its
+matrices and evaluates each distinct string once, as a device would.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, multiply_rows
+from .pauli import PauliString, PauliSum, multiply_words
 from .states import StateSpec, prepare
 
 
@@ -54,6 +55,14 @@ class AnsatzSet:
         return replace(self, strings=self.strings[:m], orders=self.orders[:m])
 
 
+def _stacked_words(strings, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strings' x and z words as two (len(strings), words per string) arrays."""
+    width = -(-n_qubits // 64)
+    return tuple(
+        np.array([getattr(s, w) for s in strings], dtype=np.uint64).reshape(-1, width) for w in "xz"
+    )
+
+
 def krylov_strings(h: PauliSum, max_order: int) -> tuple[list[PauliString], list[int]]:
     """Identity plus all phase-free k-fold products of h's strings, k <= max_order.
 
@@ -64,18 +73,17 @@ def krylov_strings(h: PauliSum, max_order: int) -> tuple[list[PauliString], list
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     n = h.n_qubits
-    generators = [s for _c, s in h.terms()]
+    gx, gz = _stacked_words([s for _c, s in h.terms()], n)
     seen = {PauliString.identity(n).packed}
     strings = [PauliString.identity(n)]
     orders = [0]
     level = [PauliString.identity(n)]
     for k in range(1, max_order + 1):
-        produced = {}
-        for left in level:
-            for gen in generators:
-                prod = (left * gen).phase_free()
-                produced.setdefault(prod.packed, prod)
-        level = sorted(produced.values(), key=lambda s: s.packed)
+        lx, lz = _stacked_words(level, n)
+        x, z, _exp = multiply_words(lx[:, None], lz[:, None], gx, gz)
+        products = np.unique(np.concatenate([x, z], axis=-1).reshape(-1, 2 * gx.shape[1]), axis=0)
+        level = [PauliString.from_words(*row.reshape(2, -1), n) for row in products]
+        level.sort(key=lambda s: s.packed)
         for s in level:
             if s.packed not in seen:
                 seen.add(s.packed)
@@ -165,31 +173,8 @@ class OverlapSet:
         return paths
 
 
-class _Evaluator:
-    """Caches expectation values of phase-free reduced strings on the seed."""
-
-    def __init__(self, state, shots: int | None, sample_seed: int):
-        self.state = state
-        self.shots = shots
-        self.sample_seed = sample_seed
-        self.cache: dict[bytes, float] = {}
-
-    def value(self, codes: np.ndarray, packed: bytes) -> float:
-        val = self.cache.get(packed)
-        if val is None:
-            string = PauliString(codes)
-            if self.shots is None:
-                val = float(self.state.expectation(string).real)
-            else:
-                digest = hashlib.blake2b(
-                    packed + self.sample_seed.to_bytes(8, "little", signed=True),
-                    digest_size=8,
-                ).digest()
-                val = self.state.sampled_expectation(
-                    string, self.shots, seed=int.from_bytes(digest, "little")
-                )
-            self.cache[packed] = val
-        return val
+# x words per block of reduced strings (1 MiB): temporaries stay a few MB at any width.
+_BLOCK_WORDS = 1 << 17
 
 
 def build_overlaps(
@@ -216,29 +201,38 @@ def build_overlaps(
             raise ValueError(f"operator {name!r} acts on the wrong number of qubits")
     if state is None:
         state = prepare(ansatz.seed, ansatz.n_qubits, dense_cap=dense_cap)
-    evaluator = _Evaluator(state, shots, sample_seed)
+    m, n = len(ansatz), ansatz.n_qubits
+    sx, sz = _stacked_words(ansatz.strings, n)
+    width = sx.shape[1]
+    block = max(1, _BLOCK_WORDS // (m * width))
+    measured: dict[bytes, float] = {}  # distinct reduced strings of this call
 
-    m = len(ansatz)
-    n = ansatz.n_qubits
-    string_rows = np.stack([s.codes for s in ansatz.strings])  # (m, n)
+    def value(row: np.ndarray) -> float:
+        key = row.tobytes()
+        if key not in measured:
+            string = PauliString.from_words(*row.reshape(2, -1), n)
+            if shots is None:
+                measured[key] = float(state.expectation(string).real)
+            else:
+                seed_key = string.codes.tobytes() + sample_seed.to_bytes(8, "little", signed=True)
+                seed = int.from_bytes(hashlib.blake2b(seed_key, digest_size=8).digest(), "little")
+                measured[key] = state.sampled_expectation(string, shots, seed=seed)
+        return measured[key]
 
     def matrix_for(op: PauliSum | None) -> np.ndarray:
         out = np.zeros((m, m), dtype=complex)
-        terms = [(1.0 + 0j, None)] if op is None else op.terms()
+        terms = [(1.0 + 0j, PauliString.identity(n))] if op is None else op.terms()
         for coeff, u in terms:
-            for a in range(m):
-                if u is None:
-                    left_codes, left_exp = ansatz.strings[a].codes, 0
-                else:
-                    left = ansatz.strings[a] * u
-                    left_codes, left_exp = left.codes, left.phase_power
-                rows, exps = multiply_rows(left_codes, string_rows)
-                exps = (exps + left_exp) & 3
-                vals = np.empty(m)
-                for b in range(m):
-                    row = np.ascontiguousarray(rows[b])
-                    vals[b] = evaluator.value(row, row.tobytes())
-                out[a, :] += coeff * (1j ** exps) * vals
+            left_x, left_z, left_exp = multiply_words(sx, sz, u.x, u.z)
+            for a in range(0, m, block):
+                rows = slice(a, a + block)
+                x, z, exps = multiply_words(left_x[rows, None], left_z[rows, None], sx, sz)
+                exps = (exps + left_exp[rows, None]) & 3
+                reduced = np.concatenate([x, z], axis=-1).reshape(-1, 2 * width)
+                rows_as_bytes = reduced.view(np.dtype((np.void, 16 * width))).ravel()
+                _, first, inverse = np.unique(rows_as_bytes, return_index=True, return_inverse=True)
+                vals = np.array([value(reduced[i]) for i in first])[inverse].reshape(exps.shape)
+                out[rows] += coeff * (1j ** exps) * vals
         return (out + out.conj().T) / 2.0
 
     gram = matrix_for(None)

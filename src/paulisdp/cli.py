@@ -107,14 +107,21 @@ _MODEL_KINDS = {"ising", "heisenberg", "random_pauli", "file"}
 _STATE_KINDS = {"zero", "plus", "random", "annealing"}
 
 
-def parse_config(path: str) -> RunConfig:
-    """Load and fully validate a JSON config; reports every violation."""
+def _load_json_object(path: str) -> dict:
+    """Read a JSON file (a config or an XOR game) whose top level must be an object."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}:{exc.lineno}: invalid JSON ({exc.msg})"])
-    return validate_config(raw, source=path)
+    if not isinstance(raw, dict):
+        raise ConfigError([f"{path}:1: top level must be an object"])
+    return raw
+
+
+def parse_config(path: str) -> RunConfig:
+    """Load and fully validate a JSON config; reports every violation."""
+    return validate_config(_load_json_object(path), source=path)
 
 
 def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
@@ -312,7 +319,7 @@ def _solve_point(args):
     value, _beta, status, solution, _basis = solve_normalized(
         overlaps.restricted(m), sense=sense, **solver_kwargs
     )
-    dual = solution.dual_residual if solution is not None else 0.0
+    dual = solution.dual_residual if solution is not None else math.nan  # eig path: no certificate
     return m, value, status.value, dual
 
 
@@ -871,8 +878,7 @@ def _parse_m_sweep(text: str) -> list[int]:
 def _merge_args(args: argparse.Namespace) -> dict:
     raw: dict = {"command": args.command}
     if args.config:
-        with open(args.config) as fh:
-            raw.update(json.load(fh))
+        raw.update(_load_json_object(args.config))
         raw["command"] = args.command
     model = dict(raw.get("model", {}))
     if args.model:
@@ -969,8 +975,7 @@ def _merge_args(args: argparse.Namespace) -> dict:
             if args.game == "chsh":
                 raw["game"] = {"name": "chsh"}
             else:
-                with open(args.game) as fh:
-                    raw["game"] = json.load(fh)
+                raw["game"] = _load_json_object(args.game)
         if getattr(args, "ansatz", False):
             raw["solve_mode"] = "ansatz"
         elif getattr(args, "direct", False):

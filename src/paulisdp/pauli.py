@@ -7,12 +7,16 @@ Conventions used throughout the package:
   ``{+1, +i, -1, -i}``.  The letters are encoded as integer codes
   ``0=I, 1=X, 2=Y, 3=Z`` and the phase as an exponent of ``i`` modulo 4,
   so phases never suffer floating-point drift.
-- Letters are stored packed two bits per qubit; the packed bytes are the
-  hash key, which keeps strings on 1000 qubits compact and hashable.
+- The algebra is the symplectic (tableau) form of Aaronson and Gottesman:
+  a string carries its ``x`` and ``z`` bits (X = x, Z = z, Y = both) as
+  uint64 words, and a product is an XOR of words plus an i-exponent from
+  four popcounts (:func:`multiply_words`), vectorized over string arrays.
+- Letters are also stored packed two bits per qubit; the packed bytes are
+  the hash key and the sort key that fixes every string ordering.
 - Qubit 0 corresponds to the leftmost letter in a label such as ``"ZZI"``
-  and to the most significant bit of a computational-basis index.  With
-  this choice ``matrix()`` equals the Kronecker product of the letters
-  taken left to right.
+  and to the most significant bit of a computational-basis index, and of
+  the masks the words hold.  With this choice ``matrix()`` equals the
+  Kronecker product of the letters taken left to right.
 
 A :class:`PauliSum` is a complex-weighted set of phase-free strings in
 canonical form: phases are folded into the coefficients, duplicates are
@@ -31,27 +35,6 @@ LETTERS = "IXYZ"
 ZERO_COEFF = 1e-15
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-# Single-qubit composition tables: letter codes and the acquired exponent
-# of i, e.g. X*Y = i Z  ->  code 3, exponent 1.
-MUL_CODE = np.zeros((4, 4), dtype=np.uint8)
-MUL_PHASE = np.zeros((4, 4), dtype=np.uint8)
-for _a in range(4):
-    MUL_CODE[0, _a] = _a
-    MUL_CODE[_a, 0] = _a
-    MUL_CODE[_a, _a] = 0
-for _a, _b, _c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):  # cyclic XY=iZ, YZ=iX, ZX=iY
-    MUL_CODE[_a, _b] = _c
-    MUL_PHASE[_a, _b] = 1
-    MUL_CODE[_b, _a] = _c
-    MUL_PHASE[_b, _a] = 3
-
-_MATRICES = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 DENSE_QUBIT_CAP = 14
 
@@ -75,27 +58,42 @@ def pack_codes(codes: np.ndarray) -> bytes:
     return packed.tobytes()
 
 
-def multiply_codes(codes_a: np.ndarray, codes_b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Multiply two code arrays elementwise; return codes and i-exponent."""
-    out = MUL_CODE[codes_a, codes_b]
-    exp = int(MUL_PHASE[codes_a, codes_b].sum()) & 3
-    return out, exp
+# x and z bit of the letters I, X, Y, Z.
+_XZ_BITS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.uint8)
 
 
-def multiply_rows(codes_a: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply one code array against every row of an (m, n) code matrix.
+def _words(codes: np.ndarray) -> np.ndarray:
+    """Read-only (2, words) array of x and z words, qubit 0 as the top bit."""
+    padded = np.zeros((2, -(-codes.size // 64) * 64), dtype=np.uint8)
+    padded[:, : codes.size] = _XZ_BITS[codes[::-1]].T
+    words = np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
+    words.flags.writeable = False
+    return words
 
-    Returns the (m, n) product codes and the per-row i-exponents mod 4.
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def multiply_words(x1, z1, x2, z2):
+    """Product of Pauli strings held as broadcastable x/z word arrays.
+
+    The last axis holds the words of one string.  Returns the product's
+    ``(x, z)`` words and the exponent of i, mod 4, that the product of the
+    phase-free strings acquires; input phases are the caller's to add.
+    Per qubit, with ``P(x, z) = i^(xz) X^x Z^z``, the exponent is
+    ``x1 z1 + x2 z2 - x3 z3 + 2 z1 x2``.
     """
-    out = MUL_CODE[codes_a[None, :], rows]
-    exps = MUL_PHASE[codes_a[None, :], rows].sum(axis=1, dtype=np.int64) & 3
-    return out, exps
+    x3 = x1 ^ x2
+    z3 = z1 ^ z2
+    exp = _popcount(x1 & z1) + _popcount(x2 & z2) - _popcount(x3 & z3) + 2 * _popcount(z1 & x2)
+    return x3, z3, exp & 3
 
 
 class PauliString:
     """Immutable n-qubit Pauli string with an exact unit phase."""
 
-    __slots__ = ("n_qubits", "phase_power", "codes", "packed", "_hash")
+    __slots__ = ("n_qubits", "phase_power", "codes", "packed", "x", "z", "_hash")
 
     def __init__(self, codes, phase_power: int = 0):
         codes = np.ascontiguousarray(codes, dtype=np.uint8)
@@ -108,11 +106,21 @@ class PauliString:
         self.phase_power = int(phase_power) & 3
         self.codes = codes
         self.packed = pack_codes(codes)
+        self.x, self.z = _words(codes)
         self._hash = hash((self.n_qubits, self.phase_power, self.packed))
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":
         return cls(np.zeros(n_qubits, dtype=np.uint8))
+
+    @classmethod
+    def from_words(cls, x, z, n_qubits: int, phase_power: int = 0) -> "PauliString":
+        """String with the given x/z words (the layout of ``.x`` and ``.z``)."""
+        bits = np.unpackbits(
+            np.concatenate((x, z)).view(np.uint8).reshape(2, -1), axis=-1, count=n_qubits,
+            bitorder="little",
+        )
+        return cls(bits[0, ::-1] ^ (3 * bits[1, ::-1]), phase_power)
 
     @classmethod
     def from_label(cls, label: str, phase_power: int = 0) -> "PauliString":
@@ -166,8 +174,8 @@ class PauliString:
             raise DimensionMismatchError(
                 f"cannot multiply strings on {self.n_qubits} and {other.n_qubits} qubits"
             )
-        codes, exp = multiply_codes(self.codes, other.codes)
-        return PauliString(codes, self.phase_power + other.phase_power + exp)
+        x, z, exp = multiply_words(self.x, self.z, other.x, other.z)
+        return PauliString.from_words(x, z, self.n_qubits, self.phase_power + other.phase_power + exp)
 
     def __eq__(self, other) -> bool:
         return (
@@ -190,16 +198,7 @@ class PauliString:
         ``x_mask`` marks sites that flip a basis state (X or Y); ``zy_mask``
         marks sites that contribute a (-1)^bit sign (Z or Y).
         """
-        n = self.n_qubits
-        x_mask = 0
-        zy_mask = 0
-        for j, c in enumerate(self.codes):
-            bit = 1 << (n - 1 - j)
-            if c in (1, 2):
-                x_mask |= bit
-            if c in (2, 3):
-                zy_mask |= bit
-        return x_mask, zy_mask
+        return int.from_bytes(self.x.tobytes(), "little"), int.from_bytes(self.z.tobytes(), "little")
 
     def matrix(self, max_qubits: int = DENSE_QUBIT_CAP) -> np.ndarray:
         """Dense 2^n x 2^n realization (oracle support at small n)."""

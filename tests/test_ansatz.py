@@ -1,10 +1,82 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from paulisdp.ansatz import AnsatzSet, build_overlaps, krylov_ansatz, krylov_strings, x_string_ansatz
-from paulisdp.models import ising_hamiltonian
+from paulisdp.models import ising_hamiltonian, magnetization, random_pauli_operator, spin_flip_parity
 from paulisdp.pauli import PauliString, PauliSum
-from paulisdp.states import HardwareEfficientCircuit, PlusState, ZeroState, prepare
+from paulisdp.states import DenseState, HardwareEfficientCircuit, PlusState, ZeroState, prepare
+
+# Exponent of i acquired by the product of two letters (codes 0=I, 1=X,
+# 2=Y, 3=Z); the product letter itself is the XOR of the codes.
+MUL_PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]], dtype=np.uint8)
+
+
+def reference_krylov(h, max_order):
+    """Level-by-level Krylov expansion, one string product at a time."""
+    n = h.n_qubits
+    generators = [s for _c, s in h.terms()]
+    seen = {PauliString.identity(n).packed}
+    strings, orders, level = [PauliString.identity(n)], [0], [PauliString.identity(n)]
+    for k in range(1, max_order + 1):
+        produced = {}
+        for left in level:
+            for gen in generators:
+                prod = (left * gen).phase_free()
+                produced.setdefault(prod.packed, prod)
+        level = sorted(produced.values(), key=lambda s: s.packed)
+        for s in level:
+            if s.packed not in seen:
+                seen.add(s.packed)
+                strings.append(s)
+                orders.append(k)
+    return strings, orders
+
+
+def reference_overlaps(ansatz, objective=None, constraints=(), shots=None, sample_seed=0):
+    """The per-entry overlap loop: one letter-table product and cache lookup per entry.
+
+    Returns the matrices (gram, objective, then constraints in order) and
+    the number of distinct reduced strings evaluated.
+    """
+    state = prepare(ansatz.seed, ansatz.n_qubits)
+    cache = {}
+
+    def value(codes):
+        key = codes.tobytes()
+        if key not in cache:
+            string = PauliString(codes)
+            if shots is None:
+                cache[key] = float(state.expectation(string).real)
+            else:
+                digest = hashlib.blake2b(
+                    key + sample_seed.to_bytes(8, "little", signed=True), digest_size=8
+                ).digest()
+                cache[key] = state.sampled_expectation(
+                    string, shots, seed=int.from_bytes(digest, "little")
+                )
+        return cache[key]
+
+    m = len(ansatz)
+    rows = np.stack([s.codes for s in ansatz.strings])
+
+    def matrix_for(op):
+        out = np.zeros((m, m), dtype=complex)
+        terms = [(1.0 + 0j, None)] if op is None else op.terms()
+        for coeff, u in terms:
+            for a in range(m):
+                left, left_exp = ansatz.strings[a].codes, 0
+                if u is not None:
+                    left_exp = int(MUL_PHASE[left, u.codes].sum()) & 3
+                    left = left ^ u.codes
+                exps = (MUL_PHASE[left[None, :], rows].sum(axis=1, dtype=np.int64) + left_exp) & 3
+                vals = np.array([value(row) for row in left[None, :] ^ rows])
+                out[a, :] += coeff * (1j ** exps) * vals
+        return (out + out.conj().T) / 2.0
+
+    ops = [None] + ([objective] if objective is not None else []) + [op for _n, op in constraints]
+    return [matrix_for(op) for op in ops], len(cache)
 
 
 class TestKrylovExpansion:
@@ -44,6 +116,16 @@ class TestKrylovExpansion:
         a = [s.label for s in krylov_strings(h, 2)[0]]
         b = [s.label for s in krylov_strings(h, 2)[0]]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "h, order",
+        [(ising_hamiltonian(5), 3), (random_pauli_operator(70, 5, seed=4), 4)],
+    )
+    def test_matches_one_product_at_a_time(self, h, order):
+        strings, orders = krylov_strings(h, order)
+        ref_strings, ref_orders = reference_krylov(h, order)
+        assert [s.packed for s in strings] == [s.packed for s in ref_strings]
+        assert orders == ref_orders
 
 
 class TestAnsatzSet:
@@ -165,6 +247,53 @@ class TestOverlaps:
         data = np.loadtxt(paths[0], delimiter=",", skiprows=1)
         assert data.shape == (4, 8)
         np.testing.assert_allclose(data[:, 0::2], overlaps.gram.real, atol=1e-12)
+
+
+class TestOverlapRegression:
+    """Vectorized overlap measurement against the per-entry loop it replaced."""
+
+    def test_exact_product_backend_1000_qubits(self):
+        op = random_pauli_operator(1000, 8, seed=5)
+        ansatz = krylov_ansatz(op, ZeroState(), 8).take(32)
+        overlaps = build_overlaps(ansatz, objective=op)
+        (gram, objective), _ = reference_overlaps(ansatz, objective=op)
+        np.testing.assert_array_equal(overlaps.gram, gram)
+        np.testing.assert_array_equal(overlaps.objective, objective)
+        assert np.count_nonzero(objective) > 32  # reduced strings equal to I carry phases
+
+    def test_exact_dense_backend_with_constraints(self):
+        h = ising_hamiltonian(6, g=1.0, h=1.0)
+        ansatz = krylov_ansatz(h, HardwareEfficientCircuit(layers=2, seed=9), 2).take(40)
+        constraints = {"mag": magnetization(6), "parity": spin_flip_parity(6)}
+        overlaps = build_overlaps(ansatz, objective=h, constraints=constraints)
+        expected, _ = reference_overlaps(ansatz, h, list(constraints.items()))
+        got = [overlaps.gram, overlaps.objective, *overlaps.constraints.values()]
+        for mat, ref in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(mat, ref)
+
+    def test_shots_mode_and_one_sample_per_distinct_string(self, monkeypatch):
+        h = ising_hamiltonian(6, g=1.0, h=1.0)
+        ansatz = krylov_ansatz(h, HardwareEfficientCircuit(layers=2, seed=9), 2).take(40)
+        constraints = {"mag": magnetization(6)}
+        calls = []
+        sample = DenseState.sampled_expectation
+
+        def counted(self, p, shots, seed):
+            calls.append(p.packed)
+            return sample(self, p, shots, seed)
+
+        monkeypatch.setattr(DenseState, "sampled_expectation", counted)
+        overlaps = build_overlaps(
+            ansatz, objective=h, constraints=constraints, shots=300, sample_seed=17
+        )
+        n_calls = len(calls)
+        expected, n_distinct = reference_overlaps(
+            ansatz, h, list(constraints.items()), shots=300, sample_seed=17
+        )
+        got = [overlaps.gram, overlaps.objective, overlaps.constraints["mag"]]
+        for mat, ref in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(mat, ref)
+        assert n_calls == n_distinct == len(set(calls[:n_calls]))
 
 
 class TestShotsMode:

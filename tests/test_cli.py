@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
-from paulisdp import cli
+from paulisdp import cli, models
+from paulisdp.ansatz import build_overlaps, krylov_ansatz
+from paulisdp.states import PlusState
 
 
 def read_csv(path):
@@ -66,6 +69,30 @@ class TestConfigValidation:
         path.write_text("{ nope }")
         with pytest.raises(cli.ConfigError, match="invalid JSON"):
             cli.parse_config(str(path))
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ('{"command": "nse",\n "model": {"kind": "ising" "n": 3}}', 2, "invalid JSON"),
+            ("[1, 2]", 1, "top level must be an object"),
+        ],
+    )
+    def test_bad_config_file_exits_with_file_and_line(self, tmp_path, capsys, text, line, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.parse_config(str(path))
+        for argv in (["nse", "--config", str(path)], ["xor", "--game", str(path)]):
+            assert cli.main([*argv, "--out", str(tmp_path / "o.csv")]) == cli.EXIT_CONFIG
+            assert f"{path}:{line}: {message}" in capsys.readouterr().err
+
+    def test_eig_sweep_point_reports_no_dual_residual(self):
+        h = models.ising_hamiltonian(3)
+        overlaps = build_overlaps(krylov_ansatz(h, PlusState(), 1), objective=h)
+        m, value, status, dual = cli._solve_point((overlaps, 4, "min", {"method": "eig"}))
+        assert (m, status) == (4, "optimal")
+        assert math.isfinite(value)
+        assert math.isnan(dual)
 
 
 class TestCommands:

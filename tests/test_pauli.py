@@ -8,7 +8,46 @@ from paulisdp.pauli import (
     PauliSum,
     basis_state_projector,
     hermitian_elementary,
+    multiply_words,
 )
+
+# Per-qubit letter tables (codes 0=I, 1=X, 2=Y, 3=Z): the product letter
+# and the exponent of i it acquires, e.g. X*Y = iZ, Y*X = -iZ.
+REF_CODE = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=np.uint8)
+REF_PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]], dtype=np.uint8)
+_REF_LETTERS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+KERNEL_SIZES = (1, 7, 63, 64, 65, 1000)
+
+
+def reference_product(p, q):
+    """Letter codes and phase exponent of p*q, one qubit at a time."""
+    exp = p.phase_power + q.phase_power + int(REF_PHASE[p.codes, q.codes].sum())
+    return REF_CODE[p.codes, q.codes], exp & 3
+
+
+def reference_masks(p):
+    """(x_mask, zy_mask) built bit by bit, qubit 0 the most significant bit."""
+    x_mask = zy_mask = 0
+    for j, c in enumerate(p.codes):
+        bit = 1 << (p.n_qubits - 1 - j)
+        if c in (1, 2):
+            x_mask |= bit
+        if c in (2, 3):
+            zy_mask |= bit
+    return x_mask, zy_mask
+
+
+def reference_matrix(p):
+    """Phase times the Kronecker product of the letters, left to right."""
+    out = np.array([[p.phase]])
+    for c in p.codes:
+        out = np.kron(out, _REF_LETTERS[c])
+    return out
 
 
 def random_string(rng, n, with_phase=True):
@@ -109,6 +148,52 @@ class TestPauliString:
         b = PauliString.single(1000, 999, "Z")
         assert a != b
         assert len({a, b, a * b}) == 2
+
+
+class TestSymplecticKernel:
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_product_matches_letter_tables(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            p, q = random_string(rng, n), random_string(rng, n)
+            codes, exp = reference_product(p, q)
+            r = p * q
+            np.testing.assert_array_equal(r.codes, codes)
+            assert r.phase_power == exp
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_broadcast_product_matches_letter_tables(self, n):
+        rng = np.random.default_rng(100 + n)
+        left = [random_string(rng, n, with_phase=False) for _ in range(6)]
+        right = [random_string(rng, n, with_phase=False) for _ in range(5)]
+        lx, lz = np.stack([s.x for s in left]), np.stack([s.z for s in left])
+        rx, rz = np.stack([s.x for s in right]), np.stack([s.z for s in right])
+        x, z, exp = multiply_words(lx[:, None], lz[:, None], rx, rz)
+        assert x.shape == (6, 5, lx.shape[1]) and exp.shape == (6, 5)
+        for a, p in enumerate(left):
+            for b, q in enumerate(right):
+                codes, ref_exp = reference_product(p, q)
+                r = PauliString.from_words(x[a, b], z[a, b], n)
+                np.testing.assert_array_equal(r.codes, codes)
+                assert exp[a, b] == ref_exp
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_words_round_trip_and_masks(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(10):
+            p = random_string(rng, n)
+            assert PauliString.from_words(p.x, p.z, n, p.phase_power) == p
+            assert p.masks() == reference_masks(p)
+
+    def test_matrix_and_apply_match_kronecker_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            p = random_string(rng, n)
+            expected = reference_matrix(p)
+            np.testing.assert_array_equal(p.matrix(), expected)
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            np.testing.assert_allclose(p.apply(psi), expected @ psi, rtol=0, atol=1e-13)
 
 
 class TestPauliSum:
