@@ -105,6 +105,38 @@ _KNOWN_KEYS = {
 
 _MODEL_KINDS = {"ising", "heisenberg", "random_pauli", "file"}
 _STATE_KINDS = {"zero", "plus", "random", "annealing"}
+_SECTIONS = ("model", "state", "ansatz", "solver")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_positive(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+
+
+# (section or None for the top level, key, accepts, requirement) of every
+# typed field that is checked when present
+_FIELD_RULES = [
+    ("state", "layers", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    ("state", "anneal_time", _is_positive, "a positive number"),
+    ("state", "circuit_seed", _is_int, "an integer"),
+    ("ansatz", "krylov_order", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    ("ansatz", "n_states", lambda v: v is None or (_is_int(v) and v >= 1),
+     "a positive integer"),
+    ("ansatz", "m_sweep",
+     lambda v: v is None or (isinstance(v, list) and all(_is_int(m) and m >= 1 for m in v)),
+     "a list of positive integers"),
+    ("solver", "tol_feas", _is_positive, "a positive number"),
+    ("solver", "tol_gap", _is_positive, "a positive number"),
+    ("solver", "rank_tol", lambda v: v is None or _is_positive(v), "a positive number"),
+    ("solver", "max_iter", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (None, "shots", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (None, "sample_seed", _is_int, "an integer"),
+    (None, "jobs", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (None, "n_excited", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+]
 
 
 def _load_json_object(path: str) -> dict:
@@ -135,7 +167,19 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
     if command not in COMMANDS:
         errors.append(f"{source}: 'command' must be one of {COMMANDS}, got {command!r}")
 
-    model = raw.get("model", {})
+    sections = {}
+    for key in _SECTIONS:
+        sections[key] = raw.get(key, {})
+        if not isinstance(sections[key], dict):
+            errors.append(f"{source}: {key} must be an object")
+            sections[key] = {}
+    model, state, ansatz, solver = (sections[key] for key in _SECTIONS)
+    for section, key, accepts, requirement in _FIELD_RULES:
+        fields = raw if section is None else sections[section]
+        if key in fields and not accepts(fields[key]):
+            name = key if section is None else f"{section}.{key}"
+            errors.append(f"{source}: {name} must be {requirement}, got {fields[key]!r}")
+
     if model:
         kind = model.get("kind")
         if kind not in _MODEL_KINDS:
@@ -147,35 +191,13 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
         elif kind == "file" and not model.get("path"):
             errors.append(f"{source}: model.path is required for kind 'file'")
 
-    state = raw.get("state", {})
     if state and state.get("kind") not in _STATE_KINDS:
         errors.append(f"{source}: state.kind must be one of {sorted(_STATE_KINDS)}")
-    if state.get("layers") is not None and int(state.get("layers", 1)) < 1:
-        errors.append(f"{source}: state.layers must be >= 1")
-    if state.get("anneal_time") is not None and float(state["anneal_time"]) <= 0:
-        errors.append(f"{source}: state.anneal_time must be positive")
-
-    ansatz = raw.get("ansatz", {})
-    if ansatz.get("krylov_order") is not None and int(ansatz["krylov_order"]) < 0:
-        errors.append(f"{source}: ansatz.krylov_order must be >= 0")
-    n_states = ansatz.get("n_states")
-    if n_states is not None and (not isinstance(n_states, int) or n_states < 1):
-        errors.append(f"{source}: ansatz.n_states must be a positive integer")
-    m_sweep = ansatz.get("m_sweep")
-    if m_sweep is not None:
-        if not isinstance(m_sweep, list) or not all(
-            isinstance(v, int) and v >= 1 for v in m_sweep
-        ):
-            errors.append(f"{source}: ansatz.m_sweep must be a list of positive integers")
 
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "shots"):
         errors.append(f"{source}: mode must be 'exact' or 'shots'")
-    shots = raw.get("shots", 1024)
-    if not isinstance(shots, int) or shots < 1:
-        errors.append(f"{source}: shots must be a positive integer")
 
-    solver = raw.get("solver", {})
     for key in solver:
         if key not in ("tol_feas", "tol_gap", "max_iter", "rank_tol"):
             errors.append(f"{source}: unknown solver option {key!r}")
@@ -193,8 +215,8 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
         state=dict(state),
         ansatz=dict(ansatz),
         mode=mode,
-        shots=shots,
-        sample_seed=int(raw.get("sample_seed", 0)),
+        shots=raw.get("shots", 1024),
+        sample_seed=raw.get("sample_seed", 0),
         solver=dict(solver),
         output=raw.get("output"),
         extra=extra,
@@ -319,8 +341,7 @@ def _solve_point(args):
     value, _beta, status, solution, _basis = solve_normalized(
         overlaps.restricted(m), sense=sense, **solver_kwargs
     )
-    dual = solution.dual_residual if solution is not None else math.nan  # eig path: no certificate
-    return m, value, status.value, dual
+    return m, value, status.value, solution.dual_residual
 
 
 def _run_sweep(overlaps, m_values, sense, solver_kwargs, jobs):
@@ -352,7 +373,7 @@ def _run_eig(cfg: RunConfig, sense: str, value_name: str) -> int:
     full = krylov_ansatz(h, seed, order)
     m_values = _sweep_values(cfg, len(full))
     overlaps = build_overlaps(full.take(max(m_values)), objective=h, **_mode_kwargs(cfg))
-    jobs = int(cfg.extra.get("jobs", os.cpu_count() or 1))
+    jobs = int(cfg.extra.get("jobs", 1))
     results = _run_sweep(overlaps, m_values, sense, _solver_kwargs(cfg), jobs)
 
     reference = math.nan
@@ -383,7 +404,7 @@ def run_excited(cfg: RunConfig) -> int:
         shots=cfg.shots,
         sample_seed=cfg.sample_seed,
         **_state_kwargs(cfg),
-        **_solver_kwargs(cfg),
+        **{k: v for k, v in _solver_kwargs(cfg).items() if k != "max_iter"},
     )
     solver.fit(h)
     max_residual = float(solver.orthogonality_residuals_.max(initial=0.0))
@@ -589,9 +610,7 @@ def _figure_fig2a(cfg: RunConfig):
         m_values = sorted(set(np.linspace(1, len(full), 16, dtype=int).tolist()))
         overlaps = build_overlaps(full.take(max(m_values)), objective=h)
         for m in m_values:
-            value, _b, status, _s, _basis = solve_normalized(
-                overlaps.restricted(m), sense="min", method="eig"
-            )
+            value, _b, status, _s, _basis = solve_normalized(overlaps.restricted(m), sense="min")
             rows.append((label, m, value, abs(value - exact), status.value))
     return ["seed", "m", "energy", "delta_e", "status"], rows
 
@@ -625,7 +644,7 @@ def _figure_scaling(cfg: RunConfig, variants):
                     if m > len(full):
                         continue
                     value, _b, status, _s, _basis = solve_normalized(
-                        overlaps.restricted(m), sense="min", method="eig"
+                        overlaps.restricted(m), sense="min"
                     )
                     delta_nse = max(value - exact, 1e-16)
                     rows.append(
@@ -709,7 +728,7 @@ def _figure_fig4(cfg: RunConfig):
             overlaps = build_overlaps(full.take(max(m_values)), objective=c)
             for m in m_values:
                 value, _b, status, _s, _basis = solve_normalized(
-                    overlaps.restricted(m), sense="max", method="eig"
+                    overlaps.restricted(m), sense="max"
                 )
                 rows.append((n, seed, m, max(exact - value, 0.0), status.value))
     return ["n", "seed", "m", "delta_lambda", "status"], rows
@@ -875,54 +894,47 @@ def _parse_m_sweep(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def _override(raw: dict, section: str, flags: dict) -> None:
+    """Merge the flags that were given into a config section.
+
+    A section that is not an object is left as it is, for
+    ``validate_config`` to report.
+    """
+    given = {key: value for key, value in flags.items() if value is not None}
+    current = raw.get(section, {})
+    if given and isinstance(current, dict):
+        raw[section] = {**current, **given}
+
+
 def _merge_args(args: argparse.Namespace) -> dict:
     raw: dict = {"command": args.command}
     if args.config:
         raw.update(_load_json_object(args.config))
         raw["command"] = args.command
-    model = dict(raw.get("model", {}))
-    if args.model:
-        model["kind"] = args.model
-    if args.n is not None:
-        if args.command == "discriminate":
-            raw["n_qubits"] = args.n
-        else:
-            model["n"] = args.n
-    if args.g is not None:
-        model["g"] = args.g
-    if args.field is not None:
-        model["h"] = args.field
-    if getattr(args, "terms", None) is not None:
-        model["terms"] = args.terms
-    if getattr(args, "model_seed", None) is not None:
-        model["seed"] = args.model_seed
-    if getattr(args, "model_file", None):
-        model = {"kind": "file", "path": args.model_file}
-    if model:
-        raw["model"] = model
-
-    state = dict(raw.get("state", {}))
-    for flag, key in (
-        ("seed_state", "kind"),
-        ("layers", "layers"),
-        ("anneal_time", "anneal_time"),
-        ("circuit_seed", "circuit_seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            state[key] = value
-    if state:
-        raw["state"] = state
-
-    ansatz = dict(raw.get("ansatz", {}))
-    if args.krylov_order is not None:
-        ansatz["krylov_order"] = args.krylov_order
-    if args.n_states is not None:
-        ansatz["n_states"] = args.n_states
-    if args.m_sweep:
-        ansatz["m_sweep"] = _parse_m_sweep(args.m_sweep)
-    if ansatz:
-        raw["ansatz"] = ansatz
+    if args.command == "discriminate" and args.n is not None:
+        raw["n_qubits"] = args.n
+    if args.model_file:
+        raw["model"] = {"kind": "file", "path": args.model_file}
+    else:
+        _override(raw, "model", {
+            "kind": args.model,
+            "n": None if args.command == "discriminate" else args.n,
+            "g": args.g,
+            "h": args.field,
+            "terms": args.terms,
+            "seed": args.model_seed,
+        })
+    _override(raw, "state", {
+        "kind": args.seed_state,
+        "layers": args.layers,
+        "anneal_time": args.anneal_time,
+        "circuit_seed": args.circuit_seed,
+    })
+    _override(raw, "ansatz", {
+        "krylov_order": args.krylov_order,
+        "n_states": args.n_states,
+        "m_sweep": _parse_m_sweep(args.m_sweep) if args.m_sweep else None,
+    })
 
     if args.mode:
         raw["mode"] = args.mode
@@ -935,13 +947,7 @@ def _merge_args(args: argparse.Namespace) -> dict:
     if args.jobs is not None:
         raw["jobs"] = args.jobs
 
-    solver = dict(raw.get("solver", {}))
-    if args.tol_feas is not None:
-        solver["tol_feas"] = args.tol_feas
-    if args.tol_gap is not None:
-        solver["tol_gap"] = args.tol_gap
-    if solver:
-        raw["solver"] = solver
+    _override(raw, "solver", {"tol_feas": args.tol_feas, "tol_gap": args.tol_gap})
 
     if args.command == "excited" and getattr(args, "n_excited", None) is not None:
         raw["n_excited"] = args.n_excited

@@ -19,9 +19,11 @@ iteration stalls on primal feasibility, an auxiliary phase solves
 (strictly feasible at X = I, t = 1) and declares the problem infeasible
 when the optimal t stays above threshold.
 
-Also provided: the generalized-eigenvalue shortcut for the single-
-normalization dual, and the Gram-basis regularizer that projects onto the
-numerically independent part of an overlap Gram matrix.
+A program whose only constraint is Tr(X) = 1 is solved by an extreme
+eigenpair; ``eigen_solution`` certifies one with the same residuals.  Also
+provided: the generalized-eigenvalue shortcut for the single-normalization
+dual, and the Gram-basis regularizer that projects onto the numerically
+independent part of an overlap Gram matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 import scipy.linalg
 
 HERMITIAN_TOL = 1e-10
+BLOCK = "state"  # the one block of a normalized program
 
 
 class SolveStatus(enum.Enum):
@@ -510,6 +513,52 @@ def solve(
         dual_residual=rel_d,
         gap=rel_gap,
         iterations=iters,
+    )
+
+
+def normalized_program(
+    d_tilde: np.ndarray, sense: str, extra: list[SdpConstraint] = ()
+) -> SdpProblem:
+    """min/max Tr(D X) with Tr(X) = 1 and ``extra`` constraints on one block."""
+    r = d_tilde.shape[0]
+    constraints = [SdpConstraint({BLOCK: np.eye(r, dtype=d_tilde.dtype)}, 1.0), *extra]
+    return SdpProblem(
+        blocks=[(BLOCK, r)], sense=sense, objective={BLOCK: d_tilde}, constraints=constraints
+    )
+
+
+def eigen_solution(
+    d_tilde: np.ndarray,
+    sense: str,
+    vec: np.ndarray,
+    value: float,
+    tol_feas: float = 1e-8,
+    tol_gap: float = 1e-8,
+) -> SdpSolution:
+    """Certify an eigenpair as the optimum of ``normalized_program(d_tilde, sense)``.
+
+    Primal X = vec vec^H, dual y = value, slack +-(D - value I): exact for
+    the extreme eigenpair.  Residuals come from ``_certify`` on the data
+    ``solve`` uses; the status is ``OPTIMAL`` only when all three meet the
+    tolerances, else ``NUMERICAL_FAILURE``.
+    """
+    problem = normalized_program(d_tilde, sense)
+    _names, dims, c_blocks, a_blocks, b, is_complex, sign = _build_real_data(problem)
+    x = np.outer(vec, np.conj(vec))
+    xs = [embed_real(x) if is_complex[BLOCK] else x.real]
+    y = np.array([float(value)])
+    rel_p, rel_d, rel_gap, _pobj, _dobj = _certify(
+        dims, c_blocks, a_blocks, b, ["="], xs, sign * y
+    )
+    optimal = rel_p <= tol_feas and rel_d <= tol_feas and rel_gap <= tol_gap
+    return SdpSolution(
+        status=SolveStatus.OPTIMAL if optimal else SolveStatus.NUMERICAL_FAILURE,
+        blocks={BLOCK: x if is_complex[BLOCK] else xs[0]},
+        objective_value=float(value),
+        y=y,
+        primal_residual=rel_p,
+        dual_residual=rel_d,
+        gap=rel_gap,
     )
 
 

@@ -18,11 +18,14 @@ from .ansatz import AnsatzSet, OverlapSet, build_overlaps, krylov_ansatz, x_stri
 from .base import BaseSolver
 from .pauli import PauliString, PauliSum, basis_state_projector, hermitian_elementary
 from .sdp import (
+    BLOCK,
     SdpConstraint,
     SdpProblem,
     SolveStatus,
+    eigen_solution,
     generalized_min_eig,
     gram_basis,
+    normalized_program,
     solve,
 )
 from .states import (
@@ -33,8 +36,6 @@ from .states import (
     ZeroState,
 )
 from .validation import check_hermitian_operator, check_positive_int, check_probability
-
-BLOCK = "state"
 
 
 def resolve_seed_state(
@@ -75,60 +76,49 @@ def _shots_kwargs(mode: str, shots: int, sample_seed: int) -> dict:
     raise ValueError(f"mode must be 'exact' or 'shots', got {mode!r}")
 
 
-def _normalized_program(
-    d_tilde: np.ndarray,
-    sense: str,
-    extra: list[SdpConstraint],
-) -> SdpProblem:
-    r = d_tilde.shape[0]
-    constraints = [SdpConstraint({BLOCK: np.eye(r, dtype=d_tilde.dtype)}, 1.0)] + extra
-    return SdpProblem(
-        blocks=[(BLOCK, r)], sense=sense, objective={BLOCK: d_tilde}, constraints=constraints
+def _measure(solver, hamiltonian: PauliSum, constraints: dict[str, PauliSum] | None = None):
+    """Seed state, Krylov strings, ``n_states`` prefix and overlaps, from a solver's settings."""
+    check_hermitian_operator(hamiltonian, "hamiltonian")
+    seed = resolve_seed_state(
+        solver.seed_state,
+        hamiltonian,
+        layers=solver.layers,
+        anneal_time=solver.anneal_time,
+        circuit_seed=solver.circuit_seed,
     )
+    ansatz = krylov_ansatz(hamiltonian, seed, solver.krylov_order)
+    if solver.n_states is not None:
+        ansatz = ansatz.take(check_positive_int(solver.n_states, "n_states"))
+    overlaps = build_overlaps(
+        ansatz,
+        objective=hamiltonian,
+        constraints=constraints,
+        dense_cap=solver.dense_cap,
+        **_shots_kwargs(solver.mode, solver.shots, solver.sample_seed),
+    )
+    return ansatz, overlaps
 
 
-class _ReducedEigComputation:
-    """Shared pipeline for the normalized min/max energy programs."""
-
-    def __init__(self, solver, sense: str):
-        self.solver = solver
-        self.sense = sense
-
-    def run(self, hamiltonian: PauliSum):
-        s = self.solver
-        check_hermitian_operator(hamiltonian, "hamiltonian")
-        seed = resolve_seed_state(
-            s.seed_state,
-            hamiltonian,
-            layers=s.layers,
-            anneal_time=s.anneal_time,
-            circuit_seed=s.circuit_seed,
-        )
-        ansatz = krylov_ansatz(hamiltonian, seed, s.krylov_order)
-        if s.n_states is not None:
-            ansatz = ansatz.take(check_positive_int(s.n_states, "n_states"))
-        overlaps = build_overlaps(
-            ansatz,
-            objective=hamiltonian,
-            dense_cap=s.dense_cap,
-            **_shots_kwargs(s.mode, s.shots, s.sample_seed),
-        )
-        value, beta, status, solution, basis = solve_normalized(
-            overlaps,
-            sense=self.sense,
-            method=s.method,
-            rank_tol=s.rank_tol,
-            tol_feas=s.tol_feas,
-            tol_gap=s.tol_gap,
-            max_iter=s.max_iter,
-        )
-        return ansatz, overlaps, basis, value, beta, status, solution
+def _fit_normalized(solver, hamiltonian: PauliSum, sense: str) -> float:
+    """Measure and solve the normalized program; sets the solver's fitted attributes."""
+    solver.ansatz_, solver.overlaps_ = _measure(solver, hamiltonian)
+    value, solver.beta_, solver.status_, solver.solution_, basis = solve_normalized(
+        solver.overlaps_,
+        sense=sense,
+        method=solver.method,
+        rank_tol=solver.rank_tol,
+        tol_feas=solver.tol_feas,
+        tol_gap=solver.tol_gap,
+        max_iter=solver.max_iter,
+    )
+    solver.rank_ = basis.rank
+    return value
 
 
 def solve_normalized(
     overlaps: OverlapSet,
     sense: str = "min",
-    method: str = "sdp",
+    method: str = "eig",
     rank_tol: float | None = None,
     tol_feas: float = 1e-8,
     tol_gap: float = 1e-8,
@@ -138,9 +128,14 @@ def solve_normalized(
     """Solve min/max Tr(beta D) with Tr(beta E) = 1 in the whitened basis.
 
     ``extra_constraint_ops`` maps names of overlap constraint matrices to
-    (rhs, relation) pairs.  Returns (value, beta, status, solution, basis)
-    with beta lifted back to the original ansatz coordinates.
+    (rhs, relation) pairs; such programs run the interior-point method.
+    Otherwise ``method="eig"`` solves by one eigendecomposition, certified
+    by ``eigen_solution``, and ``method="sdp"`` is the interior-point
+    cross-check.  Returns (value, beta, status, solution, basis), beta in
+    ansatz coordinates and solution an ``SdpSolution`` on either path.
     """
+    if method not in ("sdp", "eig"):
+        raise ValueError(f"method must be 'sdp' or 'eig', got {method!r}")
     basis = gram_basis(overlaps.gram, rank_tol)
     d_tilde = basis.operator(overlaps.objective)
     if method == "eig" and not extra_constraint_ops:
@@ -150,15 +145,16 @@ def solve_normalized(
         )
         value *= sign
         beta = np.outer(alpha, alpha.conj())
-        return value, beta, SolveStatus.OPTIMAL, None, basis
-    if method not in ("sdp", "eig"):
-        raise ValueError(f"method must be 'sdp' or 'eig', got {method!r}")
+        # whitened coordinates of alpha: T^H alpha with T = V diag(w^1/2)
+        vec = np.sqrt(basis.eigenvalues) * (basis.raw_vectors.conj().T @ alpha)
+        solution = eigen_solution(d_tilde, sense, vec, value, tol_feas, tol_gap)
+        return value, beta, solution.status, solution, basis
     extra = []
     for name, (rhs, relation) in (extra_constraint_ops or {}).items():
         extra.append(
             SdpConstraint({BLOCK: basis.operator(overlaps.constraints[name])}, rhs, relation)
         )
-    problem = _normalized_program(d_tilde, sense, extra)
+    problem = normalized_program(d_tilde, sense, extra)
     solution = solve(problem, tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
     beta = None
     value = solution.objective_value
@@ -172,7 +168,10 @@ class GroundStateSolver(BaseSolver):
 
     fit(hamiltonian) sets ``energy_``, ``beta_`` (ansatz-coordinate
     coefficient matrix of the optimizing mixed state), ``status_``,
-    ``ansatz_``, ``overlaps_``, ``rank_`` and ``solution_``.
+    ``ansatz_``, ``overlaps_``, ``rank_`` and ``solution_``, the certified
+    ``SdpSolution`` of the whitened program.  The default ``method="eig"``
+    solves it with one eigendecomposition; ``method="sdp"`` runs the
+    interior-point method as a cross-check.
     """
 
     def __init__(
@@ -191,7 +190,7 @@ class GroundStateSolver(BaseSolver):
         tol_gap: float = 1e-8,
         max_iter: int = 200,
         dense_cap: int = 14,
-        method: str = "sdp",
+        method: str = "eig",
     ):
         self.seed_state = seed_state
         self.krylov_order = krylov_order
@@ -210,16 +209,7 @@ class GroundStateSolver(BaseSolver):
         self.method = method
 
     def fit(self, hamiltonian: PauliSum) -> "GroundStateSolver":
-        (
-            self.ansatz_,
-            self.overlaps_,
-            basis,
-            self.energy_,
-            self.beta_,
-            self.status_,
-            self.solution_,
-        ) = _ReducedEigComputation(self, "min").run(hamiltonian)
-        self.rank_ = basis.rank
+        self.energy_ = _fit_normalized(self, hamiltonian, "min")
         return self
 
 
@@ -227,7 +217,9 @@ class LargestEigenvalueSolver(BaseSolver):
     """Largest-eigenvalue estimate: the normalized program with max sense.
 
     With a product seed (zero/plus) this runs at qubit counts far beyond the
-    dense cap; fit(operator) sets ``eigenvalue_``, ``beta_``, ``status_``.
+    dense cap; fit(operator) sets ``eigenvalue_``, ``beta_``, ``status_`` and
+    ``solution_`` (an ``SdpSolution`` on either ``method``, as for
+    ``GroundStateSolver``).
     """
 
     def __init__(
@@ -246,7 +238,7 @@ class LargestEigenvalueSolver(BaseSolver):
         tol_gap: float = 1e-8,
         max_iter: int = 200,
         dense_cap: int = 14,
-        method: str = "sdp",
+        method: str = "eig",
     ):
         self.seed_state = seed_state
         self.krylov_order = krylov_order
@@ -265,26 +257,22 @@ class LargestEigenvalueSolver(BaseSolver):
         self.method = method
 
     def fit(self, operator: PauliSum) -> "LargestEigenvalueSolver":
-        (
-            self.ansatz_,
-            self.overlaps_,
-            basis,
-            self.eigenvalue_,
-            self.beta_,
-            self.status_,
-            self.solution_,
-        ) = _ReducedEigComputation(self, "max").run(operator)
-        self.rank_ = basis.rank
+        self.eigenvalue_ = _fit_normalized(self, operator, "max")
         return self
 
 
 class ExcitedStatesSolver(BaseSolver):
     """Ground state plus the next ``n_excited`` states by iterated deflation.
 
-    Each level re-solves the normalized program with the added constraints
-    that the new coefficient matrix has zero overlap Tr(beta E beta_prev E)
-    with every state already found.  fit(hamiltonian) sets ``energies_``,
-    ``betas_``, ``statuses_`` and ``orthogonality_residuals_``.
+    Each level is the normalized program with the added constraints that
+    the new coefficient matrix has zero overlap Tr(beta E beta_prev E) with
+    every state already found.  Between PSD matrices that confines level k
+    to the complement of the k lowest eigenvectors of the whitened
+    objective, where its optimum is the k-th eigenpair, so one
+    eigendecomposition gives every level and ``eigen_solution`` certifies
+    each on its deflated program.  A level beyond the Gram rank is
+    ``INFEASIBLE``.  fit(hamiltonian) sets ``energies_``, ``betas_``,
+    ``statuses_`` and ``orthogonality_residuals_``.
     """
 
     def __init__(
@@ -302,7 +290,6 @@ class ExcitedStatesSolver(BaseSolver):
         rank_tol: float | None = None,
         tol_feas: float = 1e-8,
         tol_gap: float = 1e-8,
-        max_iter: int = 200,
         dense_cap: int = 14,
     ):
         self.n_excited = n_excited
@@ -318,65 +305,35 @@ class ExcitedStatesSolver(BaseSolver):
         self.rank_tol = rank_tol
         self.tol_feas = tol_feas
         self.tol_gap = tol_gap
-        self.max_iter = max_iter
         self.dense_cap = dense_cap
 
     def fit(self, hamiltonian: PauliSum) -> "ExcitedStatesSolver":
-        check_hermitian_operator(hamiltonian, "hamiltonian")
-        seed = resolve_seed_state(
-            self.seed_state,
-            hamiltonian,
-            layers=self.layers,
-            anneal_time=self.anneal_time,
-            circuit_seed=self.circuit_seed,
-        )
-        ansatz = krylov_ansatz(hamiltonian, seed, self.krylov_order)
-        if self.n_states is not None:
-            ansatz = ansatz.take(check_positive_int(self.n_states, "n_states"))
+        ansatz, overlaps = _measure(self, hamiltonian)
         if self.n_excited > len(ansatz) - 1:
             raise ValueError(
                 f"n_excited={self.n_excited} exceeds ansatz size minus one ({len(ansatz) - 1})"
             )
-        overlaps = build_overlaps(
-            ansatz,
-            objective=hamiltonian,
-            dense_cap=self.dense_cap,
-            **_shots_kwargs(self.mode, self.shots, self.sample_seed),
-        )
         basis = gram_basis(overlaps.gram, self.rank_tol)
         d_tilde = basis.operator(overlaps.objective)
         r = basis.rank
 
-        # Zero overlap Tr(beta E beta_n E) = 0 between PSD matrices means the
-        # new state's range avoids every found state, so each level solves on
-        # the orthogonal complement of the found directions.  The found state
-        # itself is the dominant eigenvector of the level's optimizer.
+        evals, evecs = np.linalg.eigh(d_tilde)
         energies: list[float] = []
-        found: list[np.ndarray] = []  # whitened unit vectors
         betas_tilde: list[np.ndarray] = []
         statuses: list[SolveStatus] = []
-        for _level in range(self.n_excited + 1):
-            if len(found) >= r:
+        for level in range(self.n_excited + 1):
+            if level >= r:
                 statuses.append(SolveStatus.INFEASIBLE)
                 break
-            if found:
-                stack = np.stack(found, axis=1)
-                proj = np.eye(r, dtype=complex) - stack @ stack.conj().T
-                u, s, _ = np.linalg.svd(proj)
-                q = u[:, s > 0.5]
-            else:
-                q = np.eye(r, dtype=complex)
-            problem = _normalized_program(q.conj().T @ d_tilde @ q, "min", [])
-            sol = solve(
-                problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap, max_iter=self.max_iter
+            q = evecs[:, level:]  # complement of the levels already found
+            sol = eigen_solution(
+                q.conj().T @ d_tilde @ q, "min", q.conj().T @ evecs[:, level], evals[level],
+                self.tol_feas, self.tol_gap,
             )
             statuses.append(sol.status)
             if not sol.is_optimal:
                 break
-            beta_level = q @ sol.blocks[BLOCK] @ q.conj().T
-            evals, evecs = np.linalg.eigh(beta_level)
-            vec = evecs[:, -1]
-            found.append(vec)
+            vec = evecs[:, level]
             betas_tilde.append(np.outer(vec, vec.conj()))
             energies.append(sol.objective_value)
 
@@ -456,24 +413,8 @@ class SymmetrySectorSolver(BaseSolver):
         symmetry = check_hermitian_operator(self._resolve_symmetry(hamiltonian), "symmetry")
         if not symmetry.commutes_with(hamiltonian):
             raise ValueError("symmetry operator does not commute with the Hamiltonian")
-        symmetry_sq = symmetry * symmetry
-
-        seed = resolve_seed_state(
-            self.seed_state,
-            hamiltonian,
-            layers=self.layers,
-            anneal_time=self.anneal_time,
-            circuit_seed=self.circuit_seed,
-        )
-        ansatz = krylov_ansatz(hamiltonian, seed, self.krylov_order)
-        if self.n_states is not None:
-            ansatz = ansatz.take(check_positive_int(self.n_states, "n_states"))
-        overlaps = build_overlaps(
-            ansatz,
-            objective=hamiltonian,
-            constraints={"symmetry": symmetry, "symmetry_sq": symmetry_sq},
-            dense_cap=self.dense_cap,
-            **_shots_kwargs(self.mode, self.shots, self.sample_seed),
+        ansatz, overlaps = _measure(
+            self, hamiltonian, {"symmetry": symmetry, "symmetry_sq": symmetry * symmetry}
         )
         s_k = float(self.sector_value)
         basis = gram_basis(overlaps.gram, self.rank_tol)
@@ -527,7 +468,7 @@ class SymmetrySectorSolver(BaseSolver):
         for w, c in equalities:
             w_sub = subspace.conj().T @ w @ subspace
             extra.append(SdpConstraint({BLOCK: (w_sub + w_sub.conj().T) / 2.0}, c))
-        problem = _normalized_program(d_sub, "min", extra)
+        problem = normalized_program(d_sub, "min", extra)
         sol = solve(problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
                     max_iter=self.max_iter)
         self.solution_ = sol
@@ -1019,7 +960,7 @@ def energy_sweep(
     tol_gap: float = 1e-8,
     max_iter: int = 200,
     dense_cap: int = 14,
-    method: str = "sdp",
+    method: str = "eig",
 ):
     """Normalized-program values over an ansatz-size sweep.
 

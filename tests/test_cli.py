@@ -86,13 +86,58 @@ class TestConfigValidation:
             assert cli.main([*argv, "--out", str(tmp_path / "o.csv")]) == cli.EXIT_CONFIG
             assert f"{path}:{line}: {message}" in capsys.readouterr().err
 
-    def test_eig_sweep_point_reports_no_dual_residual(self):
+    def test_eig_sweep_point_reports_certified_dual_residual(self):
         h = models.ising_hamiltonian(3)
         overlaps = build_overlaps(krylov_ansatz(h, PlusState(), 1), objective=h)
         m, value, status, dual = cli._solve_point((overlaps, 4, "min", {"method": "eig"}))
         assert (m, status) == (4, "optimal")
         assert math.isfinite(value)
-        assert math.isnan(dual)
+        assert dual <= 1e-7
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"state": {"kind": "annealing", "layers": "abc"}},
+             "state.layers must be an integer >= 1, got 'abc'"),
+            ({"state": {"kind": "plus", "anneal_time": "fast"}},
+             "state.anneal_time must be a positive number"),
+            ({"state": {"kind": "random", "circuit_seed": 1.5}},
+             "state.circuit_seed must be an integer"),
+            ({"ansatz": []}, "ansatz must be an object"),
+            ({"ansatz": {"krylov_order": "2"}}, "ansatz.krylov_order must be an integer >= 0"),
+            ({"state": [1, 2]}, "state must be an object"),
+            ({"solver": "tight"}, "solver must be an object"),
+            ({"solver": {"tol_feas": "tight"}}, "solver.tol_feas must be a positive number"),
+            ({"solver": {"max_iter": 0}}, "solver.max_iter must be a positive integer"),
+            ({"sample_seed": "s"}, "sample_seed must be an integer"),
+            ({"jobs": "x"}, "jobs must be a positive integer"),
+        ],
+    )
+    def test_wrongly_typed_field_exits_with_message(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "cfg.json"
+        config = {"command": "nse", "model": {"kind": "ising", "n": 3}, **fields}
+        path.write_text(json.dumps(config))
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.parse_config(str(path))
+        # flags that merge into each section without touching the bad field
+        argv = ["nse", "--config", str(path), "--seed-state", "annealing", "--n-states", "4",
+                "--tol-gap", "1e-8"]
+        assert cli.main([*argv, "--out", str(tmp_path / "o.csv")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_type_errors_reported_together(self):
+        raw = {
+            "command": "nse",
+            "state": {"kind": "annealing", "layers": "abc", "anneal_time": -1},
+            "ansatz": [],
+            "solver": {"rank_tol": "x"},
+            "sample_seed": None,
+        }
+        with pytest.raises(cli.ConfigError) as err:
+            cli.validate_config(raw)
+        assert len(err.value.errors) == 5
 
 
 class TestCommands:

@@ -8,9 +8,11 @@ from paulisdp.sdp import (
     SdpProblem,
     SdpSolution,
     SolveStatus,
+    eigen_solution,
     embed_real,
     generalized_min_eig,
     gram_basis,
+    normalized_program,
     solve,
     to_sdpa_text,
 )
@@ -353,6 +355,55 @@ class TestGeneralizedEig:
     def test_zero_gram_rejected(self):
         with pytest.raises(ValueError):
             generalized_min_eig(np.eye(2), np.zeros((2, 2)))
+
+
+class TestEigenSolution:
+    @staticmethod
+    def extreme_pair(d_tilde, sense, which=0):
+        evals, evecs = np.linalg.eigh(d_tilde)
+        k = which if sense == "min" else -1 - which
+        return evecs[:, k], evals[k]
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_certified_and_equal_to_ipm(self, sense, complex_):
+        rng = np.random.default_rng(21)
+        d_tilde = random_hermitian(rng, 6, complex_)
+        vec, value = self.extreme_pair(d_tilde, sense)
+        sol = eigen_solution(d_tilde, sense, vec, value)
+        ipm = solve(normalized_program(d_tilde, sense))
+        assert sol.status is SolveStatus.OPTIMAL and ipm.status is SolveStatus.OPTIMAL
+        assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= 1e-10
+        assert sol.iterations == 0
+        assert abs(sol.objective_value - ipm.objective_value) <= 1e-7
+        np.testing.assert_allclose(sol.y, ipm.y, atol=1e-7)
+        np.testing.assert_allclose(sol.blocks["state"], ipm.blocks["state"], atol=1e-6)
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_rank_deficient_gram(self, sense):
+        rng = np.random.default_rng(22)
+        v = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+        basis = gram_basis(v @ v.conj().T)
+        assert basis.rank == 5
+        d_tilde = basis.operator(random_hermitian(rng, 8))
+        vec, value = self.extreme_pair(d_tilde, sense)
+        sol = eigen_solution(d_tilde, sense, vec, value)
+        ipm = solve(normalized_program(d_tilde, sense))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= 1e-10
+        assert abs(sol.objective_value - ipm.objective_value) <= 1e-7
+        np.testing.assert_allclose(sol.y, ipm.y, atol=1e-7)
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_second_eigenpair_fails_the_dual_check(self, sense, complex_):
+        rng = np.random.default_rng(23)
+        d_tilde = random_hermitian(rng, 6, complex_)
+        vec, value = self.extreme_pair(d_tilde, sense, which=1)
+        sol = eigen_solution(d_tilde, sense, vec, value)
+        assert sol.status is SolveStatus.NUMERICAL_FAILURE
+        assert sol.dual_residual > 1e-8
+        assert max(sol.primal_residual, sol.gap) <= 1e-10
 
 
 class TestGramBasis:

@@ -88,7 +88,9 @@ class TestGroundState:
     def test_sdp_and_eig_methods_agree(self):
         h = models.ising_hamiltonian(4, 1.0, 1.0)
         for seed in ("plus", "random"):
-            a = GroundStateSolver(seed_state=seed, krylov_order=1, circuit_seed=1).fit(h)
+            a = GroundStateSolver(
+                seed_state=seed, krylov_order=1, circuit_seed=1, method="sdp"
+            ).fit(h)
             b = GroundStateSolver(
                 seed_state=seed, krylov_order=1, circuit_seed=1, method="eig"
             ).fit(h)
@@ -140,6 +142,21 @@ class TestLargestEigenvalue:
         assert solver.status_ is SolveStatus.OPTIMAL
         assert solver.solution_.dual_residual <= 1e-7
 
+    def test_eig_default_matches_sdp_cross_check(self):
+        c = models.random_pauli_operator(64, 8, seed=7)
+        fits = {
+            method: LargestEigenvalueSolver(
+                seed_state="zero", krylov_order=2, n_states=24, **kwargs
+            ).fit(c)
+            for method, kwargs in (("eig", {}), ("sdp", {"method": "sdp"}))
+        }
+        assert fits["eig"].solution_.iterations == 0 < fits["sdp"].solution_.iterations
+        for solver in fits.values():
+            assert solver.status_ is SolveStatus.OPTIMAL
+            assert solver.solution_.dual_residual <= 1e-7
+        assert abs(fits["eig"].eigenvalue_ - fits["sdp"].eigenvalue_) <= 1e-7
+        np.testing.assert_allclose(fits["eig"].solution_.y, fits["sdp"].solution_.y, atol=1e-7)
+
 
 class TestExcitedStates:
     def test_count_zero_equals_ground(self):
@@ -176,6 +193,15 @@ class TestExcitedStates:
         ex = ExcitedStatesSolver(n_excited=2, seed_state="plus", krylov_order=1, n_states=3)
         ex.fit(h)
         assert len(ex.statuses_) >= len(ex.energies_)
+
+    def test_levels_past_gram_rank_are_infeasible(self):
+        # X_i |+> = |+>, so the X strings add no direction: Gram rank < M
+        h = models.ising_hamiltonian(3)
+        ex = ExcitedStatesSolver(n_excited=6, seed_state="plus", krylov_order=1, n_states=7)
+        ex.fit(h)
+        assert ex.rank_ < 7
+        assert len(ex.energies_) == ex.rank_
+        assert ex.statuses_ == [SolveStatus.OPTIMAL] * ex.rank_ + [SolveStatus.INFEASIBLE]
 
 
 class TestSymmetrySector:
