@@ -188,10 +188,11 @@ def build_overlaps(
 ) -> OverlapSet:
     """Measure the Gram matrix plus objective/constraint overlap matrices.
 
-    Exact mode evaluates statevector expectations; shots mode draws ``shots``
-    computational-basis samples per distinct reduced Pauli string with a
-    per-string seed derived from ``sample_seed``.  Matrices of Hermitian
-    operators are symmetrized against their conjugate transpose.
+    Exact mode evaluates statevector expectations; shots mode estimates each
+    distinct reduced Pauli string from ``shots`` parity measurements, drawn
+    as one binomial count (see :mod:`paulisdp.states`) with a per-string
+    seed derived from ``sample_seed``.  Matrices of Hermitian operators are
+    symmetrized against their conjugate transpose.
     """
     constraints = constraints or {}
     for name, op in list(constraints.items()) + ([("objective", objective)] if objective else []):

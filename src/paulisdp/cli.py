@@ -73,47 +73,75 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
 
-_KNOWN_KEYS = {
-    "command",
-    "model",
-    "state",
-    "ansatz",
-    "mode",
-    "shots",
-    "sample_seed",
-    "solver",
-    "output",
-    "n_excited",
-    "symmetry",
-    "sector_value",
-    "sector_values",
-    "angle",
-    "angles",
-    "error_budget",
-    "n_strings",
-    "n_qubits",
-    "instance_seed",
-    "graph",
-    "game",
-    "solve_mode",
-    "figure",
-    "max_qubits",
-    "n_seeds",
-    "t_grid",
-    "jobs",
+def _parse_m_sweep(text: str):
+    """``start:stop[:step]`` (stop included) or a comma list of sizes.
+
+    Text that does not parse is returned as it is, for ``validate_config``
+    to report along with every other violation.
+    """
+    try:
+        if ":" in text:
+            start, stop, *step = (int(v) for v in text.split(":"))
+            return list(range(start, stop + 1, *step))
+        return [int(v) for v in text.split(",")]
+    except (ValueError, TypeError):
+        return text
+
+
+def _parse_numbers(text: str):
+    """A comma list of numbers; unparsable text is returned as it is (see ``_parse_m_sweep``)."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        return text
+
+
+# (argparse attribute, top-level config key, parser of the flag text or None)
+_TOP_LEVEL_FLAGS = [
+    ("mode", "mode", None),
+    ("shots", "shots", None),
+    ("sample_seed", "sample_seed", None),
+    ("out", "output", None),
+    ("jobs", "jobs", None),
+    ("n_excited", "n_excited", None),
+    ("symmetry", "symmetry", None),
+    ("sector", "sector_value", None),
+    ("sectors", "sector_values", _parse_numbers),
+    ("angle", "angle", None),
+    ("angles", "angles", _parse_numbers),
+    ("error_budget", "error_budget", None),
+    ("n_strings", "n_strings", None),
+    ("instance_seed", "instance_seed", None),
+    ("figure", "figure", None),
+    ("max_qubits", "max_qubits", None),
+    ("n_seeds", "n_seeds", None),
+    ("t_grid", "t_grid", _parse_numbers),
+]
+
+_SECTIONS = ("model", "state", "ansatz", "solver")
+# the top-level keys: the sections and every key a flag sets
+_KNOWN_KEYS = {"command", *_SECTIONS, "n_qubits", "graph", "game", "solve_mode"} | {
+    key for _attr, key, _parse in _TOP_LEVEL_FLAGS
 }
 
 _MODEL_KINDS = {"ising", "heisenberg", "random_pauli", "file"}
 _STATE_KINDS = {"zero", "plus", "random", "annealing"}
-_SECTIONS = ("model", "state", "ansatz", "solver")
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_positive(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+    return _is_number(v) and v > 0
+
+
+def _is_list_of(accepts):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(accepts(x) for x in v)
 
 
 # (section or None for the top level, key, accepts, requirement) of every
@@ -125,9 +153,8 @@ _FIELD_RULES = [
     ("ansatz", "krylov_order", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     ("ansatz", "n_states", lambda v: v is None or (_is_int(v) and v >= 1),
      "a positive integer"),
-    ("ansatz", "m_sweep",
-     lambda v: v is None or (isinstance(v, list) and all(_is_int(m) and m >= 1 for m in v)),
-     "a list of positive integers"),
+    ("ansatz", "m_sweep", lambda v: v is None or _is_list_of(lambda m: _is_int(m) and m >= 1)(v),
+     "a non-empty list of positive integers"),
     ("solver", "tol_feas", _is_positive, "a positive number"),
     ("solver", "tol_gap", _is_positive, "a positive number"),
     ("solver", "rank_tol", lambda v: v is None or _is_positive(v), "a positive number"),
@@ -136,6 +163,17 @@ _FIELD_RULES = [
     (None, "sample_seed", _is_int, "an integer"),
     (None, "jobs", lambda v: _is_int(v) and v >= 1, "a positive integer"),
     (None, "n_excited", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    (None, "sector_value", _is_number, "a number"),
+    (None, "sector_values", _is_list_of(_is_number), "a non-empty list of numbers"),
+    (None, "angle", _is_number, "a number"),
+    (None, "angles", _is_list_of(_is_number), "a non-empty list of numbers"),
+    (None, "error_budget", lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    (None, "n_strings", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (None, "n_qubits", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (None, "instance_seed", _is_int, "an integer"),
+    (None, "max_qubits", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    (None, "n_seeds", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (None, "t_grid", _is_list_of(_is_positive), "a non-empty list of positive numbers"),
 ]
 
 
@@ -885,15 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_m_sweep(text: str) -> list[int]:
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in text.split(",")]
-
-
 def _override(raw: dict, section: str, flags: dict) -> None:
     """Merge the flags that were given into a config section.
 
@@ -936,64 +965,19 @@ def _merge_args(args: argparse.Namespace) -> dict:
         "m_sweep": _parse_m_sweep(args.m_sweep) if args.m_sweep else None,
     })
 
-    if args.mode:
-        raw["mode"] = args.mode
-    if args.shots is not None:
-        raw["shots"] = args.shots
-    if args.sample_seed is not None:
-        raw["sample_seed"] = args.sample_seed
-    if args.out:
-        raw["output"] = args.out
-    if args.jobs is not None:
-        raw["jobs"] = args.jobs
-
     _override(raw, "solver", {"tol_feas": args.tol_feas, "tol_gap": args.tol_gap})
-
-    if args.command == "excited" and getattr(args, "n_excited", None) is not None:
-        raw["n_excited"] = args.n_excited
-    if args.command == "symmetry":
-        if getattr(args, "symmetry", None):
-            raw["symmetry"] = args.symmetry
-        if getattr(args, "sector", None) is not None:
-            raw["sector_value"] = args.sector
-        if getattr(args, "sectors", None):
-            raw["sector_values"] = [float(v) for v in args.sectors.split(",")]
-    if args.command == "discriminate":
-        if getattr(args, "angle", None) is not None:
-            raw["angle"] = args.angle
-        if getattr(args, "angles", None):
-            raw["angles"] = [float(v) for v in args.angles.split(",")]
-        if getattr(args, "error_budget", None) is not None:
-            raw["error_budget"] = args.error_budget
-        if getattr(args, "n_strings", None) is not None:
-            raw["n_strings"] = args.n_strings
-        if getattr(args, "instance_seed", None) is not None:
-            raw["instance_seed"] = args.instance_seed
-    if args.command == "lovasz":
-        if getattr(args, "graph", None):
-            raw["graph"] = _parse_graph_flag(args.graph)
-        if getattr(args, "ansatz", False):
-            raw["solve_mode"] = "ansatz"
-        elif getattr(args, "direct", False):
-            raw["solve_mode"] = "direct"
-    if args.command == "xor":
-        if getattr(args, "game", None):
-            if args.game == "chsh":
-                raw["game"] = {"name": "chsh"}
-            else:
-                raw["game"] = _load_json_object(args.game)
-        if getattr(args, "ansatz", False):
-            raw["solve_mode"] = "ansatz"
-        elif getattr(args, "direct", False):
-            raw["solve_mode"] = "direct"
-    if args.command == "figures":
-        raw["figure"] = args.figure
-        if getattr(args, "max_qubits", None) is not None:
-            raw["max_qubits"] = args.max_qubits
-        if getattr(args, "n_seeds", None) is not None:
-            raw["n_seeds"] = args.n_seeds
-        if getattr(args, "t_grid", None):
-            raw["t_grid"] = [float(v) for v in args.t_grid.split(",")]
+    for attr, key, parse in _TOP_LEVEL_FLAGS:
+        value = getattr(args, attr, None)  # command-specific flags exist on their command only
+        if value is not None:
+            raw[key] = value if parse is None else parse(value)
+    if getattr(args, "graph", None):
+        raw["graph"] = _parse_graph_flag(args.graph)
+    if getattr(args, "game", None):
+        raw["game"] = {"name": "chsh"} if args.game == "chsh" else _load_json_object(args.game)
+    if getattr(args, "ansatz", False):
+        raw["solve_mode"] = "ansatz"
+    elif getattr(args, "direct", False):
+        raw["solve_mode"] = "direct"
     return raw
 
 

@@ -76,19 +76,28 @@ def _shots_kwargs(mode: str, shots: int, sample_seed: int) -> dict:
     raise ValueError(f"mode must be 'exact' or 'shots', got {mode!r}")
 
 
-def _measure(solver, hamiltonian: PauliSum, constraints: dict[str, PauliSum] | None = None):
-    """Seed state, Krylov strings, ``n_states`` prefix and overlaps, from a solver's settings."""
+def _measure(
+    solver,
+    hamiltonian: PauliSum,
+    constraints: dict[str, PauliSum] | None = None,
+    ansatz: AnsatzSet | None = None,
+):
+    """Seed state, Krylov strings, ``n_states`` prefix and overlaps, from a solver's settings.
+
+    A given ``ansatz`` is measured as it is.
+    """
     check_hermitian_operator(hamiltonian, "hamiltonian")
-    seed = resolve_seed_state(
-        solver.seed_state,
-        hamiltonian,
-        layers=solver.layers,
-        anneal_time=solver.anneal_time,
-        circuit_seed=solver.circuit_seed,
-    )
-    ansatz = krylov_ansatz(hamiltonian, seed, solver.krylov_order)
-    if solver.n_states is not None:
-        ansatz = ansatz.take(check_positive_int(solver.n_states, "n_states"))
+    if ansatz is None:
+        seed = resolve_seed_state(
+            solver.seed_state,
+            hamiltonian,
+            layers=solver.layers,
+            anneal_time=solver.anneal_time,
+            circuit_seed=solver.circuit_seed,
+        )
+        ansatz = krylov_ansatz(hamiltonian, seed, solver.krylov_order)
+        if solver.n_states is not None:
+            ansatz = ansatz.take(check_positive_int(solver.n_states, "n_states"))
     overlaps = build_overlaps(
         ansatz,
         objective=hamiltonian,
@@ -97,6 +106,20 @@ def _measure(solver, hamiltonian: PauliSum, constraints: dict[str, PauliSum] | N
         **_shots_kwargs(solver.mode, solver.shots, solver.sample_seed),
     )
     return ansatz, overlaps
+
+
+def gram_cut(overlaps: OverlapSet, rank_tol: float | None = None) -> float | None:
+    """Gram eigenvalue cut for measured overlaps.
+
+    An explicit ``rank_tol`` wins.  In shots mode each Gram entry carries
+    noise of order shots^(-1/2), so the M x M noise matrix has spectral norm
+    of order sqrt(M/shots); the default cut 2 sqrt(M/shots) drops those
+    directions (Epperly, Lin and Nakatsukasa, arXiv 2110.07492).  Exact mode
+    returns None, leaving ``gram_basis``'s 1e-8 * lambda_max.
+    """
+    if rank_tol is None and overlaps.shots is not None:
+        return 2.0 * math.sqrt(overlaps.n_states / overlaps.shots)
+    return rank_tol
 
 
 def _fit_normalized(solver, hamiltonian: PauliSum, sense: str) -> float:
@@ -136,6 +159,7 @@ def solve_normalized(
     """
     if method not in ("sdp", "eig"):
         raise ValueError(f"method must be 'sdp' or 'eig', got {method!r}")
+    rank_tol = gram_cut(overlaps, rank_tol)
     basis = gram_basis(overlaps.gram, rank_tol)
     d_tilde = basis.operator(overlaps.objective)
     if method == "eig" and not extra_constraint_ops:
@@ -313,7 +337,7 @@ class ExcitedStatesSolver(BaseSolver):
             raise ValueError(
                 f"n_excited={self.n_excited} exceeds ansatz size minus one ({len(ansatz) - 1})"
             )
-        basis = gram_basis(overlaps.gram, self.rank_tol)
+        basis = gram_basis(overlaps.gram, gram_cut(overlaps, self.rank_tol))
         d_tilde = basis.operator(overlaps.objective)
         r = basis.rank
 
@@ -417,7 +441,7 @@ class SymmetrySectorSolver(BaseSolver):
             self, hamiltonian, {"symmetry": symmetry, "symmetry_sq": symmetry * symmetry}
         )
         s_k = float(self.sector_value)
-        basis = gram_basis(overlaps.gram, self.rank_tol)
+        basis = gram_basis(overlaps.gram, gram_cut(overlaps, self.rank_tol))
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps
         self.rank_ = basis.rank
@@ -838,7 +862,7 @@ class XorGameSolver(BaseSolver):
         }
         overlaps = build_overlaps(ansatz, objective=objective, constraints=constraint_ops)
 
-        basis = gram_basis(overlaps.gram, self.rank_tol)
+        basis = gram_basis(overlaps.gram, gram_cut(overlaps, self.rank_tol))
         extra = [
             SdpConstraint({BLOCK: basis.operator(overlaps.constraints[name])}, 1.0)
             for name in constraint_ops
@@ -901,26 +925,8 @@ class RankOneReducer(BaseSolver):
         rhs = [float(v) for v in rhs]
         if len(constraints) != len(rhs):
             raise ValueError("constraints and rhs must have the same length")
-        if ansatz is None:
-            seed = resolve_seed_state(
-                self.seed_state,
-                objective,
-                layers=self.layers,
-                anneal_time=self.anneal_time,
-                circuit_seed=self.circuit_seed,
-            )
-            ansatz = krylov_ansatz(objective, seed, self.krylov_order)
-            if self.n_states is not None:
-                ansatz = ansatz.take(check_positive_int(self.n_states, "n_states"))
         named = {f"c{i}": op for i, op in enumerate(constraints)}
-        overlaps = build_overlaps(
-            ansatz,
-            objective=objective,
-            constraints=named,
-            dense_cap=self.dense_cap,
-            **_shots_kwargs(self.mode, self.shots, self.sample_seed),
-        )
-        self.ansatz_ = ansatz
+        self.ansatz_, overlaps = _measure(self, objective, named, ansatz)
         self.overlaps_ = overlaps
         self.objective_matrix_ = overlaps.objective
         self.constraint_matrices_ = [overlaps.gram] + [
@@ -930,7 +936,7 @@ class RankOneReducer(BaseSolver):
         self.solvable_ = len(constraints) == 0
         if self.solvable_:
             self.value_, self.alpha_ = generalized_min_eig(
-                overlaps.objective, overlaps.gram, self.rank_tol
+                overlaps.objective, overlaps.gram, gram_cut(overlaps, self.rank_tol)
             )
             self.reason_ = None
         else:

@@ -8,6 +8,11 @@ Two backends realize a prepared state:
   evaluates Pauli expectations in O(n), which is what makes the
   1000-qubit largest-eigenvalue runs possible.
 
+Shot sampling measures a Hermitian string's parity ``shots`` times.  Both
+backends draw the odd-parity count in one binomial draw from the exact
+parity probability, which is the law of simulating every shot, so a
+sampled expectation costs one exact expectation whatever the shot count.
+
 Bit convention matches :mod:`paulisdp.pauli`: qubit 0 is the most
 significant bit of a basis index.
 """
@@ -25,12 +30,6 @@ from .pauli import (
     PauliString,
     PauliSum,
 )
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-# Basis changes U with U sigma U^dag = Z, applied to the state before
-# sampling in the computational basis.
-_MEASURE_ROTATIONS = {1: _H, 2: _H @ np.diag([1.0, -1j]), 3: np.eye(2, dtype=complex)}
-
 
 # ---------------------------------------------------------------------------
 # state specifications
@@ -129,18 +128,7 @@ class ProductState:
         return p.phase * float(np.prod(vals))
 
     def sampled_expectation(self, p: PauliString, shots: int, seed: int) -> float:
-        _check_sampling_args(self, p, shots)
-        rng = np.random.default_rng(seed)
-        sites = np.nonzero(p.codes)[0]
-        if sites.size == 0:
-            return float(p.phase.real)
-        rotated = np.empty((sites.size, 2), dtype=complex)
-        for k, j in enumerate(sites):
-            rotated[k] = _MEASURE_ROTATIONS[int(p.codes[j])] @ self.factors[j]
-        p_one = np.abs(rotated[:, 1]) ** 2
-        bits = rng.random((shots, sites.size)) < p_one[None, :]
-        values = 1.0 - 2.0 * (bits.sum(axis=1) & 1)
-        return float(p.phase.real) * float(values.mean())
+        return _sampled_expectation(self, p, shots, seed)
 
     def to_dense(self, dense_cap: int = DENSE_QUBIT_CAP) -> "DenseState":
         if self.n_qubits > dense_cap:
@@ -175,21 +163,7 @@ class DenseState:
         return complex(np.vdot(self.amplitudes, p.apply(self.amplitudes)))
 
     def sampled_expectation(self, p: PauliString, shots: int, seed: int) -> float:
-        _check_sampling_args(self, p, shots)
-        rng = np.random.default_rng(seed)
-        sites = np.nonzero(p.codes)[0]
-        if sites.size == 0:
-            return float(p.phase.real)
-        psi = self.amplitudes
-        for j in sites:
-            psi = _apply_single(psi, self.n_qubits, int(j), _MEASURE_ROTATIONS[int(p.codes[j])])
-        probs = np.abs(psi) ** 2
-        probs /= probs.sum()
-        outcomes = rng.choice(probs.size, size=shots, p=probs)
-        mask = np.uint64(sum(1 << (self.n_qubits - 1 - int(j)) for j in sites))
-        parities = np.bitwise_count(outcomes.astype(np.uint64) & mask) & 1
-        values = 1.0 - 2.0 * parities
-        return float(p.phase.real) * float(values.mean())
+        return _sampled_expectation(self, p, shots, seed)
 
     def inner(self, other: "DenseState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -205,6 +179,22 @@ def _check_sampling_args(state, p: PauliString, shots: int) -> None:
         raise ValueError("sampled expectation requires a Hermitian string (phase +/-1)")
     if shots < 1:
         raise ValueError("shots must be >= 1")
+
+
+def _sampled_expectation(state: QuantumState, p: PauliString, shots: int, seed: int) -> float:
+    """Mean of ``shots`` parity outcomes of the unsigned string, times its sign.
+
+    The odd-parity count of ``shots`` measurements is Binomial(shots, p_odd)
+    with p_odd = (1 - <P_unsigned>)/2, so one draw from the exact
+    expectation has the law of simulating every shot, at no cost in shots.
+    """
+    _check_sampling_args(state, p, shots)
+    sign = float(p.phase.real)
+    if p.is_identity:
+        return sign
+    p_odd = min(max((1.0 - sign * state.expectation(p).real) / 2.0, 0.0), 1.0)
+    odd = int(np.random.default_rng(seed).binomial(shots, p_odd))
+    return sign * (1.0 - 2.0 * odd / shots)
 
 
 # ---------------------------------------------------------------------------

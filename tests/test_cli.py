@@ -139,6 +139,40 @@ class TestConfigValidation:
             cli.validate_config(raw)
         assert len(err.value.errors) == 5
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["nse", "--m-sweep", "a:b"], {},
+             "ansatz.m_sweep must be a non-empty list of positive integers, got 'a:b'"),
+            (["nse", "--m-sweep", "1:9:0"], {},
+             "ansatz.m_sweep must be a non-empty list of positive integers, got '1:9:0'"),
+            (["discriminate"], {"angle": "0.3"}, "angle must be a number, got '0.3'"),
+            (["discriminate"], {"n_strings": "12"},
+             "n_strings must be a positive integer, got '12'"),
+            (["figures"], {"max_qubits": "8"}, "max_qubits must be an integer >= 2, got '8'"),
+        ],
+    )
+    def test_malformed_command_input_exits_with_message(
+        self, tmp_path, capsys, argv, config, message
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path), "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_bad_lists_reported_with_every_other_violation(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"jobs": "x", "state": {"kind": "random", "layers": 0}}))
+        argv = ["discriminate", "--config", str(path), "--m-sweep", "1:9:0", "--angles", "0.1,x"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 4
+        for name in ("jobs", "state.layers", "ansatz.m_sweep", "angles"):
+            assert f"{name} must be" in err
+
 
 class TestCommands:
     def test_nse_csv_contract(self, tmp_path):
@@ -171,6 +205,20 @@ class TestCommands:
         assert cli.main(args + ["--out", str(out2)]) == 0
         strip = lambda p: [ln for ln in p.read_text().splitlines() if "timestamp" not in ln]
         assert strip(out1) == strip(out2)
+
+    def test_byte_identical_shots_reruns_modulo_timestamp(self, tmp_path):
+        args = [
+            "nse", "--model", "ising", "--n", "3", "--seed-state", "random",
+            "--circuit-seed", "7", "--krylov-order", "1", "--m-sweep", "1,5,9",
+            "--jobs", "1", "--mode", "shots", "--shots", "1000",
+        ]
+        out1, out2, other = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        assert cli.main(args + ["--sample-seed", "5", "--out", str(out1)]) == 0
+        assert cli.main(args + ["--sample-seed", "5", "--out", str(out2)]) == 0
+        assert cli.main(args + ["--sample-seed", "6", "--out", str(other)]) == 0
+        strip = lambda p: [ln for ln in p.read_text().splitlines() if "timestamp" not in ln]
+        assert strip(out1) == strip(out2)
+        assert read_csv(out1)[2] != read_csv(other)[2]
 
     def test_xor_chsh_value(self, tmp_path):
         out = tmp_path / "xor.csv"

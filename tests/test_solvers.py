@@ -17,10 +17,13 @@ from paulisdp.solvers import (
     UnambiguousDiscriminator,
     XorGameSolver,
     energy_sweep,
+    gram_cut,
     resolve_seed_state,
+    solve_normalized,
     two_state_discrimination_instance,
 )
-from paulisdp.states import PlusState, ZeroState, prepare
+from paulisdp.ansatz import build_overlaps, krylov_ansatz
+from paulisdp.states import HardwareEfficientCircuit, PlusState, ZeroState, prepare
 
 
 class TestEstimatorApi:
@@ -404,6 +407,65 @@ class TestRankOneReducer:
         assert len(reducer.constraint_matrices_) == 4  # normalization + 3 vertices
         for mat in reducer.constraint_matrices_[1:]:
             np.testing.assert_allclose(mat, np.diag(np.diag(mat)), atol=1e-12)
+
+
+class TestShotsMode:
+    def test_energies_converge_as_shots_grow(self):
+        # the default shot-aware Gram cut drops the noise directions, so the
+        # energy approaches the exact one from above as shots grow
+        h = models.ising_hamiltonian(6, 1.0, 1.0)
+        exact = oracle.spectrum(h).eigenvalues[0]
+        rms = {}
+        for shots in (10**3, 10**4, 10**5):
+            errors = []
+            for sample_seed in range(5):
+                solver = GroundStateSolver(
+                    seed_state="random", krylov_order=3, n_states=142, mode="shots",
+                    shots=shots, sample_seed=sample_seed,
+                ).fit(h)
+                assert solver.status_ is SolveStatus.OPTIMAL
+                errors.append(solver.energy_ - exact)
+            # stated noise bound: no undershoot beyond 10 shot-noise units
+            assert min(errors) >= -10.0 / math.sqrt(shots)
+            rms[shots] = math.sqrt(np.mean(np.square(errors)))
+        assert rms[10**3] > rms[10**4] > rms[10**5]
+
+    def test_default_cut_is_noise_scaled_and_explicit_cut_wins(self):
+        h = models.ising_hamiltonian(4, 1.0, 1.0)
+        ansatz = krylov_ansatz(h, HardwareEfficientCircuit(layers=2, seed=1), 2)
+        exact = build_overlaps(ansatz, objective=h)
+        noisy = build_overlaps(ansatz, objective=h, shots=2000, sample_seed=4)
+        noise_cut = 2.0 * math.sqrt(len(ansatz) / 2000)
+        assert gram_cut(exact) is None
+        assert gram_cut(exact, 1e-3) == 1e-3
+        assert gram_cut(noisy) == noise_cut
+        assert gram_cut(noisy, 1e-3) == 1e-3
+        evals = np.linalg.eigvalsh(noisy.gram)
+        for method in ("eig", "sdp"):
+            value, _beta, _st, _sol, basis = solve_normalized(noisy, method=method)
+            assert basis.rank == np.count_nonzero(evals > noise_cut)
+            explicit = solve_normalized(noisy, method=method, rank_tol=noise_cut)[0]
+            assert value == pytest.approx(explicit, abs=1e-7)
+        assert solve_normalized(noisy, rank_tol=1e-8)[4].rank == np.count_nonzero(evals > 1e-8)
+
+    def test_every_shots_path_uses_the_noise_cut(self):
+        h = models.ising_hamiltonian(4, 1.0, 1.0)
+        kwargs = dict(seed_state="random", krylov_order=2, mode="shots", shots=500, sample_seed=2)
+        ground = GroundStateSolver(**kwargs).fit(h)
+        excited = ExcitedStatesSolver(n_excited=1, **kwargs).fit(h)
+        sweep = energy_sweep(h, "random", 2, [ground.overlaps_.n_states], mode="shots",
+                             shots=500, sample_seed=2)
+        reducer = RankOneReducer(**kwargs).fit(h)
+        noise_cut = 2.0 * math.sqrt(ground.overlaps_.n_states / 500)
+        evals = np.linalg.eigvalsh(ground.overlaps_.gram)
+        assert ground.rank_ == excited.rank_ == np.count_nonzero(evals > noise_cut)
+        assert excited.energies_[0] == pytest.approx(ground.energy_, abs=1e-9)
+        assert sweep[0][1] == pytest.approx(ground.energy_, abs=1e-9)
+        assert reducer.value_ == pytest.approx(ground.energy_, abs=1e-9)
+        sector = SymmetrySectorSolver(**kwargs).fit(models.heisenberg_hamiltonian(4))
+        sector_evals = np.linalg.eigvalsh(sector.overlaps_.gram)
+        sector_cut = 2.0 * math.sqrt(sector.overlaps_.n_states / 500)
+        assert sector.rank_ == np.count_nonzero(sector_evals > sector_cut)
 
 
 class TestSeedResolution:

@@ -188,3 +188,40 @@ class TestSampling:
         assert 5.0 < ratio_100_10000 < 20.0  # ideal is 10
         ratio_100_1000 = rmse[100] / rmse[1000]
         assert 1.58 < ratio_100_1000 < 6.32  # ideal is sqrt(10)
+
+
+class TestSamplerLaw:
+    """A sampled value is the mean of ``shots`` +/-1 parity outcomes.
+
+    Over seeds its mean is the exact expectation and its variance
+    (1 - <P>^2)/shots, on both backends.
+    """
+
+    DRAWS = 4000
+    SHOTS = 50
+
+    def _check_law(self, st, p):
+        exact = st.expectation(p).real
+        vals = np.array([st.sampled_expectation(p, self.SHOTS, seed=s) for s in range(self.DRAWS)])
+        variance = (1.0 - exact**2) / self.SHOTS
+        assert 0.2 < abs(exact) < 0.8  # a string with real spread and a nonzero mean
+        assert abs(vals.mean() - exact) <= 4.0 * np.sqrt(variance / self.DRAWS)
+        assert 1 / 1.5 <= vals.var(ddof=1) / variance <= 1.5
+        # outcomes are +/-1, so every value sits on the grid 1 - 2k/shots
+        k = (1.0 - p.phase.real * vals) * self.SHOTS / 2.0
+        np.testing.assert_allclose(k, np.round(k), atol=1e-9)
+
+    def test_dense_backend(self):
+        st = prepare(HardwareEfficientCircuit(layers=2, seed=4), 4)
+        self._check_law(st, PauliString.from_label("ZZII"))
+
+    def test_product_backend_signed_string(self):
+        st = ProductState(np.array([[1.0, 0.45], [0.9, 0.3j], [1.0, 0.6]]))
+        self._check_law(st, PauliString.from_label("ZYX", phase_power=2))
+
+    def test_product_backend_cost_independent_of_shots(self):
+        rng = np.random.default_rng(0)
+        st = ProductState(rng.normal(size=(1000, 2)) + 1j * rng.normal(size=(1000, 2)))
+        codes = rng.integers(0, 4, size=1000, dtype=np.uint8)
+        value = st.sampled_expectation(PauliString(codes), shots=10**12, seed=3)
+        assert -1.0 <= value <= 1.0
