@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -25,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, models, oracle, solvers
-from .ansatz import build_overlaps, krylov_ansatz
+from .ansatz import krylov_strings
 from .pauli import PauliSum
 from .sdp import SolveStatus
-from .solvers import resolve_seed_state, solve_normalized
-from .states import prepare
+from .states import QuantumAnnealingState, prepare
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -102,7 +100,6 @@ _TOP_LEVEL_FLAGS = [
     ("shots", "shots", None),
     ("sample_seed", "sample_seed", None),
     ("out", "output", None),
-    ("jobs", "jobs", None),
     ("n_excited", "n_excited", None),
     ("symmetry", "symmetry", None),
     ("sector", "sector_value", None),
@@ -124,8 +121,10 @@ _KNOWN_KEYS = {"command", *_SECTIONS, "n_qubits", "graph", "game", "solve_mode"}
     key for _attr, key, _parse in _TOP_LEVEL_FLAGS
 }
 
-_MODEL_KINDS = {"ising", "heisenberg", "random_pauli", "file"}
-_STATE_KINDS = {"zero", "plus", "random", "annealing"}
+# tuples, not sets: a kind read from JSON may be an unhashable list or object
+_MODEL_KINDS = ("ising", "heisenberg", "random_pauli", "file")
+_STATE_KINDS = ("zero", "plus", "random", "annealing")
+_GRAPH_KINDS = ("cycle", "complete", "chsh", "file")
 
 
 def _is_int(v) -> bool:
@@ -161,7 +160,6 @@ _FIELD_RULES = [
     ("solver", "max_iter", lambda v: _is_int(v) and v >= 1, "a positive integer"),
     (None, "shots", lambda v: _is_int(v) and v >= 1, "a positive integer"),
     (None, "sample_seed", _is_int, "an integer"),
-    (None, "jobs", lambda v: _is_int(v) and v >= 1, "a positive integer"),
     (None, "n_excited", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     (None, "sector_value", _is_number, "a number"),
     (None, "sector_values", _is_list_of(_is_number), "a non-empty list of numbers"),
@@ -231,6 +229,28 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
 
     if state and state.get("kind") not in _STATE_KINDS:
         errors.append(f"{source}: state.kind must be one of {sorted(_STATE_KINDS)}")
+
+    graph = raw.get("graph", {})
+    if not isinstance(graph, dict):
+        errors.append(f"{source}: graph must be an object")
+    elif graph.get("kind", "chsh") not in _GRAPH_KINDS:
+        errors.append(f"{source}: graph.kind must be one of {sorted(_GRAPH_KINDS)}")
+    elif graph.get("kind") in ("cycle", "complete"):
+        least = 2 if graph["kind"] == "cycle" else 1  # a 1-cycle is a self-loop
+        if not (_is_int(graph.get("n")) and graph["n"] >= least):
+            errors.append(
+                f"{source}: graph.n must be an integer >= {least}, got {graph.get('n')!r}"
+            )
+    elif graph.get("kind") == "file" and not graph.get("path"):
+        errors.append(f"{source}: graph.path is required for kind 'file'")
+
+    if command == "discriminate":
+        n_qubits, n_strings = raw.get("n_qubits", 6), raw.get("n_strings", 12)
+        if _is_int(n_qubits) and _is_int(n_strings) and n_strings > 4 ** min(n_qubits, 32):
+            errors.append(
+                f"{source}: n_strings={n_strings} exceeds the {4 ** n_qubits} distinct "
+                f"Pauli strings on n_qubits={n_qubits}"
+            )
 
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "shots"):
@@ -334,11 +354,21 @@ def _build_hamiltonian(cfg: RunConfig) -> PauliSum:
     return models.build_model(cfg.model)
 
 
-def _state_kwargs(cfg: RunConfig) -> dict:
+def _krylov_kwargs(cfg: RunConfig, seed_state: str) -> dict:
+    """Seed-state, Krylov and measurement settings of a Krylov solver.
+
+    ``seed_state`` is the command's default when the config names none.
+    """
     return {
+        "seed_state": cfg.state.get("kind", seed_state),
+        "krylov_order": int(cfg.ansatz.get("krylov_order", 2)),
+        "n_states": cfg.ansatz.get("n_states"),
         "layers": int(cfg.state.get("layers", 4)),
         "anneal_time": float(cfg.state.get("anneal_time", 0.3)),
         "circuit_seed": int(cfg.state.get("circuit_seed", 0)),
+        "mode": cfg.mode,
+        "shots": cfg.shots,
+        "sample_seed": cfg.sample_seed,
     }
 
 
@@ -349,12 +379,6 @@ def _solver_kwargs(cfg: RunConfig) -> dict:
         "tol_gap": float(cfg.solver.get("tol_gap", 1e-8)),
         "max_iter": int(cfg.solver.get("max_iter", 200)),
     }
-
-
-def _mode_kwargs(cfg: RunConfig) -> dict:
-    if cfg.mode == "exact":
-        return {}
-    return {"shots": cfg.shots, "sample_seed": cfg.sample_seed}
 
 
 def _sweep_values(cfg: RunConfig, available: int) -> list[int]:
@@ -374,22 +398,9 @@ def _sweep_values(cfg: RunConfig, available: int) -> list[int]:
     return values
 
 
-def _solve_point(args):
-    overlaps, m, sense, solver_kwargs = args
-    value, _beta, status, solution, _basis = solve_normalized(
-        overlaps.restricted(m), sense=sense, **solver_kwargs
-    )
-    return m, value, status.value, solution.dual_residual
-
-
-def _run_sweep(overlaps, m_values, sense, solver_kwargs, jobs):
-    tasks = [(overlaps, m, sense, solver_kwargs) for m in m_values]
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_point, tasks))
-    else:
-        results = [_solve_point(t) for t in tasks]
-    return sorted(results, key=lambda r: r[0])
+def _n_krylov_strings(h: PauliSum, krylov_order: int) -> int:
+    """Size of the Krylov ansatz, which sets the range of an m sweep."""
+    return len(krylov_strings(h, krylov_order)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +417,12 @@ def run_eigmax(cfg: RunConfig) -> int:
 
 def _run_eig(cfg: RunConfig, sense: str, value_name: str) -> int:
     h = _build_hamiltonian(cfg)
-    seed = resolve_seed_state(cfg.state.get("kind", "plus"), h, **_state_kwargs(cfg))
-    order = int(cfg.ansatz.get("krylov_order", 2))
-    full = krylov_ansatz(h, seed, order)
-    m_values = _sweep_values(cfg, len(full))
-    overlaps = build_overlaps(full.take(max(m_values)), objective=h, **_mode_kwargs(cfg))
-    jobs = int(cfg.extra.get("jobs", 1))
-    results = _run_sweep(overlaps, m_values, sense, _solver_kwargs(cfg), jobs)
+    settings = _krylov_kwargs(cfg, "plus")
+    del settings["n_states"]  # _sweep_values reads it as the one sweep size
+    m_values = _sweep_values(cfg, _n_krylov_strings(h, settings["krylov_order"]))
+    results = solvers.energy_sweep(
+        h, m_values=m_values, sense=sense, **settings, **_solver_kwargs(cfg)
+    )
 
     reference = math.nan
     if h.n_qubits <= 10:
@@ -435,13 +445,7 @@ def run_excited(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
     solver = solvers.ExcitedStatesSolver(
         n_excited=int(cfg.extra.get("n_excited", 3)),
-        seed_state=cfg.state.get("kind", "random"),
-        krylov_order=int(cfg.ansatz.get("krylov_order", 2)),
-        n_states=cfg.ansatz.get("n_states"),
-        mode=cfg.mode,
-        shots=cfg.shots,
-        sample_seed=cfg.sample_seed,
-        **_state_kwargs(cfg),
+        **_krylov_kwargs(cfg, "random"),
         **{k: v for k, v in _solver_kwargs(cfg).items() if k != "max_iter"},
     )
     solver.fit(h)
@@ -465,13 +469,7 @@ def run_symmetry(cfg: RunConfig) -> int:
         solver = solvers.SymmetrySectorSolver(
             symmetry=symmetry_name,
             sector_value=float(sector),
-            seed_state=cfg.state.get("kind", "random"),
-            krylov_order=int(cfg.ansatz.get("krylov_order", 2)),
-            n_states=cfg.ansatz.get("n_states"),
-            mode=cfg.mode,
-            shots=cfg.shots,
-            sample_seed=cfg.sample_seed,
-            **_state_kwargs(cfg),
+            **_krylov_kwargs(cfg, "random"),
             **_solver_kwargs(cfg),
         ).fit(h)
         reference = math.nan
@@ -537,81 +535,60 @@ def run_discriminate(cfg: RunConfig) -> int:
 def _load_graph(spec: dict) -> models.Graph:
     kind = spec.get("kind", "chsh")
     if kind == "cycle":
-        return models.cycle_graph(int(spec["n"]))
+        return models.cycle_graph(spec["n"])
     if kind == "complete":
-        return models.complete_graph(int(spec["n"]))
+        return models.complete_graph(spec["n"])
     if kind == "chsh":
         return models.chsh_graph()
-    if kind == "file":
-        with open(spec["path"]) as fh:
-            return models.Graph.from_text(fh.read())
-    raise ConfigError([f"unknown graph kind {kind!r}"])
+    with open(spec["path"]) as fh:
+        return models.Graph.from_text(fh.read())
 
 
-def run_lovasz(cfg: RunConfig) -> int:
-    graph = _load_graph(cfg.extra.get("graph", {"kind": "chsh"}))
-    solve_mode = cfg.extra.get("solve_mode", "direct")
-    rows = []
-    if solve_mode == "direct":
-        solver = solvers.LovaszThetaSolver(mode="direct", **_solver_kwargs(cfg)).fit(graph)
-        rows.append(("direct", graph.n_vertices, solver.theta_, solver.status_.value))
-    else:
-        n_qubits = max(1, math.ceil(math.log2(graph.n_vertices)))
-        m_values = _sweep_values(cfg, 1 << n_qubits)
-        for m in m_values:
-            solver = solvers.LovaszThetaSolver(
+def _x_string_fits(cfg: RunConfig, solver_class, instance, dim: int) -> list[tuple]:
+    """(m, fitted solver) pairs of a graph or game command.
+
+    One direct solve, with "direct" in place of m, or one X-string ansatz
+    solve per requested size.
+    """
+    if cfg.extra.get("solve_mode", "direct") == "direct":
+        return [("direct", solver_class(mode="direct", **_solver_kwargs(cfg)).fit(instance))]
+    n_qubits = max(1, math.ceil(math.log2(dim)))
+    return [
+        (
+            m,
+            solver_class(
                 mode="ansatz",
                 seed_state=cfg.state.get("kind", "zero"),
                 n_states=m,
                 layers=int(cfg.state.get("layers", 4)),
                 circuit_seed=int(cfg.state.get("circuit_seed", 0)),
                 **_solver_kwargs(cfg),
-            ).fit(graph)
-            rows.append((m, graph.n_vertices, solver.theta_, solver.status_.value))
+            ).fit(instance),
+        )
+        for m in _sweep_values(cfg, 1 << n_qubits)
+    ]
+
+
+def run_lovasz(cfg: RunConfig) -> int:
+    graph = _load_graph(cfg.extra.get("graph", {"kind": "chsh"}))
+    fits = _x_string_fits(cfg, solvers.LovaszThetaSolver, graph, graph.n_vertices)
+    rows = [(m, graph.n_vertices, s.theta_, s.status_.value) for m, s in fits]
     write_csv(cfg.output or "-", cfg, ["m", "n_vertices", "theta", "status"], rows)
     return _statuses_exit_code(r[3] for r in rows)
 
 
 def run_xor(cfg: RunConfig) -> int:
     game = models.XorGame.from_config(cfg.extra.get("game", {"name": "chsh"}))
-    solve_mode = cfg.extra.get("solve_mode", "direct")
-    rows = []
-    if solve_mode == "direct":
-        solver = solvers.XorGameSolver(mode="direct", **_solver_kwargs(cfg)).fit(game)
-        rows.append(("direct", solver.bias_, solver.value_, solver.status_.value))
-    else:
-        h = game.h_matrix()
-        n_qubits = max(1, math.ceil(math.log2(h.shape[0])))
-        m_values = _sweep_values(cfg, 1 << n_qubits)
-        for m in m_values:
-            solver = solvers.XorGameSolver(
-                mode="ansatz",
-                seed_state=cfg.state.get("kind", "zero"),
-                n_states=m,
-                layers=int(cfg.state.get("layers", 4)),
-                circuit_seed=int(cfg.state.get("circuit_seed", 0)),
-                **_solver_kwargs(cfg),
-            ).fit(game)
-            rows.append((m, solver.bias_, solver.value_, solver.status_.value))
+    fits = _x_string_fits(cfg, solvers.XorGameSolver, game, game.h_matrix().shape[0])
     classical = oracle.classical_xor_value(game.pi, game.f)
-    rows = [row + (classical,) for row in rows]
+    rows = [(m, s.bias_, s.value_, s.status_.value, classical) for m, s in fits]
     write_csv(cfg.output or "-", cfg, ["m", "bias", "value", "status", "classical_value"], rows)
     return _statuses_exit_code(r[3] for r in rows)
 
 
 def run_rank1(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
-    reducer = solvers.RankOneReducer(
-        seed_state=cfg.state.get("kind", "zero"),
-        krylov_order=int(cfg.ansatz.get("krylov_order", 2)),
-        n_states=cfg.ansatz.get("n_states"),
-        mode=cfg.mode,
-        shots=cfg.shots,
-        sample_seed=cfg.sample_seed,
-        layers=int(cfg.state.get("layers", 4)),
-        anneal_time=float(cfg.state.get("anneal_time", 0.3)),
-        circuit_seed=int(cfg.state.get("circuit_seed", 0)),
-    ).fit(h)
+    reducer = solvers.RankOneReducer(**_krylov_kwargs(cfg, "zero")).fit(h)
     value = reducer.value_ if reducer.value_ is not None else math.nan
     rows = [
         (
@@ -633,23 +610,16 @@ def _figure_fig2a(cfg: RunConfig):
     n = int(cfg.extra.get("max_qubits", 8))
     h = models.ising_hamiltonian(n, 1.0, 1.0)
     exact = float(oracle.spectrum(h).eigenvalues[0]) if n <= 10 else math.nan
+    m_values = sorted(set(np.linspace(1, _n_krylov_strings(h, 2), 16, dtype=int).tolist()))
     rows = []
-    for label, kind, extra in (
-        ("plus", "plus", {}),
-        ("random", "random", {"layers": 4}),
-        ("annealing", "annealing", {"layers": 4}),
-    ):
-        seed = resolve_seed_state(
-            kind, h, layers=extra.get("layers", 4),
+    for kind in ("plus", "random", "annealing"):
+        sweep = solvers.energy_sweep(
+            h, kind, 2, m_values, layers=4,
             anneal_time=float(cfg.state.get("anneal_time", 0.3)),
             circuit_seed=int(cfg.state.get("circuit_seed", 0)),
         )
-        full = krylov_ansatz(h, seed, 2)
-        m_values = sorted(set(np.linspace(1, len(full), 16, dtype=int).tolist()))
-        overlaps = build_overlaps(full.take(max(m_values)), objective=h)
-        for m in m_values:
-            value, _b, status, _s, _basis = solve_normalized(overlaps.restricted(m), sense="min")
-            rows.append((label, m, value, abs(value - exact), status.value))
+        for m, value, status, _dual in sweep:
+            rows.append((kind, m, value, abs(value - exact), status))
     return ["seed", "m", "energy", "delta_e", "status"], rows
 
 
@@ -663,9 +633,12 @@ def _figure_scaling(cfg: RunConfig, variants):
             exact = float(oracle.spectrum(h).eigenvalues[0])
             layers = max(1, layer_rule(n))
             hz, hx = models.ising_split(n, g=1.0, h=h_field)
+            n_strings = _n_krylov_strings(h, 1)
+            m_values = sorted(
+                m for m in {max(1, int(round(f * 3 * n))) for f in (1 / 3, 2 / 3, 1.0)}
+                if m <= n_strings
+            )
             for t in t_grid:
-                from .states import QuantumAnnealingState
-
                 seed = QuantumAnnealingState(layers=layers, total_time=float(t), hz=hz, hx=hx)
                 state = prepare(seed, n)
                 e_qa = float(
@@ -675,15 +648,7 @@ def _figure_scaling(cfg: RunConfig, variants):
                     )
                 )
                 delta_qa = e_qa - exact
-                full = krylov_ansatz(h, seed, 1)
-                m_values = sorted({max(1, int(round(f * 3 * n))) for f in (1 / 3, 2 / 3, 1.0)})
-                overlaps = build_overlaps(full.take(min(max(m_values), len(full))), objective=h)
-                for m in m_values:
-                    if m > len(full):
-                        continue
-                    value, _b, status, _s, _basis = solve_normalized(
-                        overlaps.restricted(m), sense="min"
-                    )
+                for m, value, status, _dual in solvers.energy_sweep(h, seed, 1, m_values):
                     delta_nse = max(value - exact, 1e-16)
                     rows.append(
                         (
@@ -695,7 +660,7 @@ def _figure_scaling(cfg: RunConfig, variants):
                             delta_qa,
                             delta_nse,
                             delta_qa / delta_nse,
-                            status.value,
+                            status,
                         )
                     )
     return (
@@ -730,8 +695,7 @@ def _figure_fig3(cfg: RunConfig):
     cases = [("transverse_ising_parity", h_ti, parity, (1.0, -1.0))]
     cases.append(("heisenberg_number", h_he, mag, tuple(float(q) for q in range(-n, n + 1, 2))))
     for label, h, sym, sectors in cases:
-        full = krylov_ansatz(h, resolve_seed_state("random", h, circuit_seed=1), 2)
-        m_values = sorted(set(np.linspace(2, len(full), 8, dtype=int).tolist()))
+        m_values = sorted(set(np.linspace(2, _n_krylov_strings(h, 2), 8, dtype=int).tolist()))
         for sector in sectors:
             try:
                 e0 = oracle.sector_minimum(h, sym, sector)
@@ -759,16 +723,12 @@ def _figure_fig4(cfg: RunConfig):
         for seed in range(n_seeds):
             c = models.random_pauli_operator(n, 8, seed=seed)
             exact = float(oracle.spectrum(c).eigenvalues[-1])
-            full = krylov_ansatz(c, resolve_seed_state("zero"), 8)
+            n_strings = _n_krylov_strings(c, 8)
             m_values = sorted(
-                {2, 4, 8, 16, 32, 64, 128, 256} & set(range(1, len(full) + 1))
-            ) or [len(full)]
-            overlaps = build_overlaps(full.take(max(m_values)), objective=c)
-            for m in m_values:
-                value, _b, status, _s, _basis = solve_normalized(
-                    overlaps.restricted(m), sense="max"
-                )
-                rows.append((n, seed, m, max(exact - value, 0.0), status.value))
+                {2, 4, 8, 16, 32, 64, 128, 256} & set(range(1, n_strings + 1))
+            ) or [n_strings]
+            for m, value, status, _dual in solvers.energy_sweep(c, "zero", 8, m_values, "max"):
+                rows.append((n, seed, m, max(exact - value, 0.0), status))
     return ["n", "seed", "m", "delta_lambda", "status"], rows
 
 
@@ -892,7 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["exact", "shots"])
         p.add_argument("--shots", type=int)
         p.add_argument("--sample-seed", type=int)
-        p.add_argument("--jobs", type=int, help="sweep worker processes")
         p.add_argument("--tol-feas", type=float)
         p.add_argument("--tol-gap", type=float)
         if command == "excited":
@@ -982,12 +941,15 @@ def _merge_args(args: argparse.Namespace) -> dict:
 
 
 def _parse_graph_flag(text: str) -> dict:
+    """``chsh``, ``cycle:N``, ``complete:N`` or an edge-list file path.
+
+    A count that does not parse is kept as text (see ``_parse_m_sweep``).
+    """
     if text == "chsh":
         return {"kind": "chsh"}
-    if text.startswith("cycle:"):
-        return {"kind": "cycle", "n": int(text.split(":")[1])}
-    if text.startswith("complete:"):
-        return {"kind": "complete", "n": int(text.split(":")[1])}
+    kind, _, n = text.partition(":")
+    if kind in ("cycle", "complete"):
+        return {"kind": kind, "n": int(n) if n.isdecimal() else n}
     return {"kind": "file", "path": text}
 
 

@@ -98,7 +98,7 @@ def classical_xor_value(pi, f) -> float:
     return best
 
 
-def lovasz_theta_direct(n_vertices: int, edges, tol: float = 1e-9) -> float:
+def lovasz_theta_program(n_vertices: int, edges) -> SdpProblem:
     """Graph-dimension Lovasz theta SDP: max <J, X>, X_ij = 0 on edges, Tr X = 1."""
     if n_vertices > 32:
         raise ValueError("direct theta capped at 32 vertices")
@@ -108,33 +108,41 @@ def lovasz_theta_direct(n_vertices: int, edges, tol: float = 1e-9) -> float:
         a = np.zeros((n, n))
         a[i, j] = a[j, i] = 1.0
         constraints.append(SdpConstraint({"x": a}, 0.0))
-    problem = SdpProblem(
+    return SdpProblem(
         blocks=[("x", n)],
         sense="max",
         objective={"x": np.ones((n, n))},
         constraints=constraints,
     )
-    sol = solve(problem, tol_feas=tol, tol_gap=tol)
+
+
+def lovasz_theta_direct(n_vertices: int, edges, tol: float = 1e-9) -> float:
+    """Optimal value of ``lovasz_theta_program``; raises if the solve is not optimal."""
+    sol = solve(lovasz_theta_program(n_vertices, edges), tol_feas=tol, tol_gap=tol)
     if not sol.is_optimal:
         raise RuntimeError(f"direct theta solve failed: {sol.status}")
     return sol.objective_value
 
 
-def xor_bias_direct(h_matrix: np.ndarray, tol: float = 1e-9) -> float:
+def xor_bias_program(h_matrix: np.ndarray) -> SdpProblem:
     """Full-dimension XOR-game bias SDP: max <H, Z> with unit diagonal."""
     h_matrix = np.asarray(h_matrix, dtype=float)
     n = h_matrix.shape[0]
-    if n > 64:
-        raise ValueError("direct bias SDP capped at dimension 64")
     constraints = []
     for i in range(n):
         a = np.zeros((n, n))
         a[i, i] = 1.0
         constraints.append(SdpConstraint({"z": a}, 1.0))
-    problem = SdpProblem(
+    return SdpProblem(
         blocks=[("z", n)], sense="max", objective={"z": h_matrix}, constraints=constraints
     )
-    sol = solve(problem, tol_feas=tol, tol_gap=tol)
+
+
+def xor_bias_direct(h_matrix: np.ndarray, tol: float = 1e-9) -> float:
+    """Optimal value of ``xor_bias_program``, capped at dimension 64; raises if not optimal."""
+    if np.shape(h_matrix)[0] > 64:
+        raise ValueError("direct bias SDP capped at dimension 64")
+    sol = solve(xor_bias_program(h_matrix), tol_feas=tol, tol_gap=tol)
     if not sol.is_optimal:
         raise RuntimeError(f"direct bias solve failed: {sol.status}")
     return sol.objective_value

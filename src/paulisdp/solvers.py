@@ -1,19 +1,22 @@
 """Solver frontends: estimator-style classes over the reduced-SDP pipeline.
 
-Every solver follows the same contract: hyperparameters in ``__init__``,
-``fit(problem)`` runs build-overlaps -> Gram projection -> SDP and stores
-trailing-underscore results, returning ``self``.  A solver never raises on
-an infeasible program -- infeasibility is a legitimate outcome surfaced in
-``status_`` -- but it does raise on malformed inputs.
+Every solver follows the same contract: keyword-only hyperparameters in
+``__init__`` (dataclass fields, shared through the ``_KrylovSolver`` and
+``_XStringSolver`` settings bases), ``fit(problem)`` runs build-overlaps ->
+Gram projection -> SDP and stores trailing-underscore results, returning
+``self``.  A solver never raises on an infeasible program -- infeasibility
+is a legitimate outcome surfaced in ``status_`` -- but it does raise on
+malformed inputs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import models, oracle
 from .ansatz import AnsatzSet, OverlapSet, build_overlaps, krylov_ansatz, x_string_ansatz
 from .base import BaseSolver
 from .pauli import PauliString, PauliSum, basis_state_projector, hermitian_elementary
@@ -36,6 +39,11 @@ from .states import (
     ZeroState,
 )
 from .validation import check_hermitian_operator, check_positive_int, check_probability
+
+# Solver settings: a generated keyword-only __init__ that BaseSolver's
+# get_params/set_params introspect; solvers keep BaseSolver's repr and
+# compare and hash by identity.
+_settings = dataclass(eq=False, repr=False, kw_only=True)
 
 
 def resolve_seed_state(
@@ -76,38 +84,6 @@ def _shots_kwargs(mode: str, shots: int, sample_seed: int) -> dict:
     raise ValueError(f"mode must be 'exact' or 'shots', got {mode!r}")
 
 
-def _measure(
-    solver,
-    hamiltonian: PauliSum,
-    constraints: dict[str, PauliSum] | None = None,
-    ansatz: AnsatzSet | None = None,
-):
-    """Seed state, Krylov strings, ``n_states`` prefix and overlaps, from a solver's settings.
-
-    A given ``ansatz`` is measured as it is.
-    """
-    check_hermitian_operator(hamiltonian, "hamiltonian")
-    if ansatz is None:
-        seed = resolve_seed_state(
-            solver.seed_state,
-            hamiltonian,
-            layers=solver.layers,
-            anneal_time=solver.anneal_time,
-            circuit_seed=solver.circuit_seed,
-        )
-        ansatz = krylov_ansatz(hamiltonian, seed, solver.krylov_order)
-        if solver.n_states is not None:
-            ansatz = ansatz.take(check_positive_int(solver.n_states, "n_states"))
-    overlaps = build_overlaps(
-        ansatz,
-        objective=hamiltonian,
-        constraints=constraints,
-        dense_cap=solver.dense_cap,
-        **_shots_kwargs(solver.mode, solver.shots, solver.sample_seed),
-    )
-    return ansatz, overlaps
-
-
 def gram_cut(overlaps: OverlapSet, rank_tol: float | None = None) -> float | None:
     """Gram eigenvalue cut for measured overlaps.
 
@@ -120,22 +96,6 @@ def gram_cut(overlaps: OverlapSet, rank_tol: float | None = None) -> float | Non
     if rank_tol is None and overlaps.shots is not None:
         return 2.0 * math.sqrt(overlaps.n_states / overlaps.shots)
     return rank_tol
-
-
-def _fit_normalized(solver, hamiltonian: PauliSum, sense: str) -> float:
-    """Measure and solve the normalized program; sets the solver's fitted attributes."""
-    solver.ansatz_, solver.overlaps_ = _measure(solver, hamiltonian)
-    value, solver.beta_, solver.status_, solver.solution_, basis = solve_normalized(
-        solver.overlaps_,
-        sense=sense,
-        method=solver.method,
-        rank_tol=solver.rank_tol,
-        tol_feas=solver.tol_feas,
-        tol_gap=solver.tol_gap,
-        max_iter=solver.max_iter,
-    )
-    solver.rank_ = basis.rank
-    return value
 
 
 def solve_normalized(
@@ -187,7 +147,61 @@ def solve_normalized(
     return value, beta, solution.status, solution, basis
 
 
-class GroundStateSolver(BaseSolver):
+@_settings
+class _KrylovSolver(BaseSolver):
+    """Settings of the solvers that measure a Krylov ansatz.
+
+    Seed state, Krylov strings and their ``n_states`` prefix, exact or
+    sampled overlaps, the dense-simulation cap, and ``rank_tol``, the Gram
+    eigenvalue cut (see ``gram_cut``).  ``_measure`` reads them.
+    """
+
+    seed_state: str | StateSpec = "plus"
+    krylov_order: int = 2
+    n_states: int | None = None
+    layers: int = 4
+    anneal_time: float = 0.3
+    circuit_seed: int = 0
+    mode: str = "exact"
+    shots: int = 1024
+    sample_seed: int = 0
+    rank_tol: float | None = None
+    dense_cap: int = 14
+
+    def _measure(
+        self,
+        hamiltonian: PauliSum,
+        constraints: dict[str, PauliSum] | None = None,
+        ansatz: AnsatzSet | None = None,
+    ) -> tuple[AnsatzSet, OverlapSet]:
+        """Seed state, Krylov strings, ``n_states`` prefix and overlaps.
+
+        A given ``ansatz`` is measured as it is.
+        """
+        check_hermitian_operator(hamiltonian, "hamiltonian")
+        if ansatz is None:
+            seed = resolve_seed_state(
+                self.seed_state,
+                hamiltonian,
+                layers=self.layers,
+                anneal_time=self.anneal_time,
+                circuit_seed=self.circuit_seed,
+            )
+            ansatz = krylov_ansatz(hamiltonian, seed, self.krylov_order)
+            if self.n_states is not None:
+                ansatz = ansatz.take(check_positive_int(self.n_states, "n_states"))
+        overlaps = build_overlaps(
+            ansatz,
+            objective=hamiltonian,
+            constraints=constraints,
+            dense_cap=self.dense_cap,
+            **_shots_kwargs(self.mode, self.shots, self.sample_seed),
+        )
+        return ansatz, overlaps
+
+
+@_settings
+class GroundStateSolver(_KrylovSolver):
     """Lowest-energy estimate of a Hamiltonian over a Krylov ansatz set.
 
     fit(hamiltonian) sets ``energy_``, ``beta_`` (ansatz-coordinate
@@ -198,94 +212,53 @@ class GroundStateSolver(BaseSolver):
     interior-point method as a cross-check.
     """
 
-    def __init__(
-        self,
-        seed_state="plus",
-        krylov_order: int = 2,
-        n_states: int | None = None,
-        layers: int = 4,
-        anneal_time: float = 0.3,
-        circuit_seed: int = 0,
-        mode: str = "exact",
-        shots: int = 1024,
-        sample_seed: int = 0,
-        rank_tol: float | None = None,
-        tol_feas: float = 1e-8,
-        tol_gap: float = 1e-8,
-        max_iter: int = 200,
-        dense_cap: int = 14,
-        method: str = "eig",
-    ):
-        self.seed_state = seed_state
-        self.krylov_order = krylov_order
-        self.n_states = n_states
-        self.layers = layers
-        self.anneal_time = anneal_time
-        self.circuit_seed = circuit_seed
-        self.mode = mode
-        self.shots = shots
-        self.sample_seed = sample_seed
-        self.rank_tol = rank_tol
-        self.tol_feas = tol_feas
-        self.tol_gap = tol_gap
-        self.max_iter = max_iter
-        self.dense_cap = dense_cap
-        self.method = method
+    tol_feas: float = 1e-8
+    tol_gap: float = 1e-8
+    max_iter: int = 200
+    method: str = "eig"
+
+    _sense = "min"
+    _value_name = "energy_"
 
     def fit(self, hamiltonian: PauliSum) -> "GroundStateSolver":
-        self.energy_ = _fit_normalized(self, hamiltonian, "min")
+        self.ansatz_, self.overlaps_ = self._measure(hamiltonian)
+        value, self.beta_, self.status_, self.solution_, basis = self._solve(
+            self.overlaps_, self._sense
+        )
+        self.rank_ = basis.rank
+        setattr(self, self._value_name, value)
         return self
 
+    def _solve(self, overlaps: OverlapSet, sense: str):
+        """``solve_normalized`` with this solver's method and tolerances."""
+        return solve_normalized(
+            overlaps,
+            sense=sense,
+            method=self.method,
+            rank_tol=self.rank_tol,
+            tol_feas=self.tol_feas,
+            tol_gap=self.tol_gap,
+            max_iter=self.max_iter,
+        )
 
-class LargestEigenvalueSolver(BaseSolver):
+
+@_settings
+class LargestEigenvalueSolver(GroundStateSolver):
     """Largest-eigenvalue estimate: the normalized program with max sense.
 
     With a product seed (zero/plus) this runs at qubit counts far beyond the
-    dense cap; fit(operator) sets ``eigenvalue_``, ``beta_``, ``status_`` and
-    ``solution_`` (an ``SdpSolution`` on either ``method``, as for
-    ``GroundStateSolver``).
+    dense cap; fit(operator) sets ``eigenvalue_`` in place of ``energy_``,
+    and the other attributes as ``GroundStateSolver`` does.
     """
 
-    def __init__(
-        self,
-        seed_state="zero",
-        krylov_order: int = 2,
-        n_states: int | None = None,
-        layers: int = 4,
-        anneal_time: float = 0.3,
-        circuit_seed: int = 0,
-        mode: str = "exact",
-        shots: int = 1024,
-        sample_seed: int = 0,
-        rank_tol: float | None = None,
-        tol_feas: float = 1e-8,
-        tol_gap: float = 1e-8,
-        max_iter: int = 200,
-        dense_cap: int = 14,
-        method: str = "eig",
-    ):
-        self.seed_state = seed_state
-        self.krylov_order = krylov_order
-        self.n_states = n_states
-        self.layers = layers
-        self.anneal_time = anneal_time
-        self.circuit_seed = circuit_seed
-        self.mode = mode
-        self.shots = shots
-        self.sample_seed = sample_seed
-        self.rank_tol = rank_tol
-        self.tol_feas = tol_feas
-        self.tol_gap = tol_gap
-        self.max_iter = max_iter
-        self.dense_cap = dense_cap
-        self.method = method
+    seed_state: str | StateSpec = "zero"
 
-    def fit(self, operator: PauliSum) -> "LargestEigenvalueSolver":
-        self.eigenvalue_ = _fit_normalized(self, operator, "max")
-        return self
+    _sense = "max"
+    _value_name = "eigenvalue_"
 
 
-class ExcitedStatesSolver(BaseSolver):
+@_settings
+class ExcitedStatesSolver(_KrylovSolver):
     """Ground state plus the next ``n_excited`` states by iterated deflation.
 
     Each level is the normalized program with the added constraints that
@@ -299,40 +272,12 @@ class ExcitedStatesSolver(BaseSolver):
     ``statuses_`` and ``orthogonality_residuals_``.
     """
 
-    def __init__(
-        self,
-        n_excited: int = 3,
-        seed_state="plus",
-        krylov_order: int = 2,
-        n_states: int | None = None,
-        layers: int = 4,
-        anneal_time: float = 0.3,
-        circuit_seed: int = 0,
-        mode: str = "exact",
-        shots: int = 1024,
-        sample_seed: int = 0,
-        rank_tol: float | None = None,
-        tol_feas: float = 1e-8,
-        tol_gap: float = 1e-8,
-        dense_cap: int = 14,
-    ):
-        self.n_excited = n_excited
-        self.seed_state = seed_state
-        self.krylov_order = krylov_order
-        self.n_states = n_states
-        self.layers = layers
-        self.anneal_time = anneal_time
-        self.circuit_seed = circuit_seed
-        self.mode = mode
-        self.shots = shots
-        self.sample_seed = sample_seed
-        self.rank_tol = rank_tol
-        self.tol_feas = tol_feas
-        self.tol_gap = tol_gap
-        self.dense_cap = dense_cap
+    n_excited: int = 3
+    tol_feas: float = 1e-8
+    tol_gap: float = 1e-8
 
     def fit(self, hamiltonian: PauliSum) -> "ExcitedStatesSolver":
-        ansatz, overlaps = _measure(self, hamiltonian)
+        ansatz, overlaps = self._measure(hamiltonian)
         if self.n_excited > len(ansatz) - 1:
             raise ValueError(
                 f"n_excited={self.n_excited} exceeds ansatz size minus one ({len(ansatz) - 1})"
@@ -378,7 +323,8 @@ class ExcitedStatesSolver(BaseSolver):
         return self
 
 
-class SymmetrySectorSolver(BaseSolver):
+@_settings
+class SymmetrySectorSolver(_KrylovSolver):
     """Lowest energy within a symmetry sector: <S> and <S^2> pinned.
 
     ``symmetry`` is a PauliSum commuting with the Hamiltonian, or one of the
@@ -387,41 +333,12 @@ class SymmetrySectorSolver(BaseSolver):
     reported in ``status_``/``feasible_``, with ``energy_`` NaN.
     """
 
-    def __init__(
-        self,
-        symmetry="magnetization",
-        sector_value: float = 0.0,
-        seed_state="random",
-        krylov_order: int = 2,
-        n_states: int | None = None,
-        layers: int = 4,
-        anneal_time: float = 0.3,
-        circuit_seed: int = 0,
-        mode: str = "exact",
-        shots: int = 1024,
-        sample_seed: int = 0,
-        rank_tol: float | None = None,
-        tol_feas: float = 1e-8,
-        tol_gap: float = 1e-8,
-        max_iter: int = 200,
-        dense_cap: int = 14,
-    ):
-        self.symmetry = symmetry
-        self.sector_value = sector_value
-        self.seed_state = seed_state
-        self.krylov_order = krylov_order
-        self.n_states = n_states
-        self.layers = layers
-        self.anneal_time = anneal_time
-        self.circuit_seed = circuit_seed
-        self.mode = mode
-        self.shots = shots
-        self.sample_seed = sample_seed
-        self.rank_tol = rank_tol
-        self.tol_feas = tol_feas
-        self.tol_gap = tol_gap
-        self.max_iter = max_iter
-        self.dense_cap = dense_cap
+    symmetry: str | PauliSum = "magnetization"
+    sector_value: float = 0.0
+    seed_state: str | StateSpec = "random"
+    tol_feas: float = 1e-8
+    tol_gap: float = 1e-8
+    max_iter: int = 200
 
     def _resolve_symmetry(self, hamiltonian: PauliSum) -> PauliSum:
         if isinstance(self.symmetry, PauliSum):
@@ -437,8 +354,8 @@ class SymmetrySectorSolver(BaseSolver):
         symmetry = check_hermitian_operator(self._resolve_symmetry(hamiltonian), "symmetry")
         if not symmetry.commutes_with(hamiltonian):
             raise ValueError("symmetry operator does not commute with the Hamiltonian")
-        ansatz, overlaps = _measure(
-            self, hamiltonian, {"symmetry": symmetry, "symmetry_sq": symmetry * symmetry}
+        ansatz, overlaps = self._measure(
+            hamiltonian, {"symmetry": symmetry, "symmetry_sq": symmetry * symmetry}
         )
         s_k = float(self.sector_value)
         basis = gram_basis(overlaps.gram, gram_cut(overlaps, self.rank_tol))
@@ -508,6 +425,7 @@ class SymmetrySectorSolver(BaseSolver):
         return self
 
 
+@_settings
 class UnambiguousDiscriminator(BaseSolver):
     """Optimal measurement coefficients for unambiguous state discrimination.
 
@@ -517,19 +435,11 @@ class UnambiguousDiscriminator(BaseSolver):
     coefficient matrices), ``error_rates_`` and ``status_``.
     """
 
-    def __init__(
-        self,
-        error_budget: float = 0.0,
-        rank_tol: float | None = None,
-        tol_feas: float = 1e-8,
-        tol_gap: float = 1e-8,
-        max_iter: int = 200,
-    ):
-        self.error_budget = error_budget
-        self.rank_tol = rank_tol
-        self.tol_feas = tol_feas
-        self.tol_gap = tol_gap
-        self.max_iter = max_iter
+    error_budget: float = 0.0
+    rank_tol: float | None = None
+    tol_feas: float = 1e-8
+    tol_gap: float = 1e-8
+    max_iter: int = 200
 
     def fit(self, instance: "models.DiscriminationInstance") -> "UnambiguousDiscriminator":
         eps = check_probability(self.error_budget, "error_budget")
@@ -648,6 +558,11 @@ def two_state_discrimination_instance(
     Pauli strings; their coefficient vectors are Gram-orthonormalized and
     interpolated so that arccos(sqrt(Tr(rho1 rho2))) equals ``angle``.
     """
+    if n_strings > 4 ** min(n_qubits, 32):  # 4**32 strings would never fit in memory anyway
+        raise ValueError(
+            f"n_strings={n_strings} exceeds the {4 ** n_qubits} distinct Pauli strings "
+            f"on {n_qubits} qubit(s)"
+        )
     rng = np.random.default_rng(seed)
     strings = [np.zeros(n_qubits, dtype=np.uint8)]
     seen = {strings[0].tobytes()}
@@ -678,70 +593,43 @@ def two_state_discrimination_instance(
     return models.DiscriminationInstance(gram=e, betas=betas, error_budget=error_budget)
 
 
-class LovaszThetaSolver(BaseSolver):
-    """Lovasz theta of a graph, at graph dimension or over an X-string ansatz.
+@_settings
+class _XStringSolver(BaseSolver):
+    """Settings and fit of the graph and game solvers.
 
-    Ansatz mode embeds the vertices in the first computational-basis
-    coordinates of ceil(log2 n) qubits (real seed states only) and imposes
-    the edge and padding-isolation constraints through measured overlap
-    matrices.  fit(graph) sets ``theta_`` and ``status_``.
+    ``mode="direct"`` solves the full-dimension program that ``oracle``
+    builds; ``mode="ansatz"`` solves it over an X-string ansatz on a real
+    seed state, with the constraints as measured overlap matrices.
     """
 
-    def __init__(
-        self,
-        mode: str = "direct",
-        seed_state="zero",
-        n_states: int | None = None,
-        layers: int = 4,
-        circuit_seed: int = 0,
-        rank_tol: float | None = None,
-        tol_feas: float = 1e-9,
-        tol_gap: float = 1e-9,
-        max_iter: int = 200,
-    ):
-        self.mode = mode
-        self.seed_state = seed_state
-        self.n_states = n_states
-        self.layers = layers
-        self.circuit_seed = circuit_seed
-        self.rank_tol = rank_tol
-        self.tol_feas = tol_feas
-        self.tol_gap = tol_gap
-        self.max_iter = max_iter
+    mode: str = "direct"
+    seed_state: str | StateSpec = "zero"
+    n_states: int | None = None
+    layers: int = 4
+    circuit_seed: int = 0
+    rank_tol: float | None = None
+    tol_feas: float = 1e-9
+    tol_gap: float = 1e-9
+    max_iter: int = 200
 
-    def fit(self, graph: "models.Graph") -> "LovaszThetaSolver":
+    def fit(self, instance):
         if self.mode == "direct":
-            return self._fit_direct(graph)
-        if self.mode == "ansatz":
-            return self._fit_ansatz(graph)
-        raise ValueError(f"mode must be 'direct' or 'ansatz', got {self.mode!r}")
-
-    def _fit_direct(self, graph: "models.Graph") -> "LovaszThetaSolver":
-        n = graph.n_vertices
-        if n > 32:
-            raise ValueError("direct mode capped at 32 vertices")
-        constraints = [SdpConstraint({"x": np.eye(n)}, 1.0)]
-        for i, j in graph.edges:
-            a = np.zeros((n, n))
-            a[i, j] = a[j, i] = 1.0
-            constraints.append(SdpConstraint({"x": a}, 0.0))
-        problem = SdpProblem(
-            blocks=[("x", n)],
-            sense="max",
-            objective={"x": np.ones((n, n))},
-            constraints=constraints,
-        )
-        sol = solve(problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
-                    max_iter=self.max_iter)
+            sol = self._solve(self._direct_program(instance))
+        elif self.mode == "ansatz":
+            sol = self._fit_ansatz(instance)
+        else:
+            raise ValueError(f"mode must be 'direct' or 'ansatz', got {self.mode!r}")
         self.status_ = sol.status
         self.solution_ = sol
-        self.theta_ = sol.objective_value if sol.is_optimal else math.nan
+        self._set_value(sol.objective_value if sol.is_optimal else math.nan)
         return self
 
-    def _fit_ansatz(self, graph: "models.Graph") -> "LovaszThetaSolver":
-        n = graph.n_vertices
-        n_qubits = max(1, math.ceil(math.log2(n)))
-        dim = 1 << n_qubits
+    def _solve(self, problem: SdpProblem):
+        return solve(problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
+                     max_iter=self.max_iter)
+
+    def _x_string_ansatz(self, dim: int) -> AnsatzSet:
+        """The ``n_states`` prefix of the X strings on ceil(log2 dim) qubits, real seed."""
         seed = resolve_seed_state(
             self.seed_state, layers=self.layers, circuit_seed=self.circuit_seed
         )
@@ -749,9 +637,33 @@ class LovaszThetaSolver(BaseSolver):
             raise ValueError(
                 "ansatz mode needs a real-valued seed: zero state or y-rotation circuit"
             )
-        ansatz = x_string_ansatz(n_qubits, seed)
+        ansatz = x_string_ansatz(max(1, math.ceil(math.log2(dim))), seed)
         if self.n_states is not None:
             ansatz = ansatz.take(check_positive_int(self.n_states, "n_states"))
+        return ansatz
+
+
+@_settings
+class LovaszThetaSolver(_XStringSolver):
+    """Lovasz theta of a graph, at graph dimension or over an X-string ansatz.
+
+    Ansatz mode embeds the vertices in the first computational-basis
+    coordinates of ceil(log2 n) qubits (real seed states only) and imposes
+    the edge and padding-isolation constraints through measured overlap
+    matrices.  fit(graph) sets ``theta_``, ``status_`` and ``solution_``.
+    """
+
+    def _direct_program(self, graph: "models.Graph") -> SdpProblem:
+        return oracle.lovasz_theta_program(graph.n_vertices, graph.edges)
+
+    def _set_value(self, value: float) -> None:
+        self.theta_ = value
+
+    def _fit_ansatz(self, graph: "models.Graph"):
+        n = graph.n_vertices
+        ansatz = self._x_string_ansatz(n)
+        n_qubits = ansatz.n_qubits
+        dim = 1 << n_qubits
 
         all_ones = PauliSum(n_qubits)
         for i in range(n):
@@ -765,7 +677,7 @@ class LovaszThetaSolver(BaseSolver):
             constraint_ops[f"im_{i}_{j}"] = hermitian_elementary(n_qubits, i, j, imaginary=True)
 
         overlaps = build_overlaps(ansatz, objective=all_ones, constraints=constraint_ops)
-        value, beta, status, solution, basis = solve_normalized(
+        _value, beta, _status, solution, _basis = solve_normalized(
             overlaps,
             sense="max",
             rank_tol=self.rank_tol,
@@ -776,14 +688,12 @@ class LovaszThetaSolver(BaseSolver):
         )
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps
-        self.status_ = status
-        self.solution_ = solution
         self.beta_ = beta
-        self.theta_ = value if status is SolveStatus.OPTIMAL else math.nan
-        return self
+        return solution
 
 
-class XorGameSolver(BaseSolver):
+@_settings
+class XorGameSolver(_XStringSolver):
     """Quantum bias and value of a two-player XOR game.
 
     fit(game) sets ``bias_`` and ``value_`` = 0.5 + 0.5 * bias_, solving
@@ -791,66 +701,19 @@ class XorGameSolver(BaseSolver):
     unit-diagonal constraints expressed as measured overlaps.
     """
 
-    def __init__(
-        self,
-        mode: str = "direct",
-        seed_state="zero",
-        n_states: int | None = None,
-        layers: int = 4,
-        circuit_seed: int = 0,
-        rank_tol: float | None = None,
-        tol_feas: float = 1e-9,
-        tol_gap: float = 1e-9,
-        max_iter: int = 200,
-    ):
-        self.mode = mode
-        self.seed_state = seed_state
-        self.n_states = n_states
-        self.layers = layers
-        self.circuit_seed = circuit_seed
-        self.rank_tol = rank_tol
-        self.tol_feas = tol_feas
-        self.tol_gap = tol_gap
-        self.max_iter = max_iter
+    def _direct_program(self, game: "models.XorGame") -> SdpProblem:
+        return oracle.xor_bias_program(game.h_matrix())
 
-    def fit(self, game: "models.XorGame") -> "XorGameSolver":
+    def _set_value(self, value: float) -> None:
+        self.bias_ = value
+        self.value_ = 0.5 + 0.5 * value
+
+    def _fit_ansatz(self, game: "models.XorGame"):
         h = game.h_matrix()
-        if self.mode == "direct":
-            n = h.shape[0]
-            constraints = []
-            for i in range(n):
-                a = np.zeros((n, n))
-                a[i, i] = 1.0
-                constraints.append(SdpConstraint({"z": a}, 1.0))
-            problem = SdpProblem(
-                blocks=[("z", n)], sense="max", objective={"z": h}, constraints=constraints
-            )
-            sol = solve(problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
-                        max_iter=self.max_iter)
-            self.status_ = sol.status
-            self.solution_ = sol
-            self.bias_ = sol.objective_value if sol.is_optimal else math.nan
-        elif self.mode == "ansatz":
-            self._fit_ansatz(game, h)
-        else:
-            raise ValueError(f"mode must be 'direct' or 'ansatz', got {self.mode!r}")
-        self.value_ = 0.5 + 0.5 * self.bias_
-        return self
-
-    def _fit_ansatz(self, game: "models.XorGame", h: np.ndarray) -> None:
         n = h.shape[0]
-        n_qubits = max(1, math.ceil(math.log2(n)))
+        ansatz = self._x_string_ansatz(n)
+        n_qubits = ansatz.n_qubits
         dim = 1 << n_qubits
-        seed = resolve_seed_state(
-            self.seed_state, layers=self.layers, circuit_seed=self.circuit_seed
-        )
-        if not isinstance(seed, (ZeroState, HardwareEfficientCircuit)):
-            raise ValueError(
-                "ansatz mode needs a real-valued seed: zero state or y-rotation circuit"
-            )
-        ansatz = x_string_ansatz(n_qubits, seed)
-        if self.n_states is not None:
-            ansatz = ansatz.take(check_positive_int(self.n_states, "n_states"))
 
         objective = PauliSum(n_qubits)
         for i in range(n):
@@ -873,16 +736,13 @@ class XorGameSolver(BaseSolver):
             objective={BLOCK: basis.operator(overlaps.objective)},
             constraints=extra,
         )
-        sol = solve(problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
-                    max_iter=self.max_iter)
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps
-        self.status_ = sol.status
-        self.solution_ = sol
-        self.bias_ = sol.objective_value if sol.is_optimal else math.nan
+        return self._solve(problem)
 
 
-class RankOneReducer(BaseSolver):
+@_settings
+class RankOneReducer(_KrylovSolver):
     """Quadratic-program data for the rank-one-restricted reduction.
 
     fit(objective, constraints=(), rhs=()) measures the objective and
@@ -893,31 +753,7 @@ class RankOneReducer(BaseSolver):
     quadratically constrained program is out of reach here.
     """
 
-    def __init__(
-        self,
-        seed_state="zero",
-        krylov_order: int = 2,
-        n_states: int | None = None,
-        layers: int = 4,
-        anneal_time: float = 0.3,
-        circuit_seed: int = 0,
-        mode: str = "exact",
-        shots: int = 1024,
-        sample_seed: int = 0,
-        rank_tol: float | None = None,
-        dense_cap: int = 14,
-    ):
-        self.seed_state = seed_state
-        self.krylov_order = krylov_order
-        self.n_states = n_states
-        self.layers = layers
-        self.anneal_time = anneal_time
-        self.circuit_seed = circuit_seed
-        self.mode = mode
-        self.shots = shots
-        self.sample_seed = sample_seed
-        self.rank_tol = rank_tol
-        self.dense_cap = dense_cap
+    seed_state: str | StateSpec = "zero"
 
     def fit(self, objective: PauliSum, constraints=(), rhs=(), ansatz=None) -> "RankOneReducer":
         check_hermitian_operator(objective, "objective")
@@ -926,7 +762,7 @@ class RankOneReducer(BaseSolver):
         if len(constraints) != len(rhs):
             raise ValueError("constraints and rhs must have the same length")
         named = {f"c{i}": op for i, op in enumerate(constraints)}
-        self.ansatz_, overlaps = _measure(self, objective, named, ansatz)
+        self.ansatz_, overlaps = self._measure(objective, named, ansatz)
         self.overlaps_ = overlaps
         self.objective_matrix_ = overlaps.objective
         self.constraint_matrices_ = [overlaps.gram] + [
@@ -972,33 +808,19 @@ def energy_sweep(
 
     Overlaps are measured once at the largest requested size and sliced,
     which is how nested prefix sets behave on a device.  Returns a list of
-    (m, value, status_name) rows ordered by m.
+    (m, value, status_name, dual_residual) rows ordered by m, the dual
+    residual being that of the solution's certificate.
     """
-    check_hermitian_operator(hamiltonian, "hamiltonian")
-    seed = resolve_seed_state(
-        seed_state, hamiltonian, layers=layers, anneal_time=anneal_time,
-        circuit_seed=circuit_seed,
-    )
-    ansatz = krylov_ansatz(hamiltonian, seed, krylov_order)
     m_values = sorted({int(m) for m in m_values})
-    if m_values[0] < 1 or m_values[-1] > len(ansatz):
-        raise ValueError(f"m values must lie in 1..{len(ansatz)}")
-    full = build_overlaps(
-        ansatz.take(m_values[-1]),
-        objective=hamiltonian,
-        dense_cap=dense_cap,
-        **_shots_kwargs(mode, shots, sample_seed),
+    solver = GroundStateSolver(
+        seed_state=seed_state, krylov_order=krylov_order, n_states=m_values[-1],
+        layers=layers, anneal_time=anneal_time, circuit_seed=circuit_seed, mode=mode,
+        shots=shots, sample_seed=sample_seed, rank_tol=rank_tol, tol_feas=tol_feas,
+        tol_gap=tol_gap, max_iter=max_iter, dense_cap=dense_cap, method=method,
     )
+    _ansatz, full = solver._measure(hamiltonian)
     rows = []
     for m in m_values:
-        value, _beta, status, _sol, _basis = solve_normalized(
-            full.restricted(m),
-            sense=sense,
-            method=method,
-            rank_tol=rank_tol,
-            tol_feas=tol_feas,
-            tol_gap=tol_gap,
-            max_iter=max_iter,
-        )
-        rows.append((m, value, status.value))
+        value, _beta, status, solution, _basis = solver._solve(full.restricted(m), sense)
+        rows.append((m, value, status.value, solution.dual_residual))
     return rows

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from paulisdp import cli, models
-from paulisdp.ansatz import build_overlaps, krylov_ansatz
+from paulisdp.solvers import energy_sweep
 from paulisdp.states import PlusState
 
 
@@ -88,8 +88,7 @@ class TestConfigValidation:
 
     def test_eig_sweep_point_reports_certified_dual_residual(self):
         h = models.ising_hamiltonian(3)
-        overlaps = build_overlaps(krylov_ansatz(h, PlusState(), 1), objective=h)
-        m, value, status, dual = cli._solve_point((overlaps, 4, "min", {"method": "eig"}))
+        [(m, value, status, dual)] = energy_sweep(h, PlusState(), 1, [4], method="eig")
         assert (m, status) == (4, "optimal")
         assert math.isfinite(value)
         assert dual <= 1e-7
@@ -110,7 +109,8 @@ class TestConfigValidation:
             ({"solver": {"tol_feas": "tight"}}, "solver.tol_feas must be a positive number"),
             ({"solver": {"max_iter": 0}}, "solver.max_iter must be a positive integer"),
             ({"sample_seed": "s"}, "sample_seed must be an integer"),
-            ({"jobs": "x"}, "jobs must be a positive integer"),
+            ({"jobs": 2}, "unknown key 'jobs'"),
+            ({"model": {"kind": ["ising"]}}, "model.kind must be one of"),
         ],
     )
     def test_wrongly_typed_field_exits_with_message(self, tmp_path, capsys, fields, message):
@@ -150,6 +150,14 @@ class TestConfigValidation:
             (["discriminate"], {"n_strings": "12"},
              "n_strings must be a positive integer, got '12'"),
             (["figures"], {"max_qubits": "8"}, "max_qubits must be an integer >= 2, got '8'"),
+            (["discriminate", "--n", "1"], {},
+             "n_strings=12 exceeds the 4 distinct Pauli strings on n_qubits=1"),
+            (["discriminate", "--n", "2", "--n-strings", "20"], {},
+             "n_strings=20 exceeds the 16 distinct Pauli strings on n_qubits=2"),
+            (["lovasz", "--graph", "cycle:x"], {}, "graph.n must be an integer >= 2, got 'x'"),
+            (["lovasz"], {"graph": {"kind": "cycle", "n": "5"}},
+             "graph.n must be an integer >= 2, got '5'"),
+            (["lovasz"], {"graph": {"kind": ["cycle"]}}, "graph.kind must be one of"),
         ],
     )
     def test_malformed_command_input_exits_with_message(
@@ -165,12 +173,12 @@ class TestConfigValidation:
 
     def test_bad_lists_reported_with_every_other_violation(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"jobs": "x", "state": {"kind": "random", "layers": 0}}))
+        path.write_text(json.dumps({"shots": "x", "state": {"kind": "random", "layers": 0}}))
         argv = ["discriminate", "--config", str(path), "--m-sweep", "1:9:0", "--angles", "0.1,x"]
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 4
-        for name in ("jobs", "state.layers", "ansatz.m_sweep", "angles"):
+        for name in ("shots", "state.layers", "ansatz.m_sweep", "angles"):
             assert f"{name} must be" in err
 
 
@@ -180,8 +188,7 @@ class TestCommands:
         code = cli.main(
             [
                 "nse", "--model", "ising", "--n", "4", "--seed-state", "plus",
-                "--krylov-order", "2", "--m-sweep", "1:13:4", "--jobs", "1",
-                "--out", str(out),
+                "--krylov-order", "2", "--m-sweep", "1:13:4", "--out", str(out),
             ]
         )
         assert code == cli.EXIT_OK
@@ -198,7 +205,6 @@ class TestCommands:
         args = [
             "nse", "--model", "ising", "--n", "3", "--seed-state", "random",
             "--circuit-seed", "7", "--krylov-order", "1", "--m-sweep", "1,5,9",
-            "--jobs", "1",
         ]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(args + ["--out", str(out1)]) == 0
@@ -210,7 +216,7 @@ class TestCommands:
         args = [
             "nse", "--model", "ising", "--n", "3", "--seed-state", "random",
             "--circuit-seed", "7", "--krylov-order", "1", "--m-sweep", "1,5,9",
-            "--jobs", "1", "--mode", "shots", "--shots", "1000",
+            "--mode", "shots", "--shots", "1000",
         ]
         out1, out2, other = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         assert cli.main(args + ["--sample-seed", "5", "--out", str(out1)]) == 0
@@ -305,12 +311,43 @@ class TestCommands:
             [
                 "eigmax", "--model", "random_pauli", "--n", "5", "--terms", "6",
                 "--model-seed", "2", "--seed-state", "zero", "--krylov-order", "5",
-                "--jobs", "1", "--out", str(out),
+                "--out", str(out),
             ]
         )
         assert code == cli.EXIT_OK
         _meta, header, rows = read_csv(out)
         assert float(rows[-1][header.index("delta_eigenvalue")]) < 1e-6
+
+    @pytest.mark.parametrize(
+        "argv, model, sweep",
+        [
+            (["nse", "--model", "ising", "--n", "4", "--seed-state", "random",
+              "--circuit-seed", "3", "--krylov-order", "2", "--m-sweep", "1:25:6",
+              "--tol-gap", "1e-9"],
+             {"kind": "ising", "n": 4},
+             dict(seed_state="random", circuit_seed=3, krylov_order=2,
+                  m_values=range(1, 26, 6), tol_gap=1e-9)),
+            (["nse", "--model", "ising", "--n", "4", "--seed-state", "annealing",
+              "--layers", "2", "--krylov-order", "1", "--mode", "shots", "--shots", "2000",
+              "--sample-seed", "4"],
+             {"kind": "ising", "n": 4},
+             dict(seed_state="annealing", layers=2, krylov_order=1, m_values=[13],
+                  mode="shots", shots=2000, sample_seed=4)),
+            (["eigmax", "--model", "random_pauli", "--n", "5", "--terms", "6",
+              "--model-seed", "2", "--seed-state", "zero", "--krylov-order", "3",
+              "--n-states", "9"],
+             {"kind": "random_pauli", "n": 5, "terms": 6, "seed": 2},
+             dict(seed_state="zero", krylov_order=3, m_values=[9], sense="max")),
+        ],
+    )
+    def test_eig_rows_are_energy_sweep_rows(self, tmp_path, argv, model, sweep):
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        _meta, header, rows = read_csv(out)
+        got = [(r[0], r[1], r[header.index("status")], r[header.index("dual_residual")])
+               for r in rows]
+        want = energy_sweep(models.build_model(model), **sweep)
+        assert got == [tuple(cli._format_cell(v) for v in row) for row in want]
 
     def test_rank1_command(self, tmp_path):
         out = tmp_path / "r1.csv"

@@ -26,7 +26,46 @@ from paulisdp.ansatz import build_overlaps, krylov_ansatz
 from paulisdp.states import HardwareEfficientCircuit, PlusState, ZeroState, prepare
 
 
+_KRYLOV_PARAMS = dict(
+    krylov_order=2, n_states=None, layers=4, anneal_time=0.3, circuit_seed=0, mode="exact",
+    shots=1024, sample_seed=0, rank_tol=None, dense_cap=14,
+)
+_X_STRING_PARAMS = dict(
+    mode="direct", seed_state="zero", n_states=None, layers=4, circuit_seed=0, rank_tol=None,
+    tol_feas=1e-9, tol_gap=1e-9, max_iter=200,
+)
+_IPM_TOLERANCES = dict(tol_feas=1e-8, tol_gap=1e-8, max_iter=200)
+
+
 class TestEstimatorApi:
+    @pytest.mark.parametrize(
+        "solver_class, params",
+        [
+            (GroundStateSolver,
+             dict(seed_state="plus", **_KRYLOV_PARAMS, **_IPM_TOLERANCES, method="eig")),
+            (LargestEigenvalueSolver,
+             dict(seed_state="zero", **_KRYLOV_PARAMS, **_IPM_TOLERANCES, method="eig")),
+            (ExcitedStatesSolver,
+             dict(n_excited=3, seed_state="plus", **_KRYLOV_PARAMS, tol_feas=1e-8, tol_gap=1e-8)),
+            (SymmetrySectorSolver,
+             dict(symmetry="magnetization", sector_value=0.0, seed_state="random",
+                  **_KRYLOV_PARAMS, **_IPM_TOLERANCES)),
+            (RankOneReducer, dict(seed_state="zero", **_KRYLOV_PARAMS)),
+            (LovaszThetaSolver, _X_STRING_PARAMS),
+            (XorGameSolver, _X_STRING_PARAMS),
+            (UnambiguousDiscriminator,
+             dict(error_budget=0.0, rank_tol=None, **_IPM_TOLERANCES)),
+        ],
+    )
+    def test_params_names_and_defaults(self, solver_class, params):
+        solver = solver_class()
+        assert solver.get_params() == params
+        assert repr(solver).startswith(f"{solver_class.__name__}(")
+        # keyword-only settings; solvers compare and hash by identity
+        with pytest.raises(TypeError):
+            solver_class(*params.values())
+        assert solver != solver_class() and len({solver, solver_class()}) == 2
+
     def test_get_set_params_roundtrip(self):
         solver = GroundStateSolver(krylov_order=3, n_states=7)
         params = solver.get_params()
@@ -72,7 +111,7 @@ class TestGroundState:
     def test_monotone_in_ansatz_size_and_variational(self):
         h = models.ising_hamiltonian(5, 1.0, 1.0)
         rows = energy_sweep(h, "plus", 2, m_values=range(1, 16, 2))
-        energies = [value for _m, value, _s in rows]
+        energies = [value for _m, value, _s, _dual in rows]
         exact = oracle.spectrum(h).eigenvalues[0]
         for lo, hi in zip(energies, energies[1:]):
             assert hi <= lo + 1e-9
@@ -259,6 +298,12 @@ class TestSymmetrySector:
 
 
 class TestDiscrimination:
+    def test_instance_needs_enough_distinct_strings(self):
+        with pytest.raises(ValueError, match="n_strings=5 exceeds the 4 distinct"):
+            two_state_discrimination_instance(angle=0.5, n_qubits=1, n_strings=5)
+        inst = two_state_discrimination_instance(angle=0.5, n_qubits=1, n_strings=4)
+        assert inst.gram.shape == (4, 4)
+
     def test_orthogonal_states_fully_distinguishable(self):
         inst = two_state_discrimination_instance(angle=math.pi / 2, n_qubits=4,
                                                  n_strings=8, seed=4)
