@@ -31,7 +31,6 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     SolveStatus,
-    embed_real,
     generalized_min_eig,
     gram_basis,
     solve,
@@ -94,7 +93,6 @@ __all__ = [
     "circulant_graph",
     "complete_graph",
     "cycle_graph",
-    "embed_real",
     "energy_sweep",
     "generalized_min_eig",
     "gram_basis",

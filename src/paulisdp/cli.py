@@ -187,6 +187,14 @@ def _load_json_object(path: str) -> dict:
     return raw
 
 
+def _direct_theta_violations(source: str, n_vertices: int) -> list[str]:
+    cap = oracle.DIRECT_THETA_MAX_VERTICES
+    if n_vertices <= cap:
+        return []
+    return [f"{source}: graph has {n_vertices} vertices, over the {cap}-vertex cap of "
+            "a direct theta solve (use --ansatz)"]
+
+
 def parse_config(path: str) -> RunConfig:
     """Load and fully validate a JSON config; reports every violation."""
     return validate_config(_load_json_object(path), source=path)
@@ -241,6 +249,8 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
             errors.append(
                 f"{source}: graph.n must be an integer >= {least}, got {graph.get('n')!r}"
             )
+        elif command == "lovasz" and raw.get("solve_mode", "direct") == "direct":
+            errors += _direct_theta_violations(source, graph["n"])
     elif graph.get("kind") == "file" and not graph.get("path"):
         errors.append(f"{source}: graph.path is required for kind 'file'")
 
@@ -570,7 +580,12 @@ def _x_string_fits(cfg: RunConfig, solver_class, instance, dim: int) -> list[tup
 
 
 def run_lovasz(cfg: RunConfig) -> int:
-    graph = _load_graph(cfg.extra.get("graph", {"kind": "chsh"}))
+    spec = cfg.extra.get("graph", {"kind": "chsh"})
+    graph = _load_graph(spec)
+    if cfg.extra.get("solve_mode", "direct") == "direct":
+        errors = _direct_theta_violations(spec.get("path", "<graph>"), graph.n_vertices)
+        if errors:
+            raise ConfigError(errors)
     fits = _x_string_fits(cfg, solvers.LovaszThetaSolver, graph, graph.n_vertices)
     rows = [(m, graph.n_vertices, s.theta_, s.status_.value) for m, s in fits]
     write_csv(cfg.output or "-", cfg, ["m", "n_vertices", "theta", "status"], rows)
@@ -588,7 +603,9 @@ def run_xor(cfg: RunConfig) -> int:
 
 def run_rank1(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
-    reducer = solvers.RankOneReducer(**_krylov_kwargs(cfg, "zero")).fit(h)
+    reducer = solvers.RankOneReducer(
+        **_krylov_kwargs(cfg, "zero"), rank_tol=cfg.solver.get("rank_tol")
+    ).fit(h)
     value = reducer.value_ if reducer.value_ is not None else math.nan
     rows = [
         (

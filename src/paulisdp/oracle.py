@@ -98,10 +98,13 @@ def classical_xor_value(pi, f) -> float:
     return best
 
 
+DIRECT_THETA_MAX_VERTICES = 32
+
+
 def lovasz_theta_program(n_vertices: int, edges) -> SdpProblem:
     """Graph-dimension Lovasz theta SDP: max <J, X>, X_ij = 0 on edges, Tr X = 1."""
-    if n_vertices > 32:
-        raise ValueError("direct theta capped at 32 vertices")
+    if n_vertices > DIRECT_THETA_MAX_VERTICES:
+        raise ValueError(f"direct theta capped at {DIRECT_THETA_MAX_VERTICES} vertices")
     n = n_vertices
     constraints = [SdpConstraint({"x": np.eye(n)}, 1.0)]
     for i, j in edges:

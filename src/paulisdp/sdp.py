@@ -2,11 +2,12 @@
 
 The solver targets the small reduced problems this package produces
 (block dimensions up to a few hundred): a primal-dual path-following
-interior-point method with Mehrotra predictor-corrector steps, run on the
-real symmetric embedding of complex Hermitian blocks.  Inequality
-constraints get one-dimensional nonnegative slack blocks, and matrix
-equalities are compiled by callers into scalar trace constraints against a
-Hermitian basis.
+interior-point method with HKM directions and Mehrotra predictor-corrector
+steps.  Each block keeps its own dtype: complex Hermitian when any of its
+data has a nonzero imaginary part, real symmetric otherwise, with inner
+products Re Tr(A^H X).  All inequality constraints share one diagonal
+slack block, and matrix equalities are compiled by callers into scalar
+trace constraints against a Hermitian basis.
 
 The returned status is certified: residuals are recomputed from the
 original data after the iteration, and ``OPTIMAL`` is reported only when
@@ -113,88 +114,60 @@ class SdpSolution:
         return self.status is SolveStatus.OPTIMAL
 
 
-def embed_real(h: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding [[Re, -Im], [Im, Re]] of a Hermitian matrix.
-
-    Positive semidefiniteness is preserved both ways and every eigenvalue is
-    duplicated; traces of products double, so callers rescale objectives and
-    right-hand sides.
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(h - h.conj().T), initial=0.0) > HERMITIAN_TOL * max(
-        1.0, np.max(np.abs(h), initial=0.0)
-    ):
-        raise ValueError("matrix is not Hermitian")
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2.0
 
 
-def _unembed(x: np.ndarray) -> np.ndarray:
-    """J-average a 2d x 2d symmetric solution back to a d x d Hermitian matrix.
-
-    Objective and constraint values carry over exactly: Tr(embed(A)/2 * X)
-    equals Tr(A * unembed(X)).
-    """
-    d = x.shape[0] // 2
-    return (x[:d, :d] + x[d:, d:]) / 2.0 + 1j * (x[d:, :d] - x[:d, d:]) / 2.0
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr(a^H b)."""
+    return float(np.vdot(a, b).real)
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+def _apply_a(a_blocks, xs) -> np.ndarray:
+    """(A(X))_i = sum_b Re Tr(A_ib X_b)."""
+    return sum(np.einsum("ipq,qp->i", ab, xb).real for ab, xb in zip(a_blocks, xs))
+
+
+def _apply_at(a_blocks, y) -> list[np.ndarray]:
+    return [np.tensordot(y, ab, axes=(0, 0)) for ab in a_blocks]
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx still PSD (x symmetric PD)."""
-    if x.shape[0] == 1:
-        ratio = dx[0, 0] / x[0, 0]
-        return math.inf if ratio >= 0 else -1.0 / ratio
+    """Largest alpha with x + alpha*dx still PSD (x Hermitian PD)."""
     try:
         chol = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         return 0.0
     a = scipy.linalg.solve_triangular(chol, dx, lower=True)
-    w = scipy.linalg.solve_triangular(chol, a.T, lower=True)
-    lam_min = float(np.linalg.eigvalsh(_sym(w)).min())
+    w = scipy.linalg.solve_triangular(chol, a.conj().T, lower=True)  # L^-1 dx L^-H
+    lam_min = float(np.linalg.eigvalsh(_hermitize(w)).min())
     if lam_min >= 0.0:
         return math.inf
     return -1.0 / lam_min
 
 
 class _IpmCore:
-    """HKM predictor-corrector iteration on stacked real symmetric blocks."""
+    """HKM predictor-corrector iteration on Hermitian blocks, each in its own dtype."""
 
-    def __init__(self, dims, c_blocks, a_blocks, b, tol_feas, tol_gap, max_iter,
-                 converged=None):
-        self.dims = dims
+    def __init__(self, c_blocks, a_blocks, b, tol_feas, tol_gap, max_iter, converged=None):
         self.c = c_blocks  # list of (d, d)
-        self.a = a_blocks  # list of (m, d, d)
+        self.a = a_blocks  # list of (m, d, d), real or complex
         self.b = np.asarray(b, dtype=float)
         self.m = self.b.size
         self.tol_feas = tol_feas
         self.tol_gap = tol_gap
         self.max_iter = max_iter
-        self.n_total = sum(dims)
+        self.n_total = sum(cb.shape[0] for cb in c_blocks)
         self.norm_b = 1.0 + np.linalg.norm(self.b)
-        self.norm_c = 1.0 + math.sqrt(sum(np.sum(cb**2) for cb in c_blocks))
+        self.norm_c = 1.0 + math.sqrt(sum(_inner(cb, cb) for cb in c_blocks))
         # optional external convergence test (certification on unscaled data)
         self.converged = converged
 
-    def _apply_a(self, xs) -> np.ndarray:
-        out = np.zeros(self.m)
-        for ab, xb in zip(self.a, xs):
-            out += np.einsum("ipq,qp->i", ab, xb)
-        return out
-
-    def _apply_at(self, y) -> list[np.ndarray]:
-        return [np.tensordot(y, ab, axes=(0, 0)) for ab in self.a]
-
     def run(self):
-        dims = self.dims
         scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
-        xs = [scale * np.eye(d) for d in dims]
-        zs = [max(1.0, self.norm_c / max(1.0, math.sqrt(self.n_total))) * np.eye(d) for d in dims]
+        z_scale = max(1.0, self.norm_c / max(1.0, math.sqrt(self.n_total)))
+        xs = [scale * np.eye(ab.shape[1], dtype=ab.dtype) for ab in self.a]
+        zs = [z_scale * np.eye(ab.shape[1], dtype=ab.dtype) for ab in self.a]
         y = np.zeros(self.m)
 
         best_rel_p = math.inf
@@ -212,15 +185,15 @@ class _IpmCore:
             if not math.isfinite(iterate_scale) or iterate_scale > 1e100:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
-            rp = self.b - self._apply_a(xs)
-            at_y = self._apply_at(y)
+            rp = self.b - _apply_a(self.a, xs)
+            at_y = _apply_at(self.a, y)
             rds = [cb - aty - zb for cb, aty, zb in zip(self.c, at_y, zs)]
-            pobj = sum(np.sum(cb * xb) for cb, xb in zip(self.c, xs))
+            pobj = sum(_inner(cb, xb) for cb, xb in zip(self.c, xs))
             dobj = float(self.b @ y)
-            mu = sum(np.sum(xb * zb) for xb, zb in zip(xs, zs)) / self.n_total
+            mu = sum(_inner(xb, zb) for xb, zb in zip(xs, zs)) / self.n_total
 
             rel_p = np.linalg.norm(rp) / self.norm_b
-            rel_d = math.sqrt(sum(np.sum(rd**2) for rd in rds)) / self.norm_c
+            rel_d = math.sqrt(sum(_inner(rd, rd) for rd in rds)) / self.norm_c
             rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
             near = rel_p <= self.tol_feas and rel_d <= self.tol_feas and rel_gap <= self.tol_gap
@@ -242,17 +215,17 @@ class _IpmCore:
             except np.linalg.LinAlgError:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
-            z_invs = []
-            for zb, ch in zip(zs, z_chols):
-                inv = scipy.linalg.cho_solve((ch, True), np.eye(zb.shape[0]))
-                z_invs.append(_sym(inv))
+            z_invs = [
+                _hermitize(scipy.linalg.cho_solve((ch, True), np.eye(zb.shape[0])))
+                for zb, ch in zip(zs, z_chols)
+            ]
 
-            # Schur complement M_ij = sum_b Tr(A_i X A_j Z^-1); symmetric PD
+            # Schur complement M_ij = Re sum_b Tr(A_i X A_j Z^-1); symmetric PD
             schur = np.zeros((self.m, self.m))
             for ab, xb, zib in zip(self.a, xs, z_invs):
                 t = np.einsum("pq,iqr,rs->ips", xb, ab, zib, optimize=True)
-                schur += ab.reshape(self.m, -1) @ t.transpose(0, 2, 1).reshape(self.m, -1).T
-            schur = _sym(schur)
+                schur += (ab.reshape(self.m, -1).conj() @ t.reshape(self.m, -1).T).real
+            schur = _hermitize(schur)
             if not np.all(np.isfinite(schur)):
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
@@ -276,12 +249,12 @@ class _IpmCore:
 
             def directions(r3s):
                 corr = [xb @ rdb @ zib for xb, rdb, zib in zip(xs, rds, z_invs)]
-                rhs = rp - self._apply_a(r3s) + self._apply_a(corr)
+                rhs = rp - _apply_a(self.a, r3s) + _apply_a(self.a, corr)
                 dy = solve_schur(rhs)
-                at_dy = self._apply_at(dy)
+                at_dy = _apply_at(self.a, dy)
                 dzs = [rdb - atdyb for rdb, atdyb in zip(rds, at_dy)]
                 dxs = [
-                    _sym(r3b - xb @ dzb @ zib)
+                    _hermitize(r3b - xb @ dzb @ zib)
                     for r3b, xb, dzb, zib in zip(r3s, xs, dzs, z_invs)
                 ]
                 return dxs, dy, dzs
@@ -293,7 +266,7 @@ class _IpmCore:
                 alpha_p = min(1.0, tau * min(_max_step(xb, dxb) for xb, dxb in zip(xs, dxs_a)))
                 alpha_d = min(1.0, tau * min(_max_step(zb, dzb) for zb, dzb in zip(zs, dzs_a)))
                 mu_aff = sum(
-                    np.sum((xb + alpha_p * dxb) * (zb + alpha_d * dzb))
+                    _inner(xb + alpha_p * dxb, zb + alpha_d * dzb)
                     for xb, dxb, zb, dzb in zip(xs, dxs_a, zs, dzs_a)
                 ) / self.n_total
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
@@ -314,8 +287,8 @@ class _IpmCore:
             if alpha_p < 1e-8 and alpha_d < 1e-8:
                 break
 
-            xs = [_sym(xb + alpha_p * dxb) for xb, dxb in zip(xs, dxs)]
-            zs = [_sym(zb + alpha_d * dzb) for zb, dzb in zip(zs, dzs)]
+            xs = [_hermitize(xb + alpha_p * dxb) for xb, dxb in zip(xs, dxs)]
+            zs = [_hermitize(zb + alpha_d * dzb) for zb, dzb in zip(zs, dzs)]
             y = y + alpha_d * dy
             tau = 0.95 + 0.049 * min(alpha_p, alpha_d)
 
@@ -323,85 +296,70 @@ class _IpmCore:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
 
-        pobj = sum(np.sum(cb * xb) for cb, xb in zip(self.c, xs))
-        return status, xs, y, float(pobj), it
+        return status, xs, y, it
 
 
-def _build_real_data(problem: SdpProblem):
-    """Normalize to min-sense equality form on real symmetric blocks."""
+def _build_data(problem: SdpProblem):
+    """Normalize to min-sense equality form, one array per block.
+
+    A block is complex Hermitian when any of its data has a nonzero imaginary
+    part, and real symmetric otherwise.  When there are ``<=`` rows, a real
+    diagonal slack block follows the problem's blocks; the k-th ``<=`` row
+    holds its entry E_kk.
+    """
     sign = 1.0 if problem.sense == "min" else -1.0
-    dims_in = dict(problem.blocks)
-    is_complex = {name: False for name, _ in problem.blocks}
-    for mats in [problem.objective] + [c.matrices for c in problem.constraints]:
+    rows = [c.matrices for c in problem.constraints]
+    complex_names = {
+        name
+        for mats in [problem.objective, *rows]
+        for name, mat in mats.items()
+        if np.iscomplexobj(mat) and np.any(np.imag(mat))
+    }
+    ineq = [i for i, c in enumerate(problem.constraints) if c.relation == "<="]
+    dims = [d for _name, d in problem.blocks]
+    dtypes = [complex if name in complex_names else float for name, _d in problem.blocks]
+    if ineq:
+        dims.append(len(ineq))
+        dtypes.append(float)
+    index = {name: k for k, (name, _d) in enumerate(problem.blocks)}
+
+    def cast(name, mat):
+        mat, dtype = np.asarray(mat), dtypes[index[name]]
+        return _hermitize((mat if dtype is complex else mat.real).astype(dtype))
+
+    c_blocks = [np.zeros((d, d), dtype) for d, dtype in zip(dims, dtypes)]
+    for name, mat in problem.objective.items():
+        c_blocks[index[name]] = sign * cast(name, mat)
+    a_blocks = [np.zeros((len(rows), d, d), dtype) for d, dtype in zip(dims, dtypes)]
+    for i, mats in enumerate(rows):
         for name, mat in mats.items():
-            if np.iscomplexobj(mat) and np.max(np.abs(np.asarray(mat).imag), initial=0.0) > 0.0:
-                is_complex[name] = True
-
-    names = [name for name, _ in problem.blocks]
-    dims = []
-    for name in names:
-        d = dims_in[name]
-        dims.append(2 * d if is_complex[name] else d)
-
-    def realize(name, mat):
-        mat = np.asarray(mat, dtype=complex)
-        if is_complex[name]:
-            return embed_real(mat) / 2.0
-        return _sym(mat.real.astype(float))
-
-    m_user = len(problem.constraints)
-    slack_names = [f"_slack_{i}" for i, c in enumerate(problem.constraints) if c.relation == "<="]
-    c_blocks = []
-    for name, d in zip(names, dims):
-        if name in problem.objective:
-            c_blocks.append(sign * realize(name, problem.objective[name]))
-        else:
-            c_blocks.append(np.zeros((d, d)))
-
-    all_names = names + slack_names
-    all_dims = dims + [1] * len(slack_names)
-    c_blocks += [np.zeros((1, 1)) for _ in slack_names]
-
-    a_blocks = [np.zeros((m_user, d, d)) for d in all_dims]
-    b = np.zeros(m_user)
-    slack_idx = 0
-    for i, con in enumerate(problem.constraints):
-        b[i] = con.rhs
-        for name, mat in con.matrices.items():
-            k = names.index(name)
-            a_blocks[k][i] = realize(name, mat)
-        if con.relation == "<=":
-            a_blocks[len(names) + slack_idx][i, 0, 0] = 1.0
-            slack_idx += 1
-
-    return all_names, all_dims, c_blocks, a_blocks, b, is_complex, sign
+            a_blocks[index[name]][i] = cast(name, mat)
+    for k, i in enumerate(ineq):
+        a_blocks[-1][i, k, k] = 1.0
+    b = np.array([c.rhs for c in problem.constraints])
+    return c_blocks, a_blocks, b, sign
 
 
-def _certify(dims, c_blocks, a_blocks, b, relations, xs, y):
-    """Residuals of a candidate solution against the (unscaled) real data."""
-    m = b.size
-    vals = np.zeros(m)
-    for ab, xb in zip(a_blocks, xs):
-        vals += np.einsum("ipq,qp->i", ab, xb)
-    viol = np.where(np.array(relations) == "=", np.abs(vals - b), np.maximum(vals - b, 0.0))
+def _certify(c_blocks, a_blocks, b, xs, y):
+    """Residuals of a candidate solution against the (unscaled) equality-form data.
+
+    The dual check covers the slack block, whose slack matrix is diag(-y) on
+    the ``<=`` rows, so a positive inequality multiplier is a dual violation.
+    """
     norm_b = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    rel_p = float(np.max(viol, initial=0.0)) / norm_b
+    rel_p = float(np.max(np.abs(_apply_a(a_blocks, xs) - b), initial=0.0)) / norm_b
 
-    norm_c = 1.0 + math.sqrt(sum(np.sum(cb**2) for cb in c_blocks))
-    dual_viol = 0.0
-    for cb, ab in zip(c_blocks, a_blocks):
-        z = cb - np.tensordot(y, ab, axes=(0, 0))
-        dual_viol = max(dual_viol, max(0.0, -float(np.linalg.eigvalsh(_sym(z)).min())))
-    # inequality multipliers must be nonpositive in the minimized form
-    for i, rel in enumerate(relations):
-        if rel == "<=":
-            dual_viol = max(dual_viol, max(0.0, float(y[i])))
+    norm_c = 1.0 + math.sqrt(sum(_inner(cb, cb) for cb in c_blocks))
+    dual_viol = max(
+        max(0.0, -float(np.linalg.eigvalsh(_hermitize(cb - aty)).min()))
+        for cb, aty in zip(c_blocks, _apply_at(a_blocks, y))
+    )
     rel_d = dual_viol / norm_c
 
-    pobj = sum(np.sum(cb * xb) for cb, xb in zip(c_blocks, xs))
+    pobj = sum(_inner(cb, xb) for cb, xb in zip(c_blocks, xs))
     dobj = float(b @ y)
     rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    return rel_p, rel_d, rel_gap, float(pobj), dobj
+    return rel_p, rel_d, rel_gap, float(pobj)
 
 
 def solve(
@@ -411,71 +369,43 @@ def solve(
     max_iter: int = 200,
 ) -> SdpSolution:
     """Solve the SDP; returns a certified status rather than raising on infeasibility."""
-    names, dims, c_blocks, a_blocks, b, is_complex, sign = _build_real_data(problem)
-    relations = [c.relation for c in problem.constraints]
+    c_blocks, a_blocks, b, sign = _build_data(problem)
 
     # presolve: an identically-zero row is either vacuous or a contradiction
+    # (a ``<=`` row is never zero: it holds its slack entry)
     m_all = b.size
-    row_norms = np.array(
-        [math.sqrt(sum(float(np.sum(ab[i] ** 2)) for ab in a_blocks)) for i in range(m_all)]
+    row_norms = np.sqrt(
+        sum(np.linalg.norm(ab.reshape(m_all, -1), axis=1) ** 2 for ab in a_blocks)
     )
-    zero_rows = row_norms <= 1e-14
-    if np.any(zero_rows):
-        violated = zero_rows & ~(
-            (np.abs(b) <= tol_feas * (1.0 + np.abs(b)))
-            | ((np.array(relations) == "<=") & (b >= 0.0))
-        )
-        if np.any(violated):
-            return SdpSolution(status=SolveStatus.INFEASIBLE, primal_residual=math.inf)
-    keep_rows = ~zero_rows
-    kept_index = np.nonzero(keep_rows)[0]
-    a_blocks = [ab[keep_rows] for ab in a_blocks]
-    b = b[keep_rows]
-    relations_kept = [relations[i] for i in kept_index]
-    # drop slack blocks belonging to removed rows
-    active = [
-        k
-        for k, name in enumerate(names)
-        if not name.startswith("_slack_") or keep_rows[int(name.split("_")[-1])]
-    ]
-    names = [names[k] for k in active]
-    dims = [dims[k] for k in active]
-    c_blocks = [c_blocks[k] for k in active]
-    a_blocks = [a_blocks[k] for k in active]
-    if b.size == 0:
+    keep = row_norms > 1e-14
+    if np.any(np.abs(b[~keep]) > tol_feas * (1.0 + np.abs(b[~keep]))):
+        return SdpSolution(status=SolveStatus.INFEASIBLE, primal_residual=math.inf)
+    if not np.any(keep):
         raise ValueError("all constraints are vacuous; the problem is unbounded or trivial")
+    a_blocks = [ab[keep] for ab in a_blocks]
+    b = b[keep]
 
     # row scaling: unit Frobenius norm per constraint, plus objective scaling
-    m = b.size
-    con_scale = np.array(
-        [
-            max(math.sqrt(sum(float(np.sum(ab[i] ** 2)) for ab in a_blocks)), 1e-12)
-            for i in range(m)
-        ]
-    )
-    obj_scale = max(math.sqrt(sum(float(np.sum(cb**2)) for cb in c_blocks)), 1.0)
+    con_scale = np.maximum(row_norms[keep], 1e-12)
+    obj_scale = max(math.sqrt(sum(_inner(cb, cb) for cb in c_blocks)), 1.0)
     a_scaled = [ab / con_scale[:, None, None] for ab in a_blocks]
     b_scaled = b / con_scale
     c_scaled = [cb / obj_scale for cb in c_blocks]
 
     def _certified(xs, y_scaled):
-        y_u = y_scaled * obj_scale / con_scale
-        rel_p, rel_d, rel_gap, _, _ = _certify(
-            dims, c_blocks, a_blocks, b, relations_kept, xs, y_u
+        rel_p, rel_d, rel_gap, _ = _certify(
+            c_blocks, a_blocks, b, xs, y_scaled * obj_scale / con_scale
         )
         return rel_p <= tol_feas and rel_d <= tol_feas and rel_gap <= tol_gap
 
-    core = _IpmCore(
-        dims, c_scaled, a_scaled, b_scaled, tol_feas, tol_gap, max_iter, converged=_certified
-    )
-    status, xs, y_scaled, _pobj, iters = core.run()
+    core = _IpmCore(c_scaled, a_scaled, b_scaled, tol_feas, tol_gap, max_iter,
+                    converged=_certified)
+    status, xs, y_scaled, iters = core.run()
     y = y_scaled * obj_scale / con_scale
 
     finite = all(np.all(np.isfinite(xb)) for xb in xs) and bool(np.all(np.isfinite(y)))
     if finite:
-        rel_p, rel_d, rel_gap, pobj, _dobj = _certify(
-            dims, c_blocks, a_blocks, b, relations_kept, xs, y
-        )
+        rel_p, rel_d, rel_gap, pobj = _certify(c_blocks, a_blocks, b, xs, y)
     else:
         rel_p = rel_d = rel_gap = math.inf
         pobj = math.nan
@@ -485,7 +415,7 @@ def solve(
         status = SolveStatus.MAX_ITERATIONS
 
     if status in (SolveStatus.MAX_ITERATIONS, SolveStatus.NUMERICAL_FAILURE) and rel_p > tol_feas:
-        feas_t = _feasibility_gap(dims, a_scaled, b_scaled, tol_feas, tol_gap, max_iter)
+        feas_t = _feasibility_gap(a_scaled, b_scaled, tol_feas, tol_gap, max_iter)
         if feas_t is not None and feas_t > max(1e3 * tol_feas, 1e-6) * (
             1.0 + float(np.max(np.abs(b_scaled)))
         ):
@@ -497,16 +427,11 @@ def solve(
                 iterations=iters,
             )
 
-    user_blocks = {}
-    for name, _dim in problem.blocks:
-        k = names.index(name)
-        user_blocks[name] = _unembed(xs[k]) if is_complex[name] else xs[k]
-
     y_full = np.zeros(m_all)
-    y_full[kept_index] = y
+    y_full[keep] = y
     return SdpSolution(
         status=status,
-        blocks=user_blocks,
+        blocks={name: xs[k] for k, (name, _d) in enumerate(problem.blocks)},
         objective_value=sign * pobj,
         y=sign * y_full,
         primal_residual=rel_p,
@@ -542,18 +467,16 @@ def eigen_solution(
     ``solve`` uses; the status is ``OPTIMAL`` only when all three meet the
     tolerances, else ``NUMERICAL_FAILURE``.
     """
-    problem = normalized_program(d_tilde, sense)
-    _names, dims, c_blocks, a_blocks, b, is_complex, sign = _build_real_data(problem)
+    c_blocks, a_blocks, b, sign = _build_data(normalized_program(d_tilde, sense))
     x = np.outer(vec, np.conj(vec))
-    xs = [embed_real(x) if is_complex[BLOCK] else x.real]
+    if not np.iscomplexobj(a_blocks[0]):
+        x = x.real
     y = np.array([float(value)])
-    rel_p, rel_d, rel_gap, _pobj, _dobj = _certify(
-        dims, c_blocks, a_blocks, b, ["="], xs, sign * y
-    )
+    rel_p, rel_d, rel_gap, _pobj = _certify(c_blocks, a_blocks, b, [x], sign * y)
     optimal = rel_p <= tol_feas and rel_d <= tol_feas and rel_gap <= tol_gap
     return SdpSolution(
         status=SolveStatus.OPTIMAL if optimal else SolveStatus.NUMERICAL_FAILURE,
-        blocks={BLOCK: x if is_complex[BLOCK] else xs[0]},
+        blocks={BLOCK: x},
         objective_value=float(value),
         y=y,
         primal_residual=rel_p,
@@ -562,18 +485,16 @@ def eigen_solution(
     )
 
 
-def _feasibility_gap(dims, a_blocks, b, tol_feas, tol_gap, max_iter):
+def _feasibility_gap(a_blocks, b, tol_feas, tol_gap, max_iter):
     """Optimal value of the auxiliary min-t feasibility problem, or None."""
-    m = b.size
-    q = b - sum(np.einsum("ipq,qp->i", ab, np.eye(d)) for ab, d in zip(a_blocks, dims))
-    c_blocks = [np.zeros((d, d)) for d in dims] + [np.array([[1.0]])]
-    a_aux = [ab.copy() for ab in a_blocks] + [q.reshape(m, 1, 1).astype(float)]
-    core = _IpmCore(list(dims) + [1], c_blocks, a_aux, b, tol_feas, tol_gap, max_iter)
-    status, xs, _y, _pobj, _it = core.run()
+    q = b - sum(np.trace(ab, axis1=1, axis2=2).real for ab in a_blocks)
+    c_blocks = [np.zeros(ab.shape[1:]) for ab in a_blocks] + [np.ones((1, 1))]
+    a_aux = [*a_blocks, q.reshape(-1, 1, 1)]
+    core = _IpmCore(c_blocks, a_aux, b, tol_feas, tol_gap, max_iter)
+    status, xs, _y, _it = core.run()
     if status is SolveStatus.NUMERICAL_FAILURE:
         return None
-    rp = b - core._apply_a(xs)
-    if np.linalg.norm(rp) / core.norm_b > math.sqrt(tol_feas):
+    if np.linalg.norm(b - _apply_a(a_aux, xs)) / core.norm_b > math.sqrt(tol_feas):
         return None
     return float(xs[-1][0, 0])
 
@@ -630,10 +551,6 @@ class GramBasis:
         return _hermitize(self.vectors @ beta_tilde @ self.vectors.conj().T)
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
-
-
 def gram_basis(e: np.ndarray, rank_tol: float | None = None) -> GramBasis:
     """Eigen-cut and whiten a (possibly singular) Gram matrix."""
     e = _hermitize(np.asarray(e, dtype=complex))
@@ -649,38 +566,3 @@ def gram_basis(e: np.ndarray, rank_tol: float | None = None) -> GramBasis:
     w = evals[keep][::-1]
     v = evecs[:, keep][:, ::-1]
     return GramBasis(vectors=v / np.sqrt(w)[None, :], eigenvalues=w, raw_vectors=v)
-
-
-# ---------------------------------------------------------------------------
-# debugging export
-
-
-def to_sdpa_text(problem: SdpProblem) -> str:
-    """Plain-text sparse block dump (SDPA-flavored) for external debugging.
-
-    Complex blocks are written in their real embedding; the objective
-    follows the minimized sense.
-    """
-    names, dims, c_blocks, a_blocks, b, _is_complex, _sign = _build_real_data(problem)
-    lines = [
-        f"* paulisdp dump: {len(b)} constraints, blocks "
-        + " ".join(f"{n}:{d}" for n, d in zip(names, dims)),
-        f"{len(b)} = mDIM",
-        f"{len(dims)} = nBLOCK",
-        " ".join(str(d) for d in dims) + " = bLOCKsTRUCT",
-        " ".join(f"{v:.17g}" for v in b),
-    ]
-
-    def emit(mat_idx: int, blk: int, mat: np.ndarray):
-        d = mat.shape[0]
-        for r in range(d):
-            for c in range(r, d):
-                if abs(mat[r, c]) > 0.0:
-                    lines.append(f"{mat_idx} {blk + 1} {r + 1} {c + 1} {mat[r, c]:.17g}")
-
-    for blk, cb in enumerate(c_blocks):
-        emit(0, blk, cb)
-    for i in range(len(b)):
-        for blk, ab in enumerate(a_blocks):
-            emit(i + 1, blk, ab[i])
-    return "\n".join(lines) + "\n"

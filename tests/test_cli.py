@@ -4,7 +4,7 @@ import math
 import pytest
 
 from paulisdp import cli, models
-from paulisdp.solvers import energy_sweep
+from paulisdp.solvers import RankOneReducer, energy_sweep
 from paulisdp.states import PlusState
 
 
@@ -158,6 +158,8 @@ class TestConfigValidation:
             (["lovasz"], {"graph": {"kind": "cycle", "n": "5"}},
              "graph.n must be an integer >= 2, got '5'"),
             (["lovasz"], {"graph": {"kind": ["cycle"]}}, "graph.kind must be one of"),
+            (["lovasz", "--graph", "cycle:40", "--direct"], {},
+             "graph has 40 vertices, over the 32-vertex cap of a direct theta solve"),
         ],
     )
     def test_malformed_command_input_exits_with_message(
@@ -241,6 +243,15 @@ class TestCommands:
         assert cli.main(["lovasz", "--graph", str(edges), "--direct", "--out", str(out)]) == 0
         _meta, header, rows = read_csv(out)
         assert abs(float(rows[0][header.index("theta")]) - 2.2360680) < 1e-6
+
+    def test_lovasz_direct_edge_file_over_cap(self, tmp_path):
+        edges = tmp_path / "c40.edges"
+        edges.write_text(models.cycle_graph(40).to_text())
+        cfg = cli.validate_config(
+            {"command": "lovasz", "graph": {"kind": "file", "path": str(edges)}}
+        )
+        with pytest.raises(cli.ConfigError, match="over the 32-vertex cap"):
+            cli.run_lovasz(cfg)
 
     def test_symmetry_infeasible_exit_code(self, tmp_path):
         out = tmp_path / "sym.csv"
@@ -360,6 +371,21 @@ class TestCommands:
         assert code == cli.EXIT_OK
         _meta, header, rows = read_csv(out)
         assert rows[0][header.index("solvable")] == "True"
+
+        # solver.rank_tol from a config reaches the reducer
+        argv = ["rank1", "--model", "ising", "--n", "4", "--seed-state", "random",
+                "--krylov-order", "2"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"solver": {"rank_tol": 0.5}}))
+        values = []
+        for extra in ([], ["--config", str(path)]):
+            assert cli.main([*argv, *extra, "--out", str(out)]) == cli.EXIT_OK
+            _meta, header, rows = read_csv(out)
+            values.append(rows[0][header.index("value")])
+        h = models.build_model({"kind": "ising", "n": 4})
+        reducer = RankOneReducer(seed_state="random", krylov_order=2, rank_tol=0.5).fit(h)
+        assert values[1] == cli._format_cell(reducer.value_)
+        assert values[1] != values[0]
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PAULISDP_OUTDIR", str(tmp_path))

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from paulisdp.sdp import (
+    _build_data,
+    _certify,
     SdpConstraint,
     SdpProblem,
     SdpSolution,
     SolveStatus,
     eigen_solution,
-    embed_real,
     generalized_min_eig,
     gram_basis,
     normalized_program,
     solve,
-    to_sdpa_text,
 )
 
 
@@ -227,11 +227,45 @@ class TestBasics:
         sol = solve(problem)
         assert sol.status is SolveStatus.INFEASIBLE
 
-    def test_sdpa_dump(self):
+    def test_zero_imaginary_parts_give_real_blocks(self):
         rng = np.random.default_rng(1)
-        problem = random_bounded_instance(rng, [3], 2, complex_=False)
-        text = to_sdpa_text(problem)
-        assert "mDIM" in text and "bLOCKsTRUCT" in text
+        problem = random_bounded_instance(rng, [3, 2], 3, complex_=False, n_ineq=1)
+        as_complex = SdpProblem(
+            blocks=problem.blocks,
+            sense=problem.sense,
+            objective={n: m.astype(complex) for n, m in problem.objective.items()},
+            constraints=[
+                SdpConstraint({n: m.astype(complex) for n, m in c.matrices.items()},
+                              c.rhs, c.relation)
+                for c in problem.constraints
+            ],
+        )
+        real_sol, complex_sol = solve(problem), solve(as_complex)
+        assert complex_sol.status is SolveStatus.OPTIMAL
+        for name, _d in problem.blocks:
+            assert not np.iscomplexobj(complex_sol.blocks[name])
+            np.testing.assert_array_equal(complex_sol.blocks[name], real_sol.blocks[name])
+        np.testing.assert_array_equal(complex_sol.y, real_sol.y)
+
+    def test_positive_inequality_multiplier_is_a_dual_violation(self):
+        # min -x00 s.t. Tr X = 1, x00 <= 0.25; Z = diag(0, 2) is PSD for
+        # y = (-2, 1), so only the slack block sees the wrong-signed multiplier
+        problem = SdpProblem(
+            blocks=[("x", 2)],
+            sense="min",
+            objective={"x": np.diag([-1.0, 0.0])},
+            constraints=[
+                SdpConstraint({"x": np.eye(2)}, 1.0),
+                SdpConstraint({"x": np.diag([1.0, 0.0])}, 0.25, "<="),
+            ],
+        )
+        c_blocks, a_blocks, b, _sign = _build_data(problem)
+        xs = [np.diag([0.25, 0.75]), np.zeros((1, 1))]
+        _p, rel_d, _g, _obj = _certify(c_blocks, a_blocks, b, xs, np.array([0.0, -1.0]))
+        assert rel_d == 0.0
+        rel_p, rel_d, _g, _obj = _certify(c_blocks, a_blocks, b, xs, np.array([-2.0, 1.0]))
+        assert rel_p == 0.0
+        assert rel_d > 0.0
 
 
 class TestRandomInstances:
@@ -275,35 +309,45 @@ class TestRandomInstances:
             assert abs(sol.objective_value - ref) < 1e-5 * (1 + abs(ref))
 
 
-class TestEmbedReal:
-    def test_real_matrix_block_duplicate(self):
-        h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        e = embed_real(h)
-        np.testing.assert_array_equal(e[:2, :2], h)
-        np.testing.assert_array_equal(e[2:, 2:], h)
-        np.testing.assert_array_equal(e[:2, 2:], np.zeros((2, 2)))
+def embed(h):
+    """Real symmetric embedding [[Re, -Im], [Im, Re]]: the reference for complex blocks."""
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
-    def test_pauli_y_spectrum(self):
-        y = np.array([[0.0, -1j], [1j, 0.0]])
-        np.testing.assert_allclose(np.linalg.eigvalsh(embed_real(y)), [-1, -1, 1, 1], atol=1e-12)
 
-    def test_psd_preserved(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            p = random_psd(rng, 4)
-            assert np.linalg.eigvalsh(embed_real(p)).min() > -1e-10
+class TestEmbeddedReference:
+    @staticmethod
+    def embedded(problem: SdpProblem) -> SdpProblem:
+        """The same program on real blocks of twice the size.
 
-    def test_trace_doubling(self):
-        rng = np.random.default_rng(4)
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 3)
-        lhs = np.trace(embed_real(a) @ embed_real(b))
-        rhs = 2.0 * np.trace(a @ b).real
-        assert abs(lhs - rhs) < 1e-10
+        Traces of embedded products double, so every matrix is halved.
+        """
+        def half(mats):
+            return {n: embed(np.asarray(m, dtype=complex)) / 2.0 for n, m in mats.items()}
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            embed_real(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        return SdpProblem(
+            blocks=[(n, 2 * d) for n, d in problem.blocks],
+            sense=problem.sense,
+            objective=half(problem.objective),
+            constraints=[SdpConstraint(half(c.matrices), c.rhs, c.relation)
+                         for c in problem.constraints],
+        )
+
+    @pytest.mark.parametrize("n_ineq", [0, 1, 2])
+    def test_native_complex_solve_matches_embedding(self, n_ineq):
+        rng = np.random.default_rng(30 + n_ineq)
+        for _ in range(6):
+            dims = [int(rng.integers(2, 6)) for _ in range(int(rng.integers(1, 3)))]
+            m = int(rng.integers(max(n_ineq, 1), 5))
+            problem = random_bounded_instance(rng, dims, m, complex_=True, n_ineq=n_ineq)
+            reference = self.embedded(problem)
+            sol, ref = solve(problem), solve(reference)
+            kkt_check(problem, sol)
+            kkt_check(reference, ref)
+            for name, d in problem.blocks:
+                assert sol.blocks[name].shape == (d, d)
+                assert np.iscomplexobj(sol.blocks[name])
+            pobj = sol.objective_value
+            assert abs(pobj - ref.objective_value) <= 1e-7 * (1.0 + abs(pobj))
 
 
 class TestGeneralizedEig:
