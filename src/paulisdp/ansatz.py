@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, multiply_words
+from .pauli import PauliString, PauliSum, SettingError, multiply_words
 from .states import StateSpec, prepare
 
 
@@ -51,7 +51,7 @@ class AnsatzSet:
     def take(self, m: int) -> "AnsatzSet":
         """First m strings in generation order."""
         if not (1 <= m <= len(self.strings)):
-            raise ValueError(f"m must be in 1..{len(self.strings)}, got {m}")
+            raise SettingError(f"m must be in 1..{len(self.strings)}, got {m}")
         return replace(self, strings=self.strings[:m], orders=self.orders[:m])
 
 
@@ -183,8 +183,6 @@ def build_overlaps(
     constraints: dict[str, PauliSum] | None = None,
     shots: int | None = None,
     sample_seed: int = 0,
-    dense_cap: int = 14,
-    state=None,
 ) -> OverlapSet:
     """Measure the Gram matrix plus objective/constraint overlap matrices.
 
@@ -200,8 +198,7 @@ def build_overlaps(
             raise ValueError(f"operator {name!r} must be Hermitian")
         if op.n_qubits != ansatz.n_qubits:
             raise ValueError(f"operator {name!r} acts on the wrong number of qubits")
-    if state is None:
-        state = prepare(ansatz.seed, ansatz.n_qubits, dense_cap=dense_cap)
+    state = prepare(ansatz.seed, ansatz.n_qubits)
     m, n = len(ansatz), ansatz.n_qubits
     sx, sz = _stacked_words(ansatz.strings, n)
     width = sx.shape[1]

@@ -13,19 +13,20 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__, models, oracle, solvers
 from .ansatz import krylov_strings
-from .pauli import PauliSum
+from .pauli import PauliSum, SettingError
 from .sdp import SolveStatus
 from .states import QuantumAnnealingState, prepare
 
@@ -94,37 +95,37 @@ def _parse_numbers(text: str):
         return text
 
 
-# (argparse attribute, top-level config key, parser of the flag text or None)
-_TOP_LEVEL_FLAGS = [
-    ("mode", "mode", None),
-    ("shots", "shots", None),
-    ("sample_seed", "sample_seed", None),
-    ("out", "output", None),
-    ("n_excited", "n_excited", None),
-    ("symmetry", "symmetry", None),
-    ("sector", "sector_value", None),
-    ("sectors", "sector_values", _parse_numbers),
-    ("angle", "angle", None),
-    ("angles", "angles", _parse_numbers),
-    ("error_budget", "error_budget", None),
-    ("n_strings", "n_strings", None),
-    ("instance_seed", "instance_seed", None),
-    ("figure", "figure", None),
-    ("max_qubits", "max_qubits", None),
-    ("n_seeds", "n_seeds", None),
-    ("t_grid", "t_grid", _parse_numbers),
-]
+def _parse_graph_flag(text: str) -> dict:
+    """``chsh``, ``cycle:N``, ``complete:N`` or an edge-list file path.
+
+    A count that does not parse is kept as text (see ``_parse_m_sweep``).
+    """
+    if text == "chsh":
+        return {"kind": "chsh"}
+    kind, _, n = text.partition(":")
+    if kind in ("cycle", "complete"):
+        return {"kind": kind, "n": int(n) if n.isdecimal() else n}
+    return {"kind": "file", "path": text}
+
+
+def _parse_game_flag(text: str) -> dict:
+    """``chsh`` or a JSON game file, checked here so that its errors name the file."""
+    if text == "chsh":
+        return {"name": "chsh"}
+    game = _load_json_object(text)
+    errors = _game_violations(text, game)
+    if errors:
+        raise ConfigError(errors)
+    return game
+
 
 _SECTIONS = ("model", "state", "ansatz", "solver")
-# the top-level keys: the sections and every key a flag sets
-_KNOWN_KEYS = {"command", *_SECTIONS, "n_qubits", "graph", "game", "solve_mode"} | {
-    key for _attr, key, _parse in _TOP_LEVEL_FLAGS
-}
 
 # tuples, not sets: a kind read from JSON may be an unhashable list or object
 _MODEL_KINDS = ("ising", "heisenberg", "random_pauli", "file")
 _STATE_KINDS = ("zero", "plus", "random", "annealing")
 _GRAPH_KINDS = ("cycle", "complete", "chsh", "file")
+_SYMMETRIES = ("parity", "magnetization")
 
 
 def _is_int(v) -> bool:
@@ -146,6 +147,12 @@ def _is_list_of(accepts):
 # (section or None for the top level, key, accepts, requirement) of every
 # typed field that is checked when present
 _FIELD_RULES = [
+    ("model", "g", _is_number, "a number"),
+    ("model", "h", _is_number, "a number"),
+    ("model", "periodic", lambda v: isinstance(v, bool), "true or false"),
+    ("model", "terms", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    ("model", "seed", _is_int, "an integer"),
+    ("model", "path", lambda v: isinstance(v, str), "a file path"),
     ("state", "layers", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     ("state", "anneal_time", _is_positive, "a positive number"),
     ("state", "circuit_seed", _is_int, "an integer"),
@@ -161,6 +168,7 @@ _FIELD_RULES = [
     (None, "shots", lambda v: _is_int(v) and v >= 1, "a positive integer"),
     (None, "sample_seed", _is_int, "an integer"),
     (None, "n_excited", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    (None, "symmetry", lambda v: v in _SYMMETRIES, f"one of {_SYMMETRIES}"),
     (None, "sector_value", _is_number, "a number"),
     (None, "sector_values", _is_list_of(_is_number), "a non-empty list of numbers"),
     (None, "angle", _is_number, "a number"),
@@ -173,6 +181,8 @@ _FIELD_RULES = [
     (None, "n_seeds", lambda v: _is_int(v) and v >= 1, "a positive integer"),
     (None, "t_grid", _is_list_of(_is_positive), "a non-empty list of positive numbers"),
 ]
+# section keys that validate_config checks itself, outside _FIELD_RULES
+_UNTYPED_KEYS = {"model": ("kind", "n"), "state": ("kind",), "ansatz": (), "solver": ()}
 
 
 def _load_json_object(path: str) -> dict:
@@ -185,6 +195,19 @@ def _load_json_object(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}:1: top level must be an object"])
     return raw
+
+
+def _game_violations(source: str, game) -> list[str]:
+    """What ``XorGame.from_config`` rejects in a game object, as violations."""
+    if not isinstance(game, dict):
+        return [f"{source}: game must be an object"]
+    if game.get("name") != "chsh" and not {"pi", "f"} <= game.keys():
+        return [f"{source}: game needs 'pi' and 'f' tables, or the name 'chsh'"]
+    try:
+        models.XorGame.from_config(game)
+    except (TypeError, ValueError) as exc:
+        return [f"{source}: game: {exc}"]
+    return []
 
 
 def _direct_theta_violations(source: str, n_vertices: int) -> list[str]:
@@ -204,7 +227,7 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
     errors = []
     if not isinstance(raw, dict):
         raise ConfigError([f"{source}: top level must be an object"])
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - _known_keys()
     for key in sorted(unknown):
         errors.append(f"{source}: unknown key {key!r}")
     command = raw.get("command")
@@ -219,10 +242,10 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
             sections[key] = {}
     model, state, ansatz, solver = (sections[key] for key in _SECTIONS)
     for section, key, accepts, requirement in _FIELD_RULES:
-        fields = raw if section is None else sections[section]
-        if key in fields and not accepts(fields[key]):
+        values = raw if section is None else sections[section]
+        if key in values and not accepts(values[key]):
             name = key if section is None else f"{section}.{key}"
-            errors.append(f"{source}: {name} must be {requirement}, got {fields[key]!r}")
+            errors.append(f"{source}: {name} must be {requirement}, got {values[key]!r}")
 
     if model:
         kind = model.get("kind")
@@ -230,8 +253,15 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
             errors.append(f"{source}: model.kind must be one of {sorted(_MODEL_KINDS)}")
         elif kind in ("ising", "heisenberg", "random_pauli"):
             n = model.get("n")
-            if not isinstance(n, int) or n < 2:
+            if not (_is_int(n) and n >= 2):
                 errors.append(f"{source}: model.n must be an integer >= 2")
+            elif kind == "random_pauli" and "terms" not in model:
+                errors.append(f"{source}: model.terms is required for kind 'random_pauli'")
+            elif kind == "random_pauli" and _is_int(model["terms"]) and (
+                model["terms"] > 4 ** min(n, 32)
+            ):
+                errors.append(f"{source}: model.terms={model['terms']} exceeds the {4 ** n} "
+                              f"distinct Pauli strings on model.n={n}")
         elif kind == "file" and not model.get("path"):
             errors.append(f"{source}: model.path is required for kind 'file'")
 
@@ -254,6 +284,9 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
     elif graph.get("kind") == "file" and not graph.get("path"):
         errors.append(f"{source}: graph.path is required for kind 'file'")
 
+    if "game" in raw:
+        errors += _game_violations(source, raw["game"])
+
     if command == "discriminate":
         n_qubits, n_strings = raw.get("n_qubits", 6), raw.get("n_strings", 12)
         if _is_int(n_qubits) and _is_int(n_strings) and n_strings > 4 ** min(n_qubits, 32):
@@ -266,16 +299,14 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
     if mode not in ("exact", "shots"):
         errors.append(f"{source}: mode must be 'exact' or 'shots'")
 
-    for key in solver:
-        if key not in ("tol_feas", "tol_gap", "max_iter", "rank_tol"):
-            errors.append(f"{source}: unknown solver option {key!r}")
+    for section in _SECTIONS:
+        known = {*_UNTYPED_KEYS[section], *(k for s, k, *_rule in _FIELD_RULES if s == section)}
+        errors += [f"{source}: unknown {section} option {key!r}"
+                   for key in sections[section] if key not in known]
     if errors:
         raise ConfigError(errors)
 
-    extra_keys = _KNOWN_KEYS - {
-        "command", "model", "state", "ansatz", "mode", "shots", "sample_seed",
-        "solver", "output",
-    }
+    extra_keys = _known_keys() - {f.name for f in fields(RunConfig)}
     extra = {k: raw[k] for k in extra_keys if k in raw}
     return RunConfig(
         command=command,
@@ -296,20 +327,9 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
 
 
 def _config_hash(cfg: RunConfig) -> str:
-    payload = json.dumps(
-        {
-            "command": cfg.command,
-            "model": cfg.model,
-            "state": cfg.state,
-            "ansatz": cfg.ansatz,
-            "mode": cfg.mode,
-            "shots": cfg.shots,
-            "sample_seed": cfg.sample_seed,
-            "solver": cfg.solver,
-            "extra": cfg.extra,
-        },
-        sort_keys=True,
-    )
+    """Hash of every config field but the output path."""
+    hashed = {key: value for key, value in asdict(cfg).items() if key != "output"}
+    payload = json.dumps(hashed, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -361,34 +381,31 @@ def _statuses_exit_code(statuses) -> int:
 def _build_hamiltonian(cfg: RunConfig) -> PauliSum:
     if not cfg.model:
         raise ConfigError([f"command {cfg.command!r} needs a model"])
-    return models.build_model(cfg.model)
+    try:
+        return models.build_model(cfg.model)
+    except ValueError as exc:  # a model file that does not parse; built-in kinds are validated
+        raise ConfigError([f"{cfg.model.get('path', 'model')}: {exc}"]) from None
 
 
-def _krylov_kwargs(cfg: RunConfig, seed_state: str) -> dict:
-    """Seed-state, Krylov and measurement settings of a Krylov solver.
+def _solver_settings(cfg: RunConfig, solver_class, **defaults) -> dict:
+    """Every setting of ``solver_class``, taken from the config by field name.
 
-    ``seed_state`` is the command's default when the config names none.
+    Top-level keys and the keys of the state, ansatz and solver sections
+    that name a field of the class set it (``state.kind`` sets
+    ``seed_state``).  The exact/shots ``mode``, ``shots`` and
+    ``sample_seed`` reach the Krylov solvers only: the graph and game
+    solvers' ``mode`` is direct or ansatz.  A field that the config does not
+    name takes the command's value from ``defaults``, else the library
+    default.
     """
-    return {
-        "seed_state": cfg.state.get("kind", seed_state),
-        "krylov_order": int(cfg.ansatz.get("krylov_order", 2)),
-        "n_states": cfg.ansatz.get("n_states"),
-        "layers": int(cfg.state.get("layers", 4)),
-        "anneal_time": float(cfg.state.get("anneal_time", 0.3)),
-        "circuit_seed": int(cfg.state.get("circuit_seed", 0)),
-        "mode": cfg.mode,
-        "shots": cfg.shots,
-        "sample_seed": cfg.sample_seed,
-    }
-
-
-def _solver_kwargs(cfg: RunConfig) -> dict:
-    return {
-        "rank_tol": cfg.solver.get("rank_tol"),
-        "tol_feas": float(cfg.solver.get("tol_feas", 1e-8)),
-        "tol_gap": float(cfg.solver.get("tol_gap", 1e-8)),
-        "max_iter": int(cfg.solver.get("max_iter", 200)),
-    }
+    named = {**cfg.extra, **cfg.state, **cfg.ansatz, **cfg.solver}
+    if "kind" in cfg.state:
+        named["seed_state"] = named.pop("kind")
+    if issubclass(solver_class, solvers._KrylovSolver):
+        named.update(mode=cfg.mode, shots=cfg.shots, sample_seed=cfg.sample_seed)
+    settings = {**solver_class().get_params(), **defaults}
+    settings.update((key, value) for key, value in named.items() if key in settings)
+    return settings
 
 
 def _sweep_values(cfg: RunConfig, available: int) -> list[int]:
@@ -427,16 +444,14 @@ def run_eigmax(cfg: RunConfig) -> int:
 
 def _run_eig(cfg: RunConfig, sense: str, value_name: str) -> int:
     h = _build_hamiltonian(cfg)
-    settings = _krylov_kwargs(cfg, "plus")
+    settings = _solver_settings(cfg, solvers.GroundStateSolver)
     del settings["n_states"]  # _sweep_values reads it as the one sweep size
     m_values = _sweep_values(cfg, _n_krylov_strings(h, settings["krylov_order"]))
-    results = solvers.energy_sweep(
-        h, m_values=m_values, sense=sense, **settings, **_solver_kwargs(cfg)
-    )
+    results = solvers.energy_sweep(h, m_values=m_values, sense=sense, **settings)
 
     reference = math.nan
     if h.n_qubits <= 10:
-        evals = oracle.spectrum(h).eigenvalues
+        evals = np.linalg.eigvalsh(h.matrix())
         reference = float(evals[0] if sense == "min" else evals[-1])
     rows = []
     for m, value, status, dual in results:
@@ -453,12 +468,8 @@ def _run_eig(cfg: RunConfig, sense: str, value_name: str) -> int:
 
 def run_excited(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
-    solver = solvers.ExcitedStatesSolver(
-        n_excited=int(cfg.extra.get("n_excited", 3)),
-        **_krylov_kwargs(cfg, "random"),
-        **{k: v for k, v in _solver_kwargs(cfg).items() if k != "max_iter"},
-    )
-    solver.fit(h)
+    settings = _solver_settings(cfg, solvers.ExcitedStatesSolver, seed_state="random")
+    solver = solvers.ExcitedStatesSolver(**settings).fit(h)
     max_residual = float(solver.orthogonality_residuals_.max(initial=0.0))
     rows = []
     for level, status in enumerate(solver.statuses_):
@@ -470,18 +481,11 @@ def run_excited(cfg: RunConfig) -> int:
 
 def run_symmetry(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
-    symmetry_name = cfg.extra.get("symmetry", "magnetization")
-    sectors = cfg.extra.get("sector_values")
-    if sectors is None:
-        sectors = [cfg.extra.get("sector_value", 0.0)]
+    settings = _solver_settings(cfg, solvers.SymmetrySectorSolver)
     rows = []
-    for sector in sectors:
-        solver = solvers.SymmetrySectorSolver(
-            symmetry=symmetry_name,
-            sector_value=float(sector),
-            **_krylov_kwargs(cfg, "random"),
-            **_solver_kwargs(cfg),
-        ).fit(h)
+    for sector in cfg.extra.get("sector_values", [settings["sector_value"]]):
+        settings["sector_value"] = float(sector)
+        solver = solvers.SymmetrySectorSolver(**settings).fit(h)
         reference = math.nan
         if h.n_qubits <= 10:
             try:
@@ -505,21 +509,19 @@ def run_discriminate(cfg: RunConfig) -> int:
     angles = cfg.extra.get("angles")
     if angles is None:
         angles = [cfg.extra.get("angle", math.pi / 4)]
-    eps = float(cfg.extra.get("error_budget", 0.0))
-    n_qubits = int(cfg.extra.get("n_qubits", 6))
+    settings = _solver_settings(cfg, solvers.UnambiguousDiscriminator)
+    eps = float(settings["error_budget"])
     rows = []
     for angle in angles:
         instance = solvers.two_state_discrimination_instance(
             angle=float(angle),
-            n_qubits=n_qubits,
-            n_strings=int(cfg.extra.get("n_strings", 12)),
-            layers=int(cfg.state.get("layers", 4)),
-            seed=int(cfg.extra.get("instance_seed", 0)),
+            n_qubits=cfg.extra.get("n_qubits", 6),
+            n_strings=cfg.extra.get("n_strings", 12),
+            layers=cfg.state.get("layers", 4),
+            seed=cfg.extra.get("instance_seed", 0),
             error_budget=eps,
         )
-        disc = solvers.UnambiguousDiscriminator(
-            error_budget=eps, **_solver_kwargs(cfg)
-        ).fit(instance)
+        disc = solvers.UnambiguousDiscriminator(**settings).fit(instance)
         mean_error = float(disc.error_rates_.mean()) if disc.error_rates_ is not None else math.nan
         rows.append(
             (
@@ -551,30 +553,28 @@ def _load_graph(spec: dict) -> models.Graph:
     if kind == "chsh":
         return models.chsh_graph()
     with open(spec["path"]) as fh:
-        return models.Graph.from_text(fh.read())
+        text = fh.read()
+    try:
+        return models.Graph.from_text(text)
+    except ValueError as exc:
+        raise ConfigError([f"{spec['path']}: {exc}"]) from None
 
 
 def _x_string_fits(cfg: RunConfig, solver_class, instance, dim: int) -> list[tuple]:
     """(m, fitted solver) pairs of a graph or game command.
 
     One direct solve, with "direct" in place of m, or one X-string ansatz
-    solve per requested size.
+    solve per requested size.  The tolerances default to 1e-8, looser than
+    the solvers' own 1e-9.
     """
-    if cfg.extra.get("solve_mode", "direct") == "direct":
-        return [("direct", solver_class(mode="direct", **_solver_kwargs(cfg)).fit(instance))]
+    settings = _solver_settings(
+        cfg, solver_class, mode=cfg.extra.get("solve_mode", "direct"), tol_feas=1e-8, tol_gap=1e-8
+    )
+    if settings["mode"] == "direct":
+        return [("direct", solver_class(**settings).fit(instance))]
     n_qubits = max(1, math.ceil(math.log2(dim)))
     return [
-        (
-            m,
-            solver_class(
-                mode="ansatz",
-                seed_state=cfg.state.get("kind", "zero"),
-                n_states=m,
-                layers=int(cfg.state.get("layers", 4)),
-                circuit_seed=int(cfg.state.get("circuit_seed", 0)),
-                **_solver_kwargs(cfg),
-            ).fit(instance),
-        )
+        (m, solver_class(**{**settings, "n_states": m}).fit(instance))
         for m in _sweep_values(cfg, 1 << n_qubits)
     ]
 
@@ -603,9 +603,7 @@ def run_xor(cfg: RunConfig) -> int:
 
 def run_rank1(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
-    reducer = solvers.RankOneReducer(
-        **_krylov_kwargs(cfg, "zero"), rank_tol=cfg.solver.get("rank_tol")
-    ).fit(h)
+    reducer = solvers.RankOneReducer(**_solver_settings(cfg, solvers.RankOneReducer)).fit(h)
     value = reducer.value_ if reducer.value_ is not None else math.nan
     rows = [
         (
@@ -626,15 +624,13 @@ def run_rank1(cfg: RunConfig) -> int:
 def _figure_fig2a(cfg: RunConfig):
     n = int(cfg.extra.get("max_qubits", 8))
     h = models.ising_hamiltonian(n, 1.0, 1.0)
-    exact = float(oracle.spectrum(h).eigenvalues[0]) if n <= 10 else math.nan
+    exact = float(np.linalg.eigvalsh(h.matrix())[0]) if n <= 10 else math.nan
     m_values = sorted(set(np.linspace(1, _n_krylov_strings(h, 2), 16, dtype=int).tolist()))
+    # the config may set the annealing time and circuit seed; the rest is fixed
+    seed_settings = {k: v for k, v in cfg.state.items() if k in ("anneal_time", "circuit_seed")}
     rows = []
     for kind in ("plus", "random", "annealing"):
-        sweep = solvers.energy_sweep(
-            h, kind, 2, m_values, layers=4,
-            anneal_time=float(cfg.state.get("anneal_time", 0.3)),
-            circuit_seed=int(cfg.state.get("circuit_seed", 0)),
-        )
+        sweep = solvers.energy_sweep(h, kind, 2, m_values, **seed_settings)
         for m, value, status, _dual in sweep:
             rows.append((kind, m, value, abs(value - exact), status))
     return ["seed", "m", "energy", "delta_e", "status"], rows
@@ -647,7 +643,7 @@ def _figure_scaling(cfg: RunConfig, variants):
     for label, h_field, layer_rule in variants:
         for n in range(4, max_n + 1, 2):
             h = models.ising_hamiltonian(n, g=1.0, h=h_field)
-            exact = float(oracle.spectrum(h).eigenvalues[0])
+            exact = float(np.linalg.eigvalsh(h.matrix())[0])
             layers = max(1, layer_rule(n))
             hz, hx = models.ising_split(n, g=1.0, h=h_field)
             n_strings = _n_krylov_strings(h, 1)
@@ -739,7 +735,7 @@ def _figure_fig4(cfg: RunConfig):
             continue
         for seed in range(n_seeds):
             c = models.random_pauli_operator(n, 8, seed=seed)
-            exact = float(oracle.spectrum(c).eigenvalues[-1])
+            exact = float(np.linalg.eigvalsh(c.matrix())[-1])
             n_strings = _n_krylov_strings(c, 8)
             m_values = sorted(
                 {2, 4, 8, 16, 32, 64, 128, 256} & set(range(1, n_strings + 1))
@@ -843,6 +839,7 @@ _RUNNERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; each flag's ``dest`` is the config path it sets."""
     parser = argparse.ArgumentParser(
         prog="paulisdp",
         description="Reduced semidefinite programs over Pauli-string ansatz spaces.",
@@ -851,131 +848,96 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--model", choices=sorted(_MODEL_KINDS))
-        p.add_argument("--n", type=int, help="qubit / vertex count for built-in models")
-        p.add_argument("--g", type=float, help="longitudinal field")
-        p.add_argument("--field", type=float, help="transverse / coupling field h")
-        p.add_argument("--terms", type=int, help="random-model term count")
-        p.add_argument("--model-seed", type=int, help="random-model seed")
-        p.add_argument("--model-file", help="Hamiltonian text file")
-        p.add_argument("--seed-state", choices=sorted(_STATE_KINDS))
-        p.add_argument("--layers", type=int)
-        p.add_argument("--anneal-time", type=float)
-        p.add_argument("--circuit-seed", type=int)
-        p.add_argument("--krylov-order", type=int)
-        p.add_argument("--n-states", type=int)
-        p.add_argument("--m-sweep", help="comma list or start:stop[:step]")
+        p.add_argument("--out", dest="output", help="output CSV path (default stdout)")
+        p.add_argument("--model", dest="model.kind", choices=sorted(_MODEL_KINDS))
+        p.add_argument("--n", dest="n_qubits" if command == "discriminate" else "model.n",
+                       type=int, help="qubit / vertex count for built-in models")
+        p.add_argument("--g", dest="model.g", type=float, help="longitudinal field")
+        p.add_argument("--field", dest="model.h", type=float, help="transverse / coupling field h")
+        p.add_argument("--terms", dest="model.terms", type=int, help="random-model term count")
+        p.add_argument("--model-seed", dest="model.seed", type=int, help="random-model seed")
+        # after the other model flags, since flags merge in this order: a file
+        # replaces the whole model section
+        p.add_argument("--model-file", dest="model", metavar="PATH",
+                       type=lambda path: {"kind": "file", "path": path},
+                       help="Hamiltonian text file")
+        p.add_argument("--seed-state", dest="state.kind", choices=sorted(_STATE_KINDS))
+        p.add_argument("--layers", dest="state.layers", type=int)
+        p.add_argument("--anneal-time", dest="state.anneal_time", type=float)
+        p.add_argument("--circuit-seed", dest="state.circuit_seed", type=int)
+        p.add_argument("--krylov-order", dest="ansatz.krylov_order", type=int)
+        p.add_argument("--n-states", dest="ansatz.n_states", type=int)
+        p.add_argument("--m-sweep", dest="ansatz.m_sweep", type=_parse_m_sweep,
+                       help="comma list or start:stop[:step]")
         p.add_argument("--mode", choices=["exact", "shots"])
         p.add_argument("--shots", type=int)
         p.add_argument("--sample-seed", type=int)
-        p.add_argument("--tol-feas", type=float)
-        p.add_argument("--tol-gap", type=float)
+        p.add_argument("--tol-feas", dest="solver.tol_feas", type=float)
+        p.add_argument("--tol-gap", dest="solver.tol_gap", type=float)
         if command == "excited":
             p.add_argument("--n-excited", type=int)
         if command == "symmetry":
-            p.add_argument("--symmetry", choices=["parity", "magnetization"])
-            p.add_argument("--sector", type=float)
-            p.add_argument("--sectors", help="comma list of sector values")
+            p.add_argument("--symmetry", choices=_SYMMETRIES)
+            p.add_argument("--sector", dest="sector_value", type=float)
+            p.add_argument("--sectors", dest="sector_values", type=_parse_numbers,
+                           help="comma list of sector values")
         if command == "discriminate":
             p.add_argument("--angle", type=float)
-            p.add_argument("--angles", help="comma list of angles")
+            p.add_argument("--angles", type=_parse_numbers, help="comma list of angles")
             p.add_argument("--error-budget", type=float)
             p.add_argument("--n-strings", type=int)
             p.add_argument("--instance-seed", type=int)
         if command == "lovasz":
-            p.add_argument("--graph", help="cycle:N, complete:N, chsh, or an edge-list file")
-            p.add_argument("--direct", action="store_true")
-            p.add_argument("--ansatz", action="store_true")
+            p.add_argument("--graph", type=_parse_graph_flag,
+                           help="cycle:N, complete:N, chsh, or an edge-list file")
         if command == "xor":
-            p.add_argument("--game", help="'chsh' or a JSON game file")
-            p.add_argument("--direct", action="store_true")
-            p.add_argument("--ansatz", action="store_true")
+            p.add_argument("--game", type=_parse_game_flag, help="'chsh' or a JSON game file")
+        if command in ("lovasz", "xor"):
+            solve_mode = p.add_mutually_exclusive_group()
+            solve_mode.add_argument("--direct", dest="solve_mode", action="store_const",
+                                    const="direct")
+            solve_mode.add_argument("--ansatz", dest="solve_mode", action="store_const",
+                                    const="ansatz")
         if command == "figures":
-            p.add_argument("--figure", default="all", help="figure name or 'all'")
+            p.add_argument("--figure", help="figure name or 'all' (the default)")
             p.add_argument("--max-qubits", type=int)
             p.add_argument("--n-seeds", type=int)
-            p.add_argument("--t-grid", help="comma list of annealing times")
+            p.add_argument("--t-grid", type=_parse_numbers, help="comma list of annealing times")
     return parser
 
 
-def _override(raw: dict, section: str, flags: dict) -> None:
-    """Merge the flags that were given into a config section.
-
-    A section that is not an object is left as it is, for
-    ``validate_config`` to report.
-    """
-    given = {key: value for key, value in flags.items() if value is not None}
-    current = raw.get(section, {})
-    if given and isinstance(current, dict):
-        raw[section] = {**current, **given}
+@functools.cache
+def _known_keys() -> frozenset[str]:
+    """The top-level config keys: the command, every key a flag sets and every typed field."""
+    parser = build_parser()
+    paths = {path for command in COMMANDS for path in vars(parser.parse_args([command]))}
+    flag_keys = {path.partition(".")[0] for path in paths} - {"config"}
+    return frozenset(flag_keys | {section or key for section, key, *_rule in _FIELD_RULES})
 
 
 def _merge_args(args: argparse.Namespace) -> dict:
-    raw: dict = {"command": args.command}
-    if args.config:
-        raw.update(_load_json_object(args.config))
-        raw["command"] = args.command
-    if args.command == "discriminate" and args.n is not None:
-        raw["n_qubits"] = args.n
-    if args.model_file:
-        raw["model"] = {"kind": "file", "path": args.model_file}
-    else:
-        _override(raw, "model", {
-            "kind": args.model,
-            "n": None if args.command == "discriminate" else args.n,
-            "g": args.g,
-            "h": args.field,
-            "terms": args.terms,
-            "seed": args.model_seed,
-        })
-    _override(raw, "state", {
-        "kind": args.seed_state,
-        "layers": args.layers,
-        "anneal_time": args.anneal_time,
-        "circuit_seed": args.circuit_seed,
-    })
-    _override(raw, "ansatz", {
-        "krylov_order": args.krylov_order,
-        "n_states": args.n_states,
-        "m_sweep": _parse_m_sweep(args.m_sweep) if args.m_sweep else None,
-    })
+    """The config file's fields, with every flag that was given set at its path.
 
-    _override(raw, "solver", {"tol_feas": args.tol_feas, "tol_gap": args.tol_gap})
-    for attr, key, parse in _TOP_LEVEL_FLAGS:
-        value = getattr(args, attr, None)  # command-specific flags exist on their command only
-        if value is not None:
-            raw[key] = value if parse is None else parse(value)
-    if getattr(args, "graph", None):
-        raw["graph"] = _parse_graph_flag(args.graph)
-    if getattr(args, "game", None):
-        raw["game"] = {"name": "chsh"} if args.game == "chsh" else _load_json_object(args.game)
-    if getattr(args, "ansatz", False):
-        raw["solve_mode"] = "ansatz"
-    elif getattr(args, "direct", False):
-        raw["solve_mode"] = "direct"
-    return raw
-
-
-def _parse_graph_flag(text: str) -> dict:
-    """``chsh``, ``cycle:N``, ``complete:N`` or an edge-list file path.
-
-    A count that does not parse is kept as text (see ``_parse_m_sweep``).
+    Flags merge in the parser's order.  A section that is not an object is
+    left as it is, for ``validate_config`` to report.
     """
-    if text == "chsh":
-        return {"kind": "chsh"}
-    kind, _, n = text.partition(":")
-    if kind in ("cycle", "complete"):
-        return {"kind": kind, "n": int(n) if n.isdecimal() else n}
-    return {"kind": "file", "path": text}
+    raw = _load_json_object(args.config) if args.config else {}
+    raw["command"] = args.command
+    for path, value in vars(args).items():
+        if value is None or path in ("command", "config"):
+            continue
+        section, _, key = path.rpartition(".")
+        if not section:
+            raw[key] = value
+        elif isinstance(raw.setdefault(section, {}), dict):
+            raw[section] = {**raw[section], key: value}
+    return raw
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        raw = _merge_args(args)
-        cfg = validate_config(raw)
+        cfg = validate_config(_merge_args(parser.parse_args(argv)))
         return _RUNNERS[cfg.command](cfg)
     except ConfigError as exc:
         for err in exc.errors:
@@ -983,6 +945,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SettingError as exc:  # a setting the problem cannot run with, found while solving
+        print(f"config error: <config>: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

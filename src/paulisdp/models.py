@@ -66,6 +66,8 @@ def random_pauli_operator(n_qubits: int, n_terms: int, seed: int) -> PauliSum:
     """Random operator: ``n_terms`` distinct uniform strings, coefficients in [-1, 1]."""
     if n_qubits < 2:
         raise ValueError("n_qubits must be >= 2")
+    if n_terms > 4 ** min(n_qubits, 32):  # more terms than distinct strings would never end
+        raise ValueError(f"n_terms={n_terms} exceeds the {4 ** n_qubits} distinct Pauli strings")
     rng = np.random.default_rng(seed)
     seen = set()
     terms = []

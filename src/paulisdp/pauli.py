@@ -43,7 +43,11 @@ class DimensionMismatchError(ValueError):
     """Operands act on different numbers of qubits."""
 
 
-class DenseLimitError(ValueError):
+class SettingError(ValueError):
+    """A setting that the given problem cannot run with, such as a seed state it cannot prepare."""
+
+
+class DenseLimitError(SettingError):
     """Dense realization requested above the configured qubit cap."""
 
 
@@ -367,7 +371,10 @@ class PauliSum:
                 coeff = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ValueError(f"line {lineno}: bad coefficient in {raw!r}")
-            string = PauliString.from_label(parts[2])
+            try:
+                string = PauliString.from_label(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if n_qubits is None:
                 n_qubits = string.n_qubits
             elif string.n_qubits != n_qubits:

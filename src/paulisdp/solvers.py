@@ -19,7 +19,7 @@ import numpy as np
 from . import models, oracle
 from .ansatz import AnsatzSet, OverlapSet, build_overlaps, krylov_ansatz, x_string_ansatz
 from .base import BaseSolver
-from .pauli import PauliString, PauliSum, basis_state_projector, hermitian_elementary
+from .pauli import PauliString, PauliSum, SettingError, basis_state_projector, hermitian_elementary
 from .sdp import (
     BLOCK,
     SdpConstraint,
@@ -71,7 +71,10 @@ def resolve_seed_state(
     if seed_state == "annealing":
         if hamiltonian is None:
             raise ValueError("the annealing seed needs the Hamiltonian to split")
-        hz, hx = models.diagonal_x_split(hamiltonian)
+        try:
+            hz, hx = models.diagonal_x_split(hamiltonian)
+        except ValueError as exc:
+            raise SettingError(f"the annealing seed state cannot be built: {exc}") from None
         return QuantumAnnealingState(layers=layers, total_time=anneal_time, hz=hz, hx=hx)
     raise ValueError(f"unknown seed state {seed_state!r}")
 
@@ -152,8 +155,8 @@ class _KrylovSolver(BaseSolver):
     """Settings of the solvers that measure a Krylov ansatz.
 
     Seed state, Krylov strings and their ``n_states`` prefix, exact or
-    sampled overlaps, the dense-simulation cap, and ``rank_tol``, the Gram
-    eigenvalue cut (see ``gram_cut``).  ``_measure`` reads them.
+    sampled overlaps, and ``rank_tol``, the Gram eigenvalue cut (see
+    ``gram_cut``).  ``_measure`` reads them.
     """
 
     seed_state: str | StateSpec = "plus"
@@ -166,7 +169,6 @@ class _KrylovSolver(BaseSolver):
     shots: int = 1024
     sample_seed: int = 0
     rank_tol: float | None = None
-    dense_cap: int = 14
 
     def _measure(
         self,
@@ -194,7 +196,6 @@ class _KrylovSolver(BaseSolver):
             ansatz,
             objective=hamiltonian,
             constraints=constraints,
-            dense_cap=self.dense_cap,
             **_shots_kwargs(self.mode, self.shots, self.sample_seed),
         )
         return ansatz, overlaps
@@ -279,7 +280,7 @@ class ExcitedStatesSolver(_KrylovSolver):
     def fit(self, hamiltonian: PauliSum) -> "ExcitedStatesSolver":
         ansatz, overlaps = self._measure(hamiltonian)
         if self.n_excited > len(ansatz) - 1:
-            raise ValueError(
+            raise SettingError(
                 f"n_excited={self.n_excited} exceeds ansatz size minus one ({len(ansatz) - 1})"
             )
         basis = gram_basis(overlaps.gram, gram_cut(overlaps, self.rank_tol))
@@ -347,13 +348,13 @@ class SymmetrySectorSolver(_KrylovSolver):
             return models.spin_flip_parity(hamiltonian.n_qubits)
         if self.symmetry == "magnetization":
             return models.magnetization(hamiltonian.n_qubits)
-        raise ValueError(f"unknown symmetry {self.symmetry!r}")
+        raise SettingError(f"unknown symmetry {self.symmetry!r}")
 
     def fit(self, hamiltonian: PauliSum) -> "SymmetrySectorSolver":
         check_hermitian_operator(hamiltonian, "hamiltonian")
         symmetry = check_hermitian_operator(self._resolve_symmetry(hamiltonian), "symmetry")
         if not symmetry.commutes_with(hamiltonian):
-            raise ValueError("symmetry operator does not commute with the Hamiltonian")
+            raise SettingError("symmetry operator does not commute with the Hamiltonian")
         ansatz, overlaps = self._measure(
             hamiltonian, {"symmetry": symmetry, "symmetry_sq": symmetry * symmetry}
         )
@@ -634,7 +635,7 @@ class _XStringSolver(BaseSolver):
             self.seed_state, layers=self.layers, circuit_seed=self.circuit_seed
         )
         if not isinstance(seed, (ZeroState, HardwareEfficientCircuit)):
-            raise ValueError(
+            raise SettingError(
                 "ansatz mode needs a real-valued seed: zero state or y-rotation circuit"
             )
         ansatz = x_string_ansatz(max(1, math.ceil(math.log2(dim))), seed)
@@ -785,27 +786,13 @@ class RankOneReducer(_KrylovSolver):
         return self
 
 
-def energy_sweep(
-    hamiltonian: PauliSum,
-    seed_state,
-    krylov_order: int,
-    m_values,
-    sense: str = "min",
-    layers: int = 4,
-    anneal_time: float = 0.3,
-    circuit_seed: int = 0,
-    mode: str = "exact",
-    shots: int = 1024,
-    sample_seed: int = 0,
-    rank_tol: float | None = None,
-    tol_feas: float = 1e-8,
-    tol_gap: float = 1e-8,
-    max_iter: int = 200,
-    dense_cap: int = 14,
-    method: str = "eig",
-):
+def energy_sweep(hamiltonian: PauliSum, seed_state, krylov_order: int, m_values,
+                 sense: str = "min", **settings):
     """Normalized-program values over an ansatz-size sweep.
 
+    ``settings`` are the other ``GroundStateSolver`` settings (``layers``,
+    ``mode``, ``shots``, ``rank_tol``, the tolerances, ``method`` and so on)
+    with that class's defaults; an unknown name raises ``TypeError``.
     Overlaps are measured once at the largest requested size and sliced,
     which is how nested prefix sets behave on a device.  Returns a list of
     (m, value, status_name, dual_residual) rows ordered by m, the dual
@@ -813,10 +800,7 @@ def energy_sweep(
     """
     m_values = sorted({int(m) for m in m_values})
     solver = GroundStateSolver(
-        seed_state=seed_state, krylov_order=krylov_order, n_states=m_values[-1],
-        layers=layers, anneal_time=anneal_time, circuit_seed=circuit_seed, mode=mode,
-        shots=shots, sample_seed=sample_seed, rank_tol=rank_tol, tol_feas=tol_feas,
-        tol_gap=tol_gap, max_iter=max_iter, dense_cap=dense_cap, method=method,
+        seed_state=seed_state, krylov_order=krylov_order, n_states=max(m_values), **settings
     )
     _ansatz, full = solver._measure(hamiltonian)
     rows = []

@@ -271,7 +271,8 @@ def prepare(spec: StateSpec, n_qubits: int, dense_cap: int = DENSE_QUBIT_CAP) ->
         return ProductState(np.tile([1.0, 1.0], (n_qubits, 1)) / np.sqrt(2.0))
     if n_qubits > dense_cap:
         raise DenseLimitError(
-            f"circuit state preparation needs the dense backend (cap {dense_cap} qubits)"
+            f"circuit state preparation on {n_qubits} qubits needs the dense backend "
+            f"(cap {dense_cap} qubits)"
         )
     if isinstance(spec, HardwareEfficientCircuit):
         return _prepare_hardware_efficient(spec, n_qubits)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from paulisdp import cli, models
-from paulisdp.solvers import RankOneReducer, energy_sweep
+from paulisdp.solvers import GroundStateSolver, RankOneReducer, XorGameSolver, energy_sweep
 from paulisdp.states import PlusState
 
 
@@ -111,6 +111,16 @@ class TestConfigValidation:
             ({"sample_seed": "s"}, "sample_seed must be an integer"),
             ({"jobs": 2}, "unknown key 'jobs'"),
             ({"model": {"kind": ["ising"]}}, "model.kind must be one of"),
+            ({"model": {"kind": "ising", "n": 3, "g": "x"}}, "model.g must be a number, got 'x'"),
+            ({"model": {"kind": "ising", "n": 3, "h": None}}, "model.h must be a number"),
+            ({"model": {"kind": "heisenberg", "n": 3, "periodic": 1}},
+             "model.periodic must be true or false, got 1"),
+            ({"model": {"kind": "random_pauli", "n": 3, "terms": 2.5}},
+             "model.terms must be a positive integer"),
+            ({"model": {"kind": "random_pauli", "n": 3, "terms": 4, "seed": "s"}},
+             "model.seed must be an integer"),
+            ({"model": {"kind": "file", "path": 3}}, "model.path must be a file path, got 3"),
+            ({"state": {"kind": "random", "layer": 2}}, "unknown state option 'layer'"),
         ],
     )
     def test_wrongly_typed_field_exits_with_message(self, tmp_path, capsys, fields, message):
@@ -160,6 +170,14 @@ class TestConfigValidation:
             (["lovasz"], {"graph": {"kind": ["cycle"]}}, "graph.kind must be one of"),
             (["lovasz", "--graph", "cycle:40", "--direct"], {},
              "graph has 40 vertices, over the 32-vertex cap of a direct theta solve"),
+            (["eigmax", "--model", "random_pauli", "--n", "4"], {},
+             "model.terms is required for kind 'random_pauli'"),
+            (["eigmax", "--model", "random_pauli", "--n", "2", "--terms", "20"], {},
+             "model.terms=20 exceeds the 16 distinct Pauli strings on model.n=2"),
+            (["xor"], {"game": {"pi": [[1.0]]}}, "game needs 'pi' and 'f' tables"),
+            (["figures"], {"figure": "fig99"}, "unknown figure(s) ['fig99']"),
+            (["symmetry"], {"symmetry": "spin"},
+             "symmetry must be one of ('parity', 'magnetization'), got 'spin'"),
         ],
     )
     def test_malformed_command_input_exits_with_message(
@@ -173,6 +191,56 @@ class TestConfigValidation:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (["nse", "--model-file", "{dir}/h.txt"], {"h.txt": "1.0 0.0 ZZQ\n"},
+             "{dir}/h.txt: line 1: invalid Pauli label 'ZZQ'"),
+            (["xor", "--game", "{dir}/game.json"],
+             {"game.json": '{"pi": [[0.5, 0.25], [0.25, 0.25]], "f": [[0, 0], [0, 1]]}'},
+             "{dir}/game.json: game: pi must be a probability distribution"),
+            (["lovasz", "--graph", "{dir}/g.edges"], {"g.edges": "3\n0 1\n0 5\n"},
+             "{dir}/g.edges: edge (0, 5) out of range"),
+            (["nse", "--model", "ising", "--n", "20", "--seed-state", "random"], {},
+             "circuit state preparation on 20 qubits needs the dense backend (cap 14 qubits)"),
+            (["nse", "--model", "heisenberg", "--n", "4", "--seed-state", "annealing"], {},
+             "the annealing seed state cannot be built: term"),
+            (["excited", "--model", "ising", "--n", "3", "--n-excited", "50"], {},
+             "n_excited=50 exceeds ansatz size minus one"),
+            (["excited", "--model", "ising", "--n", "3", "--n-states", "500"], {},
+             "m must be in 1.."),
+            (["symmetry", "--model", "ising", "--n", "3", "--symmetry", "magnetization"], {},
+             "symmetry operator does not commute with the Hamiltonian"),
+            (["lovasz", "--ansatz", "--seed-state", "plus"], {},
+             "ansatz mode needs a real-valued seed"),
+        ],
+    )
+    def test_rejected_input_exits_with_message(self, tmp_path, capsys, argv, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "o.csv")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        # errors in a file name the file; the others come from the run config
+        source = "" if files else "<config>: "
+        assert f"config error: {source}{message.replace('{dir}', str(tmp_path))}" in err
+        assert "Traceback" not in err
+
+    def test_solver_settings_by_field_name(self):
+        cfg = cli.validate_config({
+            "command": "xor", "mode": "shots", "shots": 50, "solver": {"max_iter": 9},
+            "state": {"kind": "random", "layers": 2}, "ansatz": {"krylov_order": 1},
+        })
+        # the exact/shots mode never reaches a graph or game solver
+        assert cli._solver_settings(cfg, XorGameSolver) == {
+            **XorGameSolver().get_params(), "seed_state": "random", "layers": 2, "max_iter": 9,
+        }
+        settings = cli._solver_settings(cfg, GroundStateSolver, seed_state="zero")
+        assert settings == {
+            **GroundStateSolver().get_params(), "seed_state": "random", "layers": 2,
+            "krylov_order": 1, "mode": "shots", "shots": 50, "max_iter": 9,
+        }
+
     def test_bad_lists_reported_with_every_other_violation(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"shots": "x", "state": {"kind": "random", "layers": 0}}))
@@ -182,6 +250,106 @@ class TestConfigValidation:
         assert len(err.splitlines()) == 4
         for name in ("shots", "state.layers", "ansatz.m_sweep", "angles"):
             assert f"{name} must be" in err
+
+
+# Every flag with the text given after it (None for a switch) and the config
+# fields it sets, as dotted paths into the merged config.
+_COMMON_FLAGS = {
+    "--config": ("{config}", {"shots": 7}),
+    "--out": ("o.csv", {"output": "o.csv"}),
+    "--model": ("ising", {"model.kind": "ising"}),
+    "--n": ("3", {"model.n": 3}),
+    "--g": ("0.5", {"model.g": 0.5}),
+    "--field": ("0.25", {"model.h": 0.25}),
+    "--terms": ("4", {"model.terms": 4}),
+    "--model-seed": ("2", {"model.seed": 2}),
+    "--model-file": ("h.txt", {"model.kind": "file", "model.path": "h.txt"}),
+    "--seed-state": ("random", {"state.kind": "random"}),
+    "--layers": ("2", {"state.layers": 2}),
+    "--anneal-time": ("0.5", {"state.anneal_time": 0.5}),
+    "--circuit-seed": ("3", {"state.circuit_seed": 3}),
+    "--krylov-order": ("1", {"ansatz.krylov_order": 1}),
+    "--n-states": ("5", {"ansatz.n_states": 5}),
+    "--m-sweep": ("1:5:2", {"ansatz.m_sweep": [1, 3, 5]}),
+    "--mode": ("shots", {"mode": "shots"}),
+    "--shots": ("100", {"shots": 100}),
+    "--sample-seed": ("4", {"sample_seed": 4}),
+    "--tol-feas": ("1e-07", {"solver.tol_feas": 1e-7}),
+    "--tol-gap": ("1e-06", {"solver.tol_gap": 1e-6}),
+}
+_SOLVE_MODE_FLAGS = {
+    "--direct": (None, {"solve_mode": "direct"}),
+    "--ansatz": (None, {"solve_mode": "ansatz"}),
+}
+_COMMAND_FLAGS = {
+    "excited": {"--n-excited": ("2", {"n_excited": 2})},
+    "symmetry": {
+        "--symmetry": ("parity", {"symmetry": "parity"}),
+        "--sector": ("1", {"sector_value": 1.0}),
+        "--sectors": ("0,2", {"sector_values": [0.0, 2.0]}),
+    },
+    "discriminate": {
+        "--n": ("4", {"n_qubits": 4}),
+        "--angle": ("0.3", {"angle": 0.3}),
+        "--angles": ("0.1,0.2", {"angles": [0.1, 0.2]}),
+        "--error-budget": ("0.1", {"error_budget": 0.1}),
+        "--n-strings": ("8", {"n_strings": 8}),
+        "--instance-seed": ("2", {"instance_seed": 2}),
+    },
+    "lovasz": {"--graph": ("cycle:5", {"graph": {"kind": "cycle", "n": 5}}), **_SOLVE_MODE_FLAGS},
+    "xor": {"--game": ("chsh", {"game": {"name": "chsh"}}), **_SOLVE_MODE_FLAGS},
+    "figures": {
+        "--figure": ("fig3", {"figure": "fig3"}),
+        "--max-qubits": ("6", {"max_qubits": 6}),
+        "--n-seeds": ("2", {"n_seeds": 2}),
+        "--t-grid": ("0.1,0.2", {"t_grid": [0.1, 0.2]}),
+    },
+}
+
+
+def _flat_config(raw):
+    """The merged config as {dotted path: value}, one level into each section."""
+    flat = {}
+    for key, value in raw.items():
+        if key in ("model", "state", "ansatz", "solver"):
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+def _subparser(command):
+    [action] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return action.choices[command]
+
+
+class TestFlagInventory:
+    def test_option_strings_of_every_command(self):
+        total = 0
+        for command in cli.COMMANDS:
+            options = {s for a in _subparser(command)._actions for s in a.option_strings}
+            options -= {"-h", "--help"}
+            assert options == {*_COMMON_FLAGS, *_COMMAND_FLAGS.get(command, {})}, command
+            total += len(options)
+        assert total == 208
+
+    def test_model_file_replaces_the_model_flags(self):
+        args = cli.build_parser().parse_args(
+            ["nse", "--model", "ising", "--n", "3", "--model-file", "h.txt", "--g", "0.5"]
+        )
+        assert cli._merge_args(args)["model"] == {"kind": "file", "path": "h.txt"}
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_each_flag_sets_its_config_path(self, tmp_path, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"shots": 7}))
+        parser = cli.build_parser()
+        base = _flat_config(cli._merge_args(parser.parse_args([command])))
+        for flag, (text, sets) in {**_COMMON_FLAGS, **_COMMAND_FLAGS.get(command, {})}.items():
+            argv = [command, flag] + ([] if text is None else [text.format(config=config)])
+            flat = _flat_config(cli._merge_args(parser.parse_args(argv)))
+            changed = {k: v for k, v in flat.items() if base.get(k, flat) != v}
+            assert changed == sets, flag
 
 
 class TestCommands:

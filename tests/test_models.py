@@ -57,6 +57,11 @@ class TestHamiltonians:
             assert -1.0 <= coeff.real <= 1.0
             assert coeff.imag == 0.0
 
+    def test_random_pauli_term_count_capped_by_distinct_strings(self):
+        assert len(random_pauli_operator(2, 16, seed=0)) == 16
+        with pytest.raises(ValueError, match="n_terms=17 exceeds the 16 distinct"):
+            random_pauli_operator(2, 17, seed=0)
+
     def test_symmetries_commute(self):
         assert spin_flip_parity(4).commutes_with(ising_hamiltonian(4, g=0.0, h=1.0))
         assert magnetization(4).commutes_with(heisenberg_hamiltonian(4))

@@ -28,7 +28,7 @@ from paulisdp.states import HardwareEfficientCircuit, PlusState, ZeroState, prep
 
 _KRYLOV_PARAMS = dict(
     krylov_order=2, n_states=None, layers=4, anneal_time=0.3, circuit_seed=0, mode="exact",
-    shots=1024, sample_seed=0, rank_tol=None, dense_cap=14,
+    shots=1024, sample_seed=0, rank_tol=None,
 )
 _X_STRING_PARAMS = dict(
     mode="direct", seed_state="zero", n_states=None, layers=4, circuit_seed=0, rank_tol=None,
