@@ -27,6 +27,7 @@ from .models import (
 )
 from .pauli import PauliString, PauliSum
 from .sdp import (
+    MatrixConstraint,
     SdpConstraint,
     SdpProblem,
     SdpSolution,
@@ -70,6 +71,7 @@ __all__ = [
     "HardwareEfficientCircuit",
     "LargestEigenvalueSolver",
     "LovaszThetaSolver",
+    "MatrixConstraint",
     "NotFittedError",
     "OverlapSet",
     "PauliString",

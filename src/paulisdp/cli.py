@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -218,6 +219,19 @@ def _direct_theta_violations(source: str, n_vertices: int) -> list[str]:
             "a direct theta solve (use --ansatz)"]
 
 
+def _instance_settings(raw: dict, state: dict) -> dict:
+    """The ``two_state_discrimination_instance`` arguments a config sets.
+
+    Arguments the config leaves out take the function's own defaults, so the
+    instance ``validate_config`` checks is the one ``run_discriminate`` builds.
+    """
+    params = inspect.signature(solvers.two_state_discrimination_instance).parameters
+    given = {"n_qubits": raw.get("n_qubits"), "n_strings": raw.get("n_strings"),
+             "layers": state.get("layers"), "seed": raw.get("instance_seed")}
+    return {name: params[name].default if value is None else value
+            for name, value in given.items()}
+
+
 def parse_config(path: str) -> RunConfig:
     """Load and fully validate a JSON config; reports every violation."""
     return validate_config(_load_json_object(path), source=path)
@@ -288,7 +302,8 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
         errors += _game_violations(source, raw["game"])
 
     if command == "discriminate":
-        n_qubits, n_strings = raw.get("n_qubits", 6), raw.get("n_strings", 12)
+        instance = _instance_settings(raw, state)
+        n_qubits, n_strings = instance["n_qubits"], instance["n_strings"]
         if _is_int(n_qubits) and _is_int(n_strings) and n_strings > 4 ** min(n_qubits, 32):
             errors.append(
                 f"{source}: n_strings={n_strings} exceeds the {4 ** n_qubits} distinct "
@@ -514,12 +529,7 @@ def run_discriminate(cfg: RunConfig) -> int:
     rows = []
     for angle in angles:
         instance = solvers.two_state_discrimination_instance(
-            angle=float(angle),
-            n_qubits=cfg.extra.get("n_qubits", 6),
-            n_strings=cfg.extra.get("n_strings", 12),
-            layers=cfg.state.get("layers", 4),
-            seed=cfg.extra.get("instance_seed", 0),
-            error_budget=eps,
+            angle=float(angle), error_budget=eps, **_instance_settings(cfg.extra, cfg.state)
         )
         disc = solvers.UnambiguousDiscriminator(**settings).fit(instance)
         mean_error = float(disc.error_rates_.mean()) if disc.error_rates_ is not None else math.nan
@@ -936,8 +946,11 @@ def _merge_args(args: argparse.Namespace) -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    source = "<config>"
     try:
-        cfg = validate_config(_merge_args(parser.parse_args(argv)))
+        args = parser.parse_args(argv)
+        source = args.config or source
+        cfg = validate_config(_merge_args(args), source=source)
         return _RUNNERS[cfg.command](cfg)
     except ConfigError as exc:
         for err in exc.errors:
@@ -947,7 +960,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SettingError as exc:  # a setting the problem cannot run with, found while solving
-        print(f"config error: <config>: {exc}", file=sys.stderr)
+        print(f"config error: {source}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliSum
-from .sdp import SdpConstraint, SdpProblem, SdpSolution, solve
+from .sdp import MatrixConstraint, SdpConstraint, SdpProblem, SdpSolution, solve
 
 
 class EmptySectorError(ValueError):
@@ -106,16 +106,13 @@ def lovasz_theta_program(n_vertices: int, edges) -> SdpProblem:
     if n_vertices > DIRECT_THETA_MAX_VERTICES:
         raise ValueError(f"direct theta capped at {DIRECT_THETA_MAX_VERTICES} vertices")
     n = n_vertices
-    constraints = [SdpConstraint({"x": np.eye(n)}, 1.0)]
-    for i, j in edges:
-        a = np.zeros((n, n))
-        a[i, j] = a[j, i] = 1.0
-        constraints.append(SdpConstraint({"x": a}, 0.0))
+    on_edges = sorted({(min(i, j), max(i, j)) for i, j in edges})
     return SdpProblem(
         blocks=[("x", n)],
         sense="max",
         objective={"x": np.ones((n, n))},
-        constraints=constraints,
+        constraints=[SdpConstraint({"x": np.eye(n)}, 1.0)],
+        matrix_constraint=MatrixConstraint({"x": np.eye(n)}, np.zeros((n, n)), on_edges),
     )
 
 
@@ -131,13 +128,10 @@ def xor_bias_program(h_matrix: np.ndarray) -> SdpProblem:
     """Full-dimension XOR-game bias SDP: max <H, Z> with unit diagonal."""
     h_matrix = np.asarray(h_matrix, dtype=float)
     n = h_matrix.shape[0]
-    constraints = []
-    for i in range(n):
-        a = np.zeros((n, n))
-        a[i, i] = 1.0
-        constraints.append(SdpConstraint({"z": a}, 1.0))
+    unit_diagonal = MatrixConstraint({"z": np.eye(n)}, np.eye(n), [(i, i) for i in range(n)])
     return SdpProblem(
-        blocks=[("z", n)], sense="max", objective={"z": h_matrix}, constraints=constraints
+        blocks=[("z", n)], sense="max", objective={"z": h_matrix}, constraints=[],
+        matrix_constraint=unit_diagonal,
     )
 
 

@@ -6,8 +6,15 @@ interior-point method with HKM directions and Mehrotra predictor-corrector
 steps.  Each block keeps its own dtype: complex Hermitian when any of its
 data has a nonzero imaginary part, real symmetric otherwise, with inner
 products Re Tr(A^H X).  All inequality constraints share one diagonal
-slack block, and matrix equalities are compiled by callers into scalar
-trace constraints against a Hermitian basis.
+slack block.
+
+Besides scalar trace constraints, a problem may carry one matrix equality
+sum_b V_b X_b V_b^H = R (``MatrixConstraint``), imposed on selected entries
+of the Hermitian basis.  Its rows never exist as dense matrices: the Schur
+block of the family is a fixed change of basis of sum_b P_b (x) Q_b^T with
+P_b = V_b X_b V_b^H and Q_b = V_b Z_b^-1 V_b^H (the structure exploitation of
+Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), and its cross terms with
+the scalar rows cost one congruence per row.
 
 The returned status is certified: residuals are recomputed from the
 original data after the iteration, and ``OPTIMAL`` is reported only when
@@ -62,20 +69,64 @@ class SdpConstraint:
 
 
 @dataclass
+class MatrixConstraint:
+    """One matrix equality: sum_b maps[b] X_b maps[b]^H = rhs on selected entries.
+
+    ``maps[b]`` is an (r, d_b) matrix and ``rhs`` an (r, r) Hermitian one.
+    ``entries`` lists index pairs (i, j) with i <= j; pair (i, j) imposes the
+    real part of entry (i, j) and, when a block it touches is complex and
+    i < j, its imaginary part too.  ``None`` selects every entry.
+    """
+
+    maps: dict[str, np.ndarray]
+    rhs: np.ndarray
+    entries: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.rhs = np.asarray(self.rhs)
+        r = self.rhs.shape[0]
+        if self.rhs.shape != (r, r) or not _is_hermitian(self.rhs):
+            raise ValueError("matrix constraint: rhs must be a square Hermitian matrix")
+        if not self.maps:
+            raise ValueError("matrix constraint: at least one block map is required")
+        for name, v in self.maps.items():
+            if np.ndim(v) != 2 or np.shape(v)[0] != r:
+                raise ValueError(f"matrix constraint: block {name!r} map must have {r} rows")
+        if self.entries is None:
+            self.entries = np.stack(np.triu_indices(r), axis=1)
+        self.entries = np.asarray(self.entries, dtype=int).reshape(-1, 2)
+        i, j = self.entries.T
+        if np.any(i < 0) or np.any(i > j) or np.any(j >= r):
+            raise ValueError(f"matrix constraint: entries must satisfy 0 <= i <= j < {r}")
+        if len(np.unique(i * r + j)) != len(i):
+            raise ValueError("matrix constraint: duplicate entries")
+
+
+def _is_hermitian(mat: np.ndarray) -> bool:
+    scale = max(1.0, np.max(np.abs(mat), initial=0.0))
+    return np.max(np.abs(mat - mat.conj().T), initial=0.0) <= HERMITIAN_TOL * scale
+
+
+@dataclass
 class SdpProblem:
-    """Multi-block SDP: optimize sum_b <objective[b], X_b> over PSD blocks."""
+    """Multi-block SDP: optimize sum_b <objective[b], X_b> over PSD blocks.
+
+    The constraints are the scalar ``constraints`` plus, optionally, one
+    ``matrix_constraint``; at least one of them must be given.
+    """
 
     blocks: list[tuple[str, int]]
     sense: str
     objective: dict[str, np.ndarray]
     constraints: list[SdpConstraint]
+    matrix_constraint: MatrixConstraint | None = None
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("at least one block is required")
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        if not self.constraints:
+        if not self.constraints and self.matrix_constraint is None:
             raise ValueError("at least one constraint is required")
         names = [name for name, _ in self.blocks]
         if len(set(names)) != len(names):
@@ -90,20 +141,30 @@ class SdpProblem:
                 mat = np.asarray(mat)
                 if mat.shape != (dims[name], dims[name]):
                     raise ValueError(f"{label}: block {name!r} matrix has wrong shape")
-                if np.max(np.abs(mat - mat.conj().T), initial=0.0) > HERMITIAN_TOL * max(
-                    1.0, np.max(np.abs(mat), initial=0.0)
-                ):
+                if not _is_hermitian(mat):
                     raise ValueError(f"{label}: block {name!r} matrix is not Hermitian")
+        if self.matrix_constraint is not None:
+            for name, v in self.matrix_constraint.maps.items():
+                if name not in dims:
+                    raise ValueError(f"matrix constraint references unknown block {name!r}")
+                if np.shape(v)[1] != dims[name]:
+                    raise ValueError(f"matrix constraint: block {name!r} map has wrong shape")
 
 
 @dataclass
 class SdpSolution:
-    """Solver output.  Residuals are normalized by 1 + data norms."""
+    """Solver output.  Residuals are normalized by 1 + data norms.
+
+    ``y`` holds the multipliers of the scalar constraints, in their order;
+    ``y_matrix`` is the matrix constraint's multiplier as a Hermitian matrix
+    Y, entering the dual slack of block b as -V_b^H Y V_b.
+    """
 
     status: SolveStatus
     blocks: dict[str, np.ndarray] = field(default_factory=dict)
     objective_value: float = math.nan
     y: np.ndarray | None = None
+    y_matrix: np.ndarray | None = None
     primal_residual: float = math.nan
     dual_residual: float = math.nan
     gap: float = math.nan
@@ -123,13 +184,190 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _apply_a(a_blocks, xs) -> np.ndarray:
-    """(A(X))_i = sum_b Re Tr(A_ib X_b)."""
-    return sum(np.einsum("ipq,qp->i", ab, xb).real for ab, xb in zip(a_blocks, xs))
+class _DenseRows:
+    """The generic row family: row i is one Hermitian matrix A_ib per block.
+
+    ``arrays[b]`` has shape (m, d_b, d_b) in block b's dtype, zero where a
+    row leaves the block out; with m = 0 it still records the block shapes.
+    """
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+        self.m = arrays[0].shape[0]
+
+    def apply(self, xs) -> np.ndarray:
+        """(A(X))_i = sum_b Re Tr(A_ib X_b)."""
+        return sum(np.einsum("ipq,qp->i", ab, xb).real for ab, xb in zip(self.arrays, xs))
+
+    def adjoint(self, y) -> list[np.ndarray]:
+        return [np.tensordot(y, ab, axes=(0, 0)) for ab in self.arrays]
+
+    def schur(self, xs, z_invs):
+        """M_ij = Re sum_b Tr(A_ib X_b A_jb Z_b^-1), and the X_b A_ib Z_b^-1 it used."""
+        schur = np.zeros((self.m, self.m))
+        ts = []
+        for ab, xb, zib in zip(self.arrays, xs, z_invs):
+            t = np.einsum("pq,iqr,rs->ips", xb, ab, zib, optimize=True)
+            d2 = ab.shape[1] ** 2
+            schur += (ab.reshape(self.m, d2).conj() @ t.reshape(self.m, d2).T).real
+            ts.append(t)
+        return schur, ts
+
+    def row_norms(self) -> np.ndarray:
+        return np.sqrt(sum(np.linalg.norm(ab.reshape(self.m, ab.shape[1] ** 2), axis=1) ** 2
+                           for ab in self.arrays))
+
+    def select(self, keep, scale) -> "_DenseRows":
+        """Rows ``keep``, each divided by its entry of ``scale``."""
+        return _DenseRows([ab[keep] / scale[:, None, None] for ab in self.arrays])
 
 
-def _apply_at(a_blocks, y) -> list[np.ndarray]:
-    return [np.tensordot(y, ab, axes=(0, 0)) for ab in a_blocks]
+class _MatrixRows:
+    """The rows of a ``MatrixConstraint``: coordinates of H = sum_b V_b X_b V_b^H.
+
+    Selected entry k = (a_k, b_k) owns a real-part row, the functional of
+    E = e_ab + e_ba (e_aa on the diagonal), and, for complex data and a < b,
+    an imaginary-part row, the functional of E = i e_ab - i e_ba.  Row j
+    reads part ``psi[j] // n`` of entry ``psi[j] % n`` (n entries), times
+    ``rho[j]``: the row scale, halved on the diagonal so that both halves of
+    E add up to e_aa.  ``maps[b]`` is V_b, or None for a block the equality
+    leaves out.  No (m, d, d) array is ever formed.
+    """
+
+    def __init__(self, maps, a, b, psi, rho):
+        self.maps, self.a, self.b, self.psi, self.rho = maps, a, b, psi, rho
+        self.m, self.n = psi.size, a.size
+        self.r = next(v.shape[0] for v in maps if v is not None)
+        self.complex = any(v is not None and np.iscomplexobj(v) for v in maps)
+
+    def coords(self, h) -> np.ndarray:
+        """Row functionals Re Tr(E_j h) of (stacks of) r x r matrices h."""
+        h_ab, h_ba = h[..., self.a, self.b], h[..., self.b, self.a]
+        parts = np.concatenate([(h_ab + h_ba).real, (h_ab - h_ba).imag], axis=-1)
+        return parts[..., self.psi] * self.rho
+
+    def apply(self, xs) -> np.ndarray:
+        """Coordinates of sum_b V_b X_b V_b^H, also for stacks of matrices per block."""
+        return self.coords(sum(v @ x @ v.conj().T for v, x in zip(self.maps, xs) if v is not None))
+
+    def dual_matrix(self, y) -> np.ndarray:
+        """Y = sum_j y_j E_j as a Hermitian matrix."""
+        parts = np.zeros(2 * self.n)
+        parts[self.psi] = self.rho * y
+        upper = parts[: self.n] + 1j * parts[self.n:] if self.complex else parts[: self.n]
+        mat = np.zeros((self.r, self.r), dtype=upper.dtype)
+        mat[self.a, self.b] = upper
+        return mat + mat.conj().T
+
+    def adjoint(self, y) -> list:
+        mat = self.dual_matrix(y)
+        return [None if v is None else v.conj().T @ mat @ v for v in self.maps]
+
+    def schur(self, xs, z_invs) -> np.ndarray:
+        """M_jl = Re Tr(E_j P E_l Q) summed over blocks, P = V X V^H, Q = V Z^-1 V^H.
+
+        With E = c e_ab + conj(c) e_ba and Tr(e_ab P e_cd Q) = P[b,c] Q[d,a],
+        each entry pair needs three gathered products; the first appears
+        twice, once conjugate-transposed, since P and Q are Hermitian.
+        """
+        a, b = self.a, self.b
+        s0 = s1 = s2 = 0.0
+        for v, x, zi in zip(self.maps, xs, z_invs):
+            if v is None:
+                continue
+            p = v @ x @ v.conj().T
+            qt = (v @ zi @ v.conj().T).T
+            s0 = s0 + p[np.ix_(b, a)] * qt[np.ix_(a, b)]
+            s1 = s1 + p[np.ix_(b, b)] * qt[np.ix_(a, a)]
+            s2 = s2 + p[np.ix_(a, a)] * qt[np.ix_(b, b)]
+        s0h = np.conj(s0).T
+        real_real = (s0 + s0h + s1 + s2).real
+        if self.complex:
+            real_imag = (s1 - s2 - s0 + s0h).imag
+            imag_imag = (s1 + s2 - s0 - s0h).real
+            full = np.block([[real_real, real_imag], [real_imag.T, imag_imag]])
+        else:
+            full = real_real
+        return self.rho[:, None] * full[np.ix_(self.psi, self.psi)] * self.rho[None, :]
+
+    def row_norms(self) -> np.ndarray:
+        """sqrt(sum_b ||V_b^H E_j V_b||^2), with ||V^H E V||^2 = Tr(E G E G), G = V V^H.
+
+        For E = c e_ab + conj(c) e_ba that is 2 Re(c^2 G_ba^2) + 2 |c|^2 G_aa G_bb,
+        with c^2 = rho^2 on real-part rows and -rho^2 on imaginary-part rows.
+        """
+        squares = 0.0
+        for v in self.maps:
+            if v is not None:
+                g = v @ v.conj().T
+                both = (g[self.a, self.a] * g[self.b, self.b]).real
+                cross = (g[self.b, self.a] ** 2).real
+                squares = squares + np.concatenate([both + cross, both - cross])
+        return np.sqrt(2.0 * squares[self.psi]) * self.rho
+
+    def select(self, keep, scale) -> "_MatrixRows":
+        return _MatrixRows(self.maps, self.a, self.b, self.psi[keep], self.rho[keep] / scale)
+
+
+class _Rows:
+    """The equality-form constraint map: scalar rows, then the matrix rows.
+
+    ``column``, used only by the feasibility phase, is one more 1x1 block
+    (after the families' blocks) whose coefficient in row i is column[i].
+    """
+
+    def __init__(self, dense: _DenseRows, matrix: _MatrixRows | None = None, column=None):
+        self.dense, self.matrix, self.column = dense, matrix, column
+        self.m = dense.m + (matrix.m if matrix is not None else 0)
+
+    def split(self, y):
+        return y[: self.dense.m], y[self.dense.m:]
+
+    def apply(self, xs) -> np.ndarray:
+        out = self.dense.apply(xs)
+        if self.matrix is not None:
+            out = np.concatenate([out, self.matrix.apply(xs)])
+        if self.column is not None:
+            out = out + self.column * xs[-1][0, 0]
+        return out
+
+    def adjoint(self, y) -> list[np.ndarray]:
+        y_dense, y_matrix = self.split(y)
+        out = self.dense.adjoint(y_dense)
+        if self.matrix is not None:
+            out = [o if t is None else o + t
+                   for o, t in zip(out, self.matrix.adjoint(y_matrix))]
+        if self.column is not None:
+            out.append(np.array([[self.column @ y]]))
+        return out
+
+    def schur(self, xs, z_invs) -> np.ndarray:
+        schur, ts = self.dense.schur(xs, z_invs)
+        if self.matrix is not None:
+            # M_ij = Re Tr(A_j X A_i Z^-1): matrix row j read on t_i = X A_i Z^-1
+            cross = self.matrix.apply(ts)
+            schur = np.block([[schur, cross], [cross.T, self.matrix.schur(xs, z_invs)]])
+        if self.column is not None:
+            schur += (xs[-1][0, 0] * z_invs[-1][0, 0]) * np.outer(self.column, self.column)
+        return schur
+
+    def row_norms(self) -> np.ndarray:
+        norms = self.dense.row_norms()
+        if self.matrix is not None:
+            norms = np.concatenate([norms, self.matrix.row_norms()])
+        return norms
+
+    def select(self, keep, scale=None) -> "_Rows":
+        """Rows ``keep`` (a mask), divided by ``scale`` (one entry per kept row)."""
+        if scale is None:
+            scale = np.ones(int(np.count_nonzero(keep)))
+        keep_dense, keep_matrix = self.split(keep)
+        n_dense = int(np.count_nonzero(keep_dense))
+        dense = self.dense.select(keep_dense, scale[:n_dense])
+        matrix = None
+        if self.matrix is not None:
+            matrix = self.matrix.select(keep_matrix, scale[n_dense:])
+        return _Rows(dense, matrix)
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -149,9 +387,9 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
 class _IpmCore:
     """HKM predictor-corrector iteration on Hermitian blocks, each in its own dtype."""
 
-    def __init__(self, c_blocks, a_blocks, b, tol_feas, tol_gap, max_iter, converged=None):
-        self.c = c_blocks  # list of (d, d)
-        self.a = a_blocks  # list of (m, d, d), real or complex
+    def __init__(self, c_blocks, rows, b, tol_feas, tol_gap, max_iter, converged=None):
+        self.c = c_blocks  # list of (d, d), each in its block's dtype
+        self.rows = rows  # _Rows
         self.b = np.asarray(b, dtype=float)
         self.m = self.b.size
         self.tol_feas = tol_feas
@@ -166,8 +404,8 @@ class _IpmCore:
     def run(self):
         scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
         z_scale = max(1.0, self.norm_c / max(1.0, math.sqrt(self.n_total)))
-        xs = [scale * np.eye(ab.shape[1], dtype=ab.dtype) for ab in self.a]
-        zs = [z_scale * np.eye(ab.shape[1], dtype=ab.dtype) for ab in self.a]
+        xs = [scale * np.eye(cb.shape[0], dtype=cb.dtype) for cb in self.c]
+        zs = [z_scale * np.eye(cb.shape[0], dtype=cb.dtype) for cb in self.c]
         y = np.zeros(self.m)
 
         best_rel_p = math.inf
@@ -185,8 +423,8 @@ class _IpmCore:
             if not math.isfinite(iterate_scale) or iterate_scale > 1e100:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
-            rp = self.b - _apply_a(self.a, xs)
-            at_y = _apply_at(self.a, y)
+            rp = self.b - self.rows.apply(xs)
+            at_y = self.rows.adjoint(y)
             rds = [cb - aty - zb for cb, aty, zb in zip(self.c, at_y, zs)]
             pobj = sum(_inner(cb, xb) for cb, xb in zip(self.c, xs))
             dobj = float(self.b @ y)
@@ -221,11 +459,7 @@ class _IpmCore:
             ]
 
             # Schur complement M_ij = Re sum_b Tr(A_i X A_j Z^-1); symmetric PD
-            schur = np.zeros((self.m, self.m))
-            for ab, xb, zib in zip(self.a, xs, z_invs):
-                t = np.einsum("pq,iqr,rs->ips", xb, ab, zib, optimize=True)
-                schur += (ab.reshape(self.m, -1).conj() @ t.reshape(self.m, -1).T).real
-            schur = _hermitize(schur)
+            schur = _hermitize(self.rows.schur(xs, z_invs))
             if not np.all(np.isfinite(schur)):
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
@@ -249,9 +483,9 @@ class _IpmCore:
 
             def directions(r3s):
                 corr = [xb @ rdb @ zib for xb, rdb, zib in zip(xs, rds, z_invs)]
-                rhs = rp - _apply_a(self.a, r3s) + _apply_a(self.a, corr)
+                rhs = rp - self.rows.apply(r3s) + self.rows.apply(corr)
                 dy = solve_schur(rhs)
-                at_dy = _apply_at(self.a, dy)
+                at_dy = self.rows.adjoint(dy)
                 dzs = [rdb - atdyb for rdb, atdyb in zip(rds, at_dy)]
                 dxs = [
                     _hermitize(r3b - xb @ dzb @ zib)
@@ -300,21 +534,26 @@ class _IpmCore:
 
 
 def _build_data(problem: SdpProblem):
-    """Normalize to min-sense equality form, one array per block.
+    """Normalize to min-sense equality form: objective blocks, ``_Rows``, rhs.
 
     A block is complex Hermitian when any of its data has a nonzero imaginary
-    part, and real symmetric otherwise.  When there are ``<=`` rows, a real
-    diagonal slack block follows the problem's blocks; the k-th ``<=`` row
-    holds its entry E_kk.
+    part, and real symmetric otherwise; the matrix constraint's blocks are all
+    complex or all real, as its imaginary-part rows reach each of them.  When
+    there are ``<=`` rows, a real diagonal slack block follows the problem's
+    blocks; the k-th ``<=`` row holds its entry E_kk.  The matrix constraint's
+    rows follow the scalar rows.
     """
     sign = 1.0 if problem.sense == "min" else -1.0
+    mc = problem.matrix_constraint
     rows = [c.matrices for c in problem.constraints]
     complex_names = {
         name
-        for mats in [problem.objective, *rows]
+        for mats in [problem.objective, *rows, mc.maps if mc is not None else {}]
         for name, mat in mats.items()
         if np.iscomplexobj(mat) and np.any(np.imag(mat))
     }
+    if mc is not None and (np.any(np.imag(mc.rhs)) or complex_names & set(mc.maps)):
+        complex_names |= set(mc.maps)  # imaginary-part rows reach every block
     ineq = [i for i, c in enumerate(problem.constraints) if c.relation == "<="]
     dims = [d for _name, d in problem.blocks]
     dtypes = [complex if name in complex_names else float for name, _d in problem.blocks]
@@ -337,22 +576,37 @@ def _build_data(problem: SdpProblem):
     for k, i in enumerate(ineq):
         a_blocks[-1][i, k, k] = 1.0
     b = np.array([c.rhs for c in problem.constraints])
-    return c_blocks, a_blocks, b, sign
+    if mc is None:
+        return c_blocks, _Rows(_DenseRows(a_blocks)), b, sign
+
+    maps = [None] * len(dims)
+    for name, v in mc.maps.items():
+        k = index[name]
+        maps[k] = (np.asarray(v) if dtypes[k] is complex else np.real(v)).astype(dtypes[k])
+    first, second = mc.entries.T
+    n = first.size
+    psi = np.arange(n)
+    if complex_names & set(mc.maps):
+        psi = np.concatenate([psi, n + np.flatnonzero(first < second)])
+    rho = np.concatenate([np.where(first == second, 0.5, 1.0), np.ones(n)])[psi]
+    matrix = _MatrixRows(maps, first, second, psi, rho)
+    b = np.concatenate([b, matrix.coords(mc.rhs)])
+    return c_blocks, _Rows(_DenseRows(a_blocks), matrix), b, sign
 
 
-def _certify(c_blocks, a_blocks, b, xs, y):
+def _certify(c_blocks, rows, b, xs, y):
     """Residuals of a candidate solution against the (unscaled) equality-form data.
 
     The dual check covers the slack block, whose slack matrix is diag(-y) on
     the ``<=`` rows, so a positive inequality multiplier is a dual violation.
     """
     norm_b = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    rel_p = float(np.max(np.abs(_apply_a(a_blocks, xs) - b), initial=0.0)) / norm_b
+    rel_p = float(np.max(np.abs(rows.apply(xs) - b), initial=0.0)) / norm_b
 
     norm_c = 1.0 + math.sqrt(sum(_inner(cb, cb) for cb in c_blocks))
     dual_viol = max(
         max(0.0, -float(np.linalg.eigvalsh(_hermitize(cb - aty)).min()))
-        for cb, aty in zip(c_blocks, _apply_at(a_blocks, y))
+        for cb, aty in zip(c_blocks, rows.adjoint(y))
     )
     rel_d = dual_viol / norm_c
 
@@ -369,43 +623,41 @@ def solve(
     max_iter: int = 200,
 ) -> SdpSolution:
     """Solve the SDP; returns a certified status rather than raising on infeasibility."""
-    c_blocks, a_blocks, b, sign = _build_data(problem)
+    c_blocks, all_rows, b, sign = _build_data(problem)
 
     # presolve: an identically-zero row is either vacuous or a contradiction
     # (a ``<=`` row is never zero: it holds its slack entry)
     m_all = b.size
-    row_norms = np.sqrt(
-        sum(np.linalg.norm(ab.reshape(m_all, -1), axis=1) ** 2 for ab in a_blocks)
-    )
+    row_norms = all_rows.row_norms()
     keep = row_norms > 1e-14
     if np.any(np.abs(b[~keep]) > tol_feas * (1.0 + np.abs(b[~keep]))):
         return SdpSolution(status=SolveStatus.INFEASIBLE, primal_residual=math.inf)
     if not np.any(keep):
         raise ValueError("all constraints are vacuous; the problem is unbounded or trivial")
-    a_blocks = [ab[keep] for ab in a_blocks]
+    rows = all_rows.select(keep)
     b = b[keep]
 
     # row scaling: unit Frobenius norm per constraint, plus objective scaling
     con_scale = np.maximum(row_norms[keep], 1e-12)
     obj_scale = max(math.sqrt(sum(_inner(cb, cb) for cb in c_blocks)), 1.0)
-    a_scaled = [ab / con_scale[:, None, None] for ab in a_blocks]
+    rows_scaled = all_rows.select(keep, con_scale)
     b_scaled = b / con_scale
     c_scaled = [cb / obj_scale for cb in c_blocks]
 
     def _certified(xs, y_scaled):
         rel_p, rel_d, rel_gap, _ = _certify(
-            c_blocks, a_blocks, b, xs, y_scaled * obj_scale / con_scale
+            c_blocks, rows, b, xs, y_scaled * obj_scale / con_scale
         )
         return rel_p <= tol_feas and rel_d <= tol_feas and rel_gap <= tol_gap
 
-    core = _IpmCore(c_scaled, a_scaled, b_scaled, tol_feas, tol_gap, max_iter,
+    core = _IpmCore(c_scaled, rows_scaled, b_scaled, tol_feas, tol_gap, max_iter,
                     converged=_certified)
     status, xs, y_scaled, iters = core.run()
     y = y_scaled * obj_scale / con_scale
 
     finite = all(np.all(np.isfinite(xb)) for xb in xs) and bool(np.all(np.isfinite(y)))
     if finite:
-        rel_p, rel_d, rel_gap, pobj = _certify(c_blocks, a_blocks, b, xs, y)
+        rel_p, rel_d, rel_gap, pobj = _certify(c_blocks, rows, b, xs, y)
     else:
         rel_p = rel_d = rel_gap = math.inf
         pobj = math.nan
@@ -415,7 +667,7 @@ def solve(
         status = SolveStatus.MAX_ITERATIONS
 
     if status in (SolveStatus.MAX_ITERATIONS, SolveStatus.NUMERICAL_FAILURE) and rel_p > tol_feas:
-        feas_t = _feasibility_gap(a_scaled, b_scaled, tol_feas, tol_gap, max_iter)
+        feas_t = _feasibility_gap(rows_scaled, b_scaled, tol_feas, tol_gap, max_iter)
         if feas_t is not None and feas_t > max(1e3 * tol_feas, 1e-6) * (
             1.0 + float(np.max(np.abs(b_scaled)))
         ):
@@ -429,11 +681,13 @@ def solve(
 
     y_full = np.zeros(m_all)
     y_full[keep] = y
+    y_scalar, y_matrix = all_rows.split(sign * y_full)
     return SdpSolution(
         status=status,
         blocks={name: xs[k] for k, (name, _d) in enumerate(problem.blocks)},
         objective_value=sign * pobj,
-        y=sign * y_full,
+        y=y_scalar,
+        y_matrix=None if all_rows.matrix is None else all_rows.matrix.dual_matrix(y_matrix),
         primal_residual=rel_p,
         dual_residual=rel_d,
         gap=rel_gap,
@@ -467,12 +721,12 @@ def eigen_solution(
     ``solve`` uses; the status is ``OPTIMAL`` only when all three meet the
     tolerances, else ``NUMERICAL_FAILURE``.
     """
-    c_blocks, a_blocks, b, sign = _build_data(normalized_program(d_tilde, sense))
+    c_blocks, rows, b, sign = _build_data(normalized_program(d_tilde, sense))
     x = np.outer(vec, np.conj(vec))
-    if not np.iscomplexobj(a_blocks[0]):
+    if not np.iscomplexobj(c_blocks[0]):
         x = x.real
     y = np.array([float(value)])
-    rel_p, rel_d, rel_gap, _pobj = _certify(c_blocks, a_blocks, b, [x], sign * y)
+    rel_p, rel_d, rel_gap, _pobj = _certify(c_blocks, rows, b, [x], sign * y)
     optimal = rel_p <= tol_feas and rel_d <= tol_feas and rel_gap <= tol_gap
     return SdpSolution(
         status=SolveStatus.OPTIMAL if optimal else SolveStatus.NUMERICAL_FAILURE,
@@ -485,16 +739,16 @@ def eigen_solution(
     )
 
 
-def _feasibility_gap(a_blocks, b, tol_feas, tol_gap, max_iter):
+def _feasibility_gap(rows, b, tol_feas, tol_gap, max_iter):
     """Optimal value of the auxiliary min-t feasibility problem, or None."""
-    q = b - sum(np.trace(ab, axis1=1, axis2=2).real for ab in a_blocks)
-    c_blocks = [np.zeros(ab.shape[1:]) for ab in a_blocks] + [np.ones((1, 1))]
-    a_aux = [*a_blocks, q.reshape(-1, 1, 1)]
-    core = _IpmCore(c_blocks, a_aux, b, tol_feas, tol_gap, max_iter)
+    eyes = [np.eye(ab.shape[1], dtype=ab.dtype) for ab in rows.dense.arrays]
+    aux = _Rows(rows.dense, rows.matrix, column=b - rows.apply(eyes))
+    c_blocks = [np.zeros_like(e) for e in eyes] + [np.ones((1, 1))]
+    core = _IpmCore(c_blocks, aux, b, tol_feas, tol_gap, max_iter)
     status, xs, _y, _it = core.run()
     if status is SolveStatus.NUMERICAL_FAILURE:
         return None
-    if np.linalg.norm(b - _apply_a(a_aux, xs)) / core.norm_b > math.sqrt(tol_feas):
+    if np.linalg.norm(b - aux.apply(xs)) / core.norm_b > math.sqrt(tol_feas):
         return None
     return float(xs[-1][0, 0])
 

@@ -22,6 +22,7 @@ from .base import BaseSolver
 from .pauli import PauliString, PauliSum, SettingError, basis_state_projector, hermitian_elementary
 from .sdp import (
     BLOCK,
+    MatrixConstraint,
     SdpConstraint,
     SdpProblem,
     SolveStatus,
@@ -451,6 +452,8 @@ class UnambiguousDiscriminator(BaseSolver):
         complex_data = any(np.max(np.abs(b.imag)) > 1e-14 for b in betas) or (
             np.max(np.abs(np.asarray(instance.gram).imag)) > 1e-14
         )
+        if not complex_data:  # a real program needs no imaginary-part rows
+            betas = [b.real for b in betas]
 
         # With a zero error budget the misclassification traces vanish, and
         # for PSD effects that is exactly a range condition: effect n lives
@@ -475,30 +478,11 @@ class UnambiguousDiscriminator(BaseSolver):
             for n in active
         }
 
+        # leftover + sum_k povm_k = identity
+        maps = {povm_names[n]: subspaces[n] for n in active}
+        maps["leftover"] = np.eye(r)
+        completeness = MatrixConstraint(maps, np.eye(r))
         constraints = []
-        # leftover + sum_k povm_k = identity, one scalar constraint per
-        # Hermitian basis element
-        basis_elements = []
-        for i in range(r):
-            e = np.zeros((r, r), dtype=complex)
-            e[i, i] = 1.0
-            basis_elements.append((e, 1.0))
-        for i in range(r):
-            for j in range(i + 1, r):
-                e = np.zeros((r, r), dtype=complex)
-                e[i, j] = e[j, i] = 1.0
-                basis_elements.append((e, 0.0))
-                if complex_data:
-                    e = np.zeros((r, r), dtype=complex)
-                    e[i, j] = 1j
-                    e[j, i] = -1j
-                    basis_elements.append((e, 0.0))
-        for e, rhs in basis_elements:
-            mats = {
-                povm_names[n]: subspaces[n].conj().T @ e @ subspaces[n] for n in active
-            }
-            mats["leftover"] = e
-            constraints.append(SdpConstraint(mats, rhs))
         if eps > 0.0:
             # misclassification budget per true state
             for k in range(n_s):
@@ -510,7 +494,7 @@ class UnambiguousDiscriminator(BaseSolver):
                 constraints.append(SdpConstraint(mats, eps, "<="))
 
         problem = SdpProblem(blocks=blocks, sense="max", objective=objective,
-                             constraints=constraints)
+                             constraints=constraints, matrix_constraint=completeness)
         sol = solve(problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
                     max_iter=self.max_iter)
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from paulisdp import cli, models
+from paulisdp import cli, models, solvers
 from paulisdp.solvers import GroundStateSolver, RankOneReducer, XorGameSolver, energy_sweep
 from paulisdp.states import PlusState
 
@@ -134,7 +134,7 @@ class TestConfigValidation:
                 "--tol-gap", "1e-8"]
         assert cli.main([*argv, "--out", str(tmp_path / "o.csv")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert message in err
+        assert f"config error: {path}: {message}" in err
         assert "Traceback" not in err
 
     def test_type_errors_reported_together(self):
@@ -468,6 +468,23 @@ class TestCommands:
             got = float(row[header.index("q_correct")])
             want = float(row[header.index("q_correct_pure_optimum")])
             assert abs(got - want) < 1e-3
+
+    def test_discriminate_validates_the_instance_it_runs(self, tmp_path, capsys, monkeypatch):
+        built = []
+        library = solvers.two_state_discrimination_instance
+
+        def instance(angle, n_qubits=2, n_strings=17, layers=1, seed=3, error_budget=0.0):
+            built.append((n_qubits, n_strings, layers, seed))
+            return library(angle, n_qubits, n_strings, layers, seed, error_budget)
+
+        monkeypatch.setattr(solvers, "two_state_discrimination_instance", instance)
+        out = str(tmp_path / "disc.csv")
+        assert cli.main(["discriminate", "--out", out]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "n_strings=17 exceeds the 16 distinct Pauli strings on n_qubits=2" in err
+        assert built == []
+        assert cli.main(["discriminate", "--n-strings", "5", "--out", out]) == cli.EXIT_OK
+        assert built == [(2, 5, 1, 3)]
 
     def test_excited_rows(self, tmp_path):
         out = tmp_path / "ex.csv"

@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from paulisdp import sdp
 from paulisdp.sdp import (
     _build_data,
     _certify,
+    _feasibility_gap as feasibility_gap,
+    MatrixConstraint,
     SdpConstraint,
     SdpProblem,
     SdpSolution,
@@ -348,6 +352,176 @@ class TestEmbeddedReference:
                 assert np.iscomplexobj(sol.blocks[name])
             pobj = sol.objective_value
             assert abs(pobj - ref.objective_value) <= 1e-7 * (1.0 + abs(pobj))
+
+
+def random_matrix_instance(rng, dims, r, complex_=True, n_ineq=0, entries=None):
+    """Blocks tied by sum_b V_b X_b V_b^H = R on ``entries``, plus ``n_ineq`` ``<=`` rows.
+
+    The blocks have sizes ``dims`` and random r x d_b maps, plus a last r x r
+    block whose map, objective and rows are real, so that only the matrix
+    constraint can make it complex.  R comes from a positive definite point;
+    the objective keeps Y0 (zero off the selected entries) strictly dual
+    feasible, and the ``<=`` rows leave the last block out.
+    """
+    names = [f"b{k}" for k in range(len(dims))]
+
+    def rand(*shape):
+        return rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0)
+
+    maps = {n: rand(r, d) for n, d in zip(names, dims)}
+    maps["real"] = rng.normal(size=(r, r))
+    blocks = [*zip(names, dims), ("real", r)]
+    x_feas = {n: random_psd(rng, d, complex_) + 0.5 * np.eye(d) for n, d in blocks}
+    rhs = sum(maps[n] @ x_feas[n] @ maps[n].conj().T for n, _d in blocks)
+    constraint = MatrixConstraint(maps, (rhs + rhs.conj().T) / 2.0, entries)
+    y0 = np.zeros((r, r), dtype=complex if complex_ else float)
+    i, j = constraint.entries.T
+    y0[i, j] = rand(i.size)
+    y0 = y0 + y0.conj().T
+    ineq = [{n: random_hermitian(rng, d, complex_) for n, d in zip(names, dims)}
+            for _ in range(n_ineq)]
+    weights = -np.abs(rng.normal(size=n_ineq))
+    objective = {}
+    for n, d in zip(names, dims):
+        c = maps[n].conj().T @ y0 @ maps[n] + random_psd(rng, d, complex_) + 0.5 * np.eye(d)
+        c = c + sum(w * a[n] for w, a in zip(weights, ineq))
+        objective[n] = (c + c.conj().T) / 2.0
+    top = np.linalg.eigvalsh(maps["real"].T @ y0 @ maps["real"])[-1]
+    objective["real"] = random_psd(rng, r, False) + (top + 0.5) * np.eye(r)
+    constraints = [
+        SdpConstraint(a, sum(np.trace(a[n] @ x_feas[n]).real for n in names) + abs(rng.normal()),
+                      "<=")
+        for a in ineq
+    ]
+    return SdpProblem(blocks=blocks, sense="min", objective=objective,
+                      constraints=constraints, matrix_constraint=constraint)
+
+
+def basis_rows(problem: SdpProblem) -> list[tuple[np.ndarray, float]]:
+    """The matrix constraint as Hermitian-basis elements E and their rhs Tr(E R).
+
+    Every selected entry's real part, then the imaginary parts off the
+    diagonal when the data is complex: the solver's row order.
+    """
+    mc = problem.matrix_constraint
+    r = mc.rhs.shape[0]
+    data = [*mc.maps.values(), mc.rhs, *problem.objective.values(),
+            *(m for c in problem.constraints for m in c.matrices.values())]
+    complex_ = any(np.any(np.imag(m)) for m in data)
+    elements = []
+    for i, j in mc.entries:
+        e = np.zeros((r, r), dtype=complex)
+        e[i, j] = e[j, i] = 1.0
+        elements.append(e)
+    for i, j in mc.entries:
+        if complex_ and i < j:
+            e = np.zeros((r, r), dtype=complex)
+            e[i, j], e[j, i] = 1j, -1j
+            elements.append(e)
+    return [(e, float(np.trace(e @ mc.rhs).real)) for e in elements]
+
+
+def as_scalar_rows(problem: SdpProblem) -> SdpProblem:
+    """The same program with the matrix constraint written as scalar rows."""
+    maps = problem.matrix_constraint.maps
+    rows = [SdpConstraint({n: v.conj().T @ e @ v for n, v in maps.items()}, rhs)
+            for e, rhs in basis_rows(problem)]
+    return SdpProblem(blocks=problem.blocks, sense=problem.sense, objective=problem.objective,
+                      constraints=[*problem.constraints, *rows])
+
+
+def scalar_row_multipliers(problem: SdpProblem, sol: SdpSolution) -> np.ndarray:
+    """``sol.y`` followed by the coordinates of ``sol.y_matrix`` in ``basis_rows`` order."""
+    y = sol.y_matrix
+    coords = [np.trace(e @ y).real / np.trace(e @ e).real for e, _rhs in basis_rows(problem)]
+    return np.concatenate([sol.y, coords])
+
+
+class TestMatrixConstraint:
+    @pytest.mark.parametrize("n_ineq", [0, 1, 2])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_scalar_rows(self, complex_, n_ineq):
+        rng = np.random.default_rng(40 + 3 * n_ineq + complex_)
+        for _ in range(4):
+            r = int(rng.integers(2, 5))
+            # the first map is onto, so no row of the family is redundant
+            dims = [r + 1] + [int(rng.integers(1, r + 2)) for _ in range(int(rng.integers(0, 3)))]
+            problem = random_matrix_instance(rng, dims, r, complex_, n_ineq)
+            self.check_against_scalar_rows(problem)
+
+    def test_entry_subset(self):
+        rng = np.random.default_rng(47)
+        for complex_ in (False, True):
+            entries = [(0, 0), (0, 2), (1, 3), (2, 2), (3, 3)]
+            problem = random_matrix_instance(rng, [3, 5], 4, complex_, 1, entries)
+            assert len(basis_rows(problem)) == (7 if complex_ else 5)
+            self.check_against_scalar_rows(problem)
+
+    @staticmethod
+    def check_against_scalar_rows(problem):
+        reference = as_scalar_rows(problem)
+        sol, ref = solve(problem), solve(reference)
+        assert sol.status is ref.status is SolveStatus.OPTIMAL
+        kkt_check(reference, ref)
+        kkt_check(reference, replace(sol, y=scalar_row_multipliers(problem, sol)))
+        pobj = ref.objective_value
+        assert abs(sol.objective_value - pobj) <= 1e-7 * (1.0 + abs(pobj))
+        for name, _d in problem.blocks:
+            assert sol.blocks[name].dtype == ref.blocks[name].dtype
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_schur_block_matches_dense_assembly(self, complex_):
+        rng = np.random.default_rng(48)
+        problem = random_matrix_instance(rng, [5, 6, 3], 6, complex_, n_ineq=2)
+        _c, rows, b, _sign = _build_data(problem)
+        _c, dense, b_dense, _sign = _build_data(as_scalar_rows(problem))
+        assert rows.matrix is not None and dense.matrix is None
+        np.testing.assert_allclose(b, b_dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows.row_norms(), dense.row_norms(), rtol=1e-12)
+        xs = [random_psd(rng, d, complex_) for d in (5, 6, 3, 6)] + [np.diag([1.0, 2.0])]
+        z_invs = [random_psd(rng, d, complex_) for d in (5, 6, 3, 6)] + [np.diag([3.0, 0.5])]
+        expected = dense.schur(xs, z_invs)
+        got = rows.schur(xs, z_invs)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        np.testing.assert_allclose(rows.apply(xs), dense.apply(xs), rtol=1e-12)
+        y = rng.normal(size=b.size)
+        for got_b, want_b in zip(rows.adjoint(y), dense.adjoint(y)):
+            np.testing.assert_allclose(got_b, want_b, rtol=0, atol=1e-12)
+
+    def test_infeasible_equality_goes_through_feasibility_phase(self, monkeypatch):
+        # X = diag(1, -1) is forced and not PSD
+        gaps = []
+
+        def spy(*args):
+            gaps.append(feasibility_gap(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(sdp, "_feasibility_gap", spy)
+        problem = SdpProblem(
+            blocks=[("x", 2)], sense="min", objective={"x": np.eye(2)}, constraints=[],
+            matrix_constraint=MatrixConstraint({"x": np.eye(2)}, np.diag([1.0, -1.0])),
+        )
+        sol = solve(problem)
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert len(gaps) == 1 and gaps[0] > 1e-3
+
+    @pytest.mark.parametrize(
+        "maps, rhs, entries, message",
+        [
+            ({"x": np.eye(2)}, np.eye(2), [(1, 0)], "entries must satisfy"),
+            ({"x": np.eye(2)}, np.eye(2), [(0, 2)], "entries must satisfy"),
+            ({"x": np.eye(2)}, np.eye(2), [(0, 1), (0, 1)], "duplicate entries"),
+            ({"x": np.eye(3)}, np.eye(2), None, "map must have 2 rows"),
+            ({"x": np.eye(2)}, np.array([[0.0, 1.0], [0.0, 0.0]]), None, "Hermitian"),
+            ({"y": np.eye(2)}, np.eye(2), None, "unknown block 'y'"),
+            ({"x": np.ones((2, 3))}, np.eye(2), None, "map has wrong shape"),
+        ],
+    )
+    def test_rejects_malformed_constraint(self, maps, rhs, entries, message):
+        with pytest.raises(ValueError, match=message):
+            SdpProblem(blocks=[("x", 2)], sense="min", objective={"x": np.eye(2)},
+                       constraints=[],
+                       matrix_constraint=MatrixConstraint(maps, rhs, entries))
 
 
 class TestGeneralizedEig:
