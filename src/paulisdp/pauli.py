@@ -204,31 +204,36 @@ class PauliString:
         """
         return int.from_bytes(self.x.tobytes(), "little"), int.from_bytes(self.z.tobytes(), "little")
 
+    def _basis_action(self, scale: complex) -> tuple[np.ndarray, np.ndarray]:
+        """``scale`` times the phase-free string P on every basis state |k>.
+
+        Returns ``(rows, values)`` with ``scale * P|k> = values[k] |rows[k]>``:
+        ``rows = k ^ x_mask`` and
+        ``values = scale * i^(n_y) * (-1)^popcount(k & zy_mask)``.
+        """
+        x_mask, zy_mask = self.masks()
+        n_y = int(np.count_nonzero(self.codes == 2))
+        cols = np.arange(1 << self.n_qubits, dtype=np.uint64)
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & np.uint64(zy_mask)) & 1)
+        return cols ^ np.uint64(x_mask), scale * _PHASES[n_y & 3] * signs
+
     def matrix(self, max_qubits: int = DENSE_QUBIT_CAP) -> np.ndarray:
         """Dense 2^n x 2^n realization (oracle support at small n)."""
         n = self.n_qubits
         if n > max_qubits:
             raise DenseLimitError(f"dense realization capped at {max_qubits} qubits, got {n}")
-        dim = 1 << n
-        x_mask, zy_mask = self.masks()
-        n_y = int(np.count_nonzero(self.codes == 2))
-        cols = np.arange(dim, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & np.uint64(zy_mask)) & 1)
-        out = np.zeros((dim, dim), dtype=complex)
-        out[cols ^ np.uint64(x_mask), cols] = self.phase * _PHASES[n_y & 3] * signs
+        rows, values = self._basis_action(self.phase)
+        out = np.zeros((1 << n, 1 << n), dtype=complex)
+        out[rows, np.arange(1 << n)] = values
         return out
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Apply the string to a dense statevector (index arithmetic, O(2^n))."""
-        dim = amplitudes.size
-        if dim != 1 << self.n_qubits:
+        if amplitudes.size != 1 << self.n_qubits:
             raise DimensionMismatchError("statevector length does not match qubit count")
-        x_mask, zy_mask = self.masks()
-        n_y = int(np.count_nonzero(self.codes == 2))
-        cols = np.arange(dim, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & np.uint64(zy_mask)) & 1)
+        rows, values = self._basis_action(self.phase)
         out = np.empty_like(amplitudes)
-        out[cols ^ np.uint64(x_mask)] = self.phase * _PHASES[n_y & 3] * signs * amplitudes
+        out[rows] = values * amplitudes
         return out
 
 
@@ -339,14 +344,11 @@ class PauliSum:
         n = self.n_qubits
         if n > max_qubits:
             raise DenseLimitError(f"dense realization capped at {max_qubits} qubits, got {n}")
-        dim = 1 << n
-        out = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim, dtype=np.uint64)
+        out = np.zeros((1 << n, 1 << n), dtype=complex)
+        cols = np.arange(1 << n)
         for coeff, string in self.terms():
-            x_mask, zy_mask = string.masks()
-            n_y = int(np.count_nonzero(string.codes == 2))
-            signs = 1.0 - 2.0 * (np.bitwise_count(cols & np.uint64(zy_mask)) & 1)
-            out[cols ^ np.uint64(x_mask), cols] += coeff * _PHASES[n_y & 3] * signs
+            rows, values = string._basis_action(coeff)
+            out[rows, cols] += values
         return out
 
     def to_text(self) -> str:

@@ -25,6 +25,7 @@ from .sdp import (
     MatrixConstraint,
     SdpConstraint,
     SdpProblem,
+    SdpSolution,
     SolveStatus,
     eigen_solution,
     generalized_min_eig,
@@ -110,12 +111,13 @@ def solve_normalized(
     tol_feas: float = 1e-8,
     tol_gap: float = 1e-8,
     max_iter: int = 200,
-    extra_constraint_ops: dict[str, tuple[float, str]] | None = None,
+    extra_constraint_ops: dict[str, float] | None = None,
 ):
     """Solve min/max Tr(beta D) with Tr(beta E) = 1 in the whitened basis.
 
     ``extra_constraint_ops`` maps names of overlap constraint matrices to
-    (rhs, relation) pairs; such programs run the interior-point method.
+    right-hand sides of equalities Tr(beta A) = rhs; such programs run the
+    interior-point method.
     Otherwise ``method="eig"`` solves by one eigendecomposition, certified
     by ``eigen_solution``, and ``method="sdp"`` is the interior-point
     cross-check.  Returns (value, beta, status, solution, basis), beta in
@@ -137,11 +139,10 @@ def solve_normalized(
         vec = np.sqrt(basis.eigenvalues) * (basis.raw_vectors.conj().T @ alpha)
         solution = eigen_solution(d_tilde, sense, vec, value, tol_feas, tol_gap)
         return value, beta, solution.status, solution, basis
-    extra = []
-    for name, (rhs, relation) in (extra_constraint_ops or {}).items():
-        extra.append(
-            SdpConstraint({BLOCK: basis.operator(overlaps.constraints[name])}, rhs, relation)
-        )
+    extra = [
+        SdpConstraint({BLOCK: basis.operator(overlaps.constraints[name])}, rhs)
+        for name, rhs in (extra_constraint_ops or {}).items()
+    ]
     problem = normalized_program(d_tilde, sense, extra)
     solution = solve(problem, tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
     beta = None
@@ -327,12 +328,18 @@ class ExcitedStatesSolver(_KrylovSolver):
 
 @_settings
 class SymmetrySectorSolver(_KrylovSolver):
-    """Lowest energy within a symmetry sector: <S> and <S^2> pinned.
+    """Lowest energy within a symmetry sector: beta on the kernel of (S - s)^2.
 
     ``symmetry`` is a PauliSum commuting with the Hamiltonian, or one of the
     shorthands "parity" (product of X, for ZZ+X chains) and "magnetization"
-    (sum of Z).  Infeasibility at small ansatz size is a legitimate outcome
-    reported in ``status_``/``feasible_``, with ``energy_`` NaN.
+    (sum of Z).  The sector conditions <S> = s and <S^2> = s^2 say that
+    Tr(beta (S - s)^2) = 0, and since (S - s)^2 is PSD a PSD beta meets them
+    exactly on the kernel of its whitened overlap matrix; the sector minimum
+    is the lowest eigenvalue of the objective there, certified by
+    ``eigen_solution`` and by the pinned equalities on the measured
+    overlaps.  ``solution_`` is always an ``SdpSolution``.  An empty kernel
+    (infeasibility at small ansatz size) is a legitimate outcome reported in
+    ``status_``/``feasible_``, with ``energy_`` NaN.
     """
 
     symmetry: str | PauliSum = "magnetization"
@@ -340,7 +347,6 @@ class SymmetrySectorSolver(_KrylovSolver):
     seed_state: str | StateSpec = "random"
     tol_feas: float = 1e-8
     tol_gap: float = 1e-8
-    max_iter: int = 200
 
     def _resolve_symmetry(self, hamiltonian: PauliSum) -> PauliSum:
         if isinstance(self.symmetry, PauliSum):
@@ -364,66 +370,41 @@ class SymmetrySectorSolver(_KrylovSolver):
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps
         self.rank_ = basis.rank
-        self.solution_ = None
+        self.energy_ = math.nan
+        self.beta_ = None
 
-        # Deflate constraints pinned at an eigenvalue extreme of their
-        # matrix: Tr(beta W) = lambda_max(W) with Tr(beta) = 1 forces beta
-        # onto the top eigenspace (and likewise at the bottom).  Those
-        # constraints have no interior -- parity sectors and the edges of
-        # the particle-number ladder always hit this -- so substituting the
-        # eigenspace keeps the path-following well posed.  A pinned value
-        # outside the spectrum is infeasibility, detected right here.
-        subspace = np.eye(basis.rank, dtype=complex)
-        pending = [
-            (basis.operator(overlaps.constraints["symmetry"]), s_k),
-            (basis.operator(overlaps.constraints["symmetry_sq"]), s_k**2),
-        ]
-        equalities = []
-        infeasible = False
-        for w, c in pending:
-            w_sub = subspace.conj().T @ w @ subspace
-            w_sub = (w_sub + w_sub.conj().T) / 2.0
-            evals, evecs = np.linalg.eigh(w_sub)
-            scale = max(1.0, float(np.max(np.abs(evals))))
-            tol = 1e-8 * scale
-            if c > evals[-1] + tol or c < evals[0] - tol:
-                infeasible = True
-                break
-            if c >= evals[-1] - tol:
-                keep = evals >= evals[-1] - tol
-                subspace = subspace @ evecs[:, keep]
-            elif c <= evals[0] + tol:
-                keep = evals <= evals[0] + tol
-                subspace = subspace @ evecs[:, keep]
-            else:
-                equalities.append((w, c))
-
-        if infeasible:
+        # Tr(beta (S - s)^2) = <S^2> - 2s<S> + s^2 vanishes for a PSD beta
+        # exactly on the kernel of the whitened (S - s)^2, itself PSD: the
+        # sector is that kernel, empty when s is no reachable value.
+        r_mat = overlaps.constraints["symmetry"]
+        t_mat = overlaps.constraints["symmetry_sq"]
+        spread = basis.operator(t_mat - 2.0 * s_k * r_mat) + s_k**2 * np.eye(basis.rank)
+        evals, evecs = np.linalg.eigh(spread)
+        kernel = evecs[:, evals <= 1e-8 * max(1.0, float(np.max(np.abs(evals))))]
+        if kernel.shape[1] == 0:
+            self.solution_ = SdpSolution(status=SolveStatus.INFEASIBLE)
             self.status_ = SolveStatus.INFEASIBLE
             self.feasible_ = False
-            self.energy_ = math.nan
-            self.beta_ = None
             return self
 
-        d_sub = subspace.conj().T @ basis.operator(overlaps.objective) @ subspace
-        d_sub = (d_sub + d_sub.conj().T) / 2.0
-        extra = []
-        for w, c in equalities:
-            w_sub = subspace.conj().T @ w @ subspace
-            extra.append(SdpConstraint({BLOCK: (w_sub + w_sub.conj().T) / 2.0}, c))
-        problem = normalized_program(d_sub, "min", extra)
-        sol = solve(problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
-                    max_iter=self.max_iter)
+        d_kernel = kernel.conj().T @ basis.operator(overlaps.objective) @ kernel
+        values, vectors = np.linalg.eigh(d_kernel)
+        sol = eigen_solution(d_kernel, "min", vectors[:, 0], values[0],
+                             self.tol_feas, self.tol_gap)
+        vec = kernel @ vectors[:, 0]
+        beta = basis.lift_state(np.outer(vec, vec.conj()))
+        pinned = max(abs(np.trace(beta @ r_mat).real - s_k),
+                     abs(np.trace(beta @ t_mat).real - s_k**2))
+        pinned /= 1.0 + max(1.0, abs(s_k), s_k**2)
+        sol.primal_residual = max(sol.primal_residual, pinned)
+        if sol.is_optimal and pinned > self.tol_feas:
+            sol.status = SolveStatus.NUMERICAL_FAILURE
         self.solution_ = sol
         self.status_ = sol.status
-        self.feasible_ = sol.status is not SolveStatus.INFEASIBLE
-        if sol.status is SolveStatus.OPTIMAL:
+        self.feasible_ = True
+        if sol.is_optimal:
             self.energy_ = sol.objective_value
-            beta_sub = subspace @ sol.blocks[BLOCK] @ subspace.conj().T
-            self.beta_ = basis.lift_state((beta_sub + beta_sub.conj().T) / 2.0)
-        else:
-            self.energy_ = math.nan
-            self.beta_ = None
+            self.beta_ = beta
         return self
 
 
@@ -669,7 +650,7 @@ class LovaszThetaSolver(_XStringSolver):
             tol_feas=self.tol_feas,
             tol_gap=self.tol_gap,
             max_iter=self.max_iter,
-            extra_constraint_ops={name: (0.0, "=") for name in constraint_ops},
+            extra_constraint_ops=dict.fromkeys(constraint_ops, 0.0),
         )
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps

@@ -49,7 +49,7 @@ class TestEstimatorApi:
              dict(n_excited=3, seed_state="plus", **_KRYLOV_PARAMS, tol_feas=1e-8, tol_gap=1e-8)),
             (SymmetrySectorSolver,
              dict(symmetry="magnetization", sector_value=0.0, seed_state="random",
-                  **_KRYLOV_PARAMS, **_IPM_TOLERANCES)),
+                  **_KRYLOV_PARAMS, tol_feas=1e-8, tol_gap=1e-8)),
             (RankOneReducer, dict(seed_state="zero", **_KRYLOV_PARAMS)),
             (LovaszThetaSolver, _X_STRING_PARAMS),
             (XorGameSolver, _X_STRING_PARAMS),
@@ -295,6 +295,65 @@ class TestSymmetrySector:
         t = solver.overlaps_.constraints["symmetry_sq"]
         assert abs(np.trace(solver.beta_ @ r).real - 2.0) < 1e-6
         assert abs(np.trace(solver.beta_ @ t).real - 4.0) < 1e-6
+
+    @staticmethod
+    def _span_sector_minimum(solver, hamiltonian, symmetry, sector):
+        """Lowest energy on the ansatz span intersected with the S = s eigenspace.
+
+        Built from statevectors alone: no overlaps, no SDP.  The intersection
+        is spanned by the principal vectors at angle zero.
+        """
+        psi = prepare(solver.ansatz_.seed, hamiltonian.n_qubits).amplitudes
+        states = np.stack([p.apply(psi) for p in solver.ansatz_.strings], axis=1)
+        u, sv, _ = np.linalg.svd(states, full_matrices=False)
+        span = u[:, sv > 1e-12 * sv[0]]
+        s_diag = np.diag(symmetry.matrix()).real
+        eigenspace = np.eye(s_diag.size)[:, np.abs(s_diag - sector) < 1e-9]
+        left, cosines, _ = np.linalg.svd(span.conj().T @ eigenspace, full_matrices=False)
+        both = span @ left[:, cosines > 1 - 1e-9]
+        return np.linalg.eigvalsh(both.conj().T @ hamiltonian.matrix() @ both)[0]
+
+    @pytest.mark.parametrize(
+        "sector, reference",
+        [(0.0, -10.44620549201716), (2.0, -8.11774113445635), (4.0, -0.5625446708535089)],
+    )
+    def test_sector_minimum_on_the_ansatz_span(self, sector, reference):
+        h = models.heisenberg_hamiltonian(6)
+        solver = SymmetrySectorSolver(
+            symmetry="magnetization", sector_value=sector, seed_state="random",
+            circuit_seed=1, krylov_order=2, n_states=60,
+        ).fit(h)
+        expected = self._span_sector_minimum(solver, h, models.magnetization(6), sector)
+        assert expected == pytest.approx(reference, abs=1e-9)
+        assert solver.status_ is SolveStatus.OPTIMAL
+        assert abs(solver.energy_ - expected) < 1e-8
+
+    def test_sector_fits_make_no_interior_point_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("paulisdp.solvers.solve", lambda *a, **k: calls.append(a))
+        h = models.heisenberg_hamiltonian(4)
+        for sector in (0.0, 2.0, 4.0):
+            solver = SymmetrySectorSolver(
+                symmetry="magnetization", sector_value=sector, circuit_seed=5, krylov_order=3,
+            ).fit(h)
+            assert solver.solution_.status is solver.status_
+        assert calls == []
+
+    @pytest.mark.parametrize("shots", [10**4, 10**6])
+    def test_status_follows_the_pinned_residuals_on_sampled_overlaps(self, shots):
+        solver = SymmetrySectorSolver(sector_value=0.0, mode="shots", shots=shots).fit(
+            models.heisenberg_hamiltonian(4)
+        )
+        sol = solver.solution_
+        certified = max(sol.primal_residual, sol.dual_residual) <= 1e-8 and sol.gap <= 1e-8
+        assert (solver.status_ is SolveStatus.OPTIMAL) == certified
+        if certified:
+            r = solver.overlaps_.constraints["symmetry"]
+            t = solver.overlaps_.constraints["symmetry_sq"]
+            assert abs(np.trace(solver.beta_ @ r).real) <= 2e-8
+            assert abs(np.trace(solver.beta_ @ t).real) <= 2e-8
+        else:
+            assert math.isnan(solver.energy_) and solver.beta_ is None
 
 
 class TestDiscrimination:
