@@ -337,9 +337,12 @@ class SymmetrySectorSolver(_KrylovSolver):
     exactly on the kernel of its whitened overlap matrix; the sector minimum
     is the lowest eigenvalue of the objective there, certified by
     ``eigen_solution`` and by the pinned equalities on the measured
-    overlaps.  ``solution_`` is always an ``SdpSolution``.  An empty kernel
+    overlaps.  Sampled overlaps can make that matrix indefinite; the two
+    equalities then go to the interior-point method as measured.
+    ``solution_`` is always an ``SdpSolution``.  An empty kernel
     (infeasibility at small ansatz size) is a legitimate outcome reported in
-    ``status_``/``feasible_``, with ``energy_`` NaN.
+    ``status_``/``feasible_``, with ``energy_`` NaN; ``feasible_`` is False
+    too when the kernel's minimizer misses the pinned equalities.
     """
 
     symmetry: str | PauliSum = "magnetization"
@@ -374,34 +377,44 @@ class SymmetrySectorSolver(_KrylovSolver):
         self.beta_ = None
 
         # Tr(beta (S - s)^2) = <S^2> - 2s<S> + s^2 vanishes for a PSD beta
-        # exactly on the kernel of the whitened (S - s)^2, itself PSD: the
-        # sector is that kernel, empty when s is no reachable value.
+        # exactly on the kernel of the whitened (S - s)^2 when that is PSD:
+        # the sector is that kernel, empty when s is no reachable value.
         r_mat = overlaps.constraints["symmetry"]
         t_mat = overlaps.constraints["symmetry_sq"]
         spread = basis.operator(t_mat - 2.0 * s_k * r_mat) + s_k**2 * np.eye(basis.rank)
         evals, evecs = np.linalg.eigh(spread)
-        kernel = evecs[:, evals <= 1e-8 * max(1.0, float(np.max(np.abs(evals))))]
-        if kernel.shape[1] == 0:
-            self.solution_ = SdpSolution(status=SolveStatus.INFEASIBLE)
-            self.status_ = SolveStatus.INFEASIBLE
-            self.feasible_ = False
-            return self
-
-        d_kernel = kernel.conj().T @ basis.operator(overlaps.objective) @ kernel
-        values, vectors = np.linalg.eigh(d_kernel)
-        sol = eigen_solution(d_kernel, "min", vectors[:, 0], values[0],
-                             self.tol_feas, self.tol_gap)
-        vec = kernel @ vectors[:, 0]
-        beta = basis.lift_state(np.outer(vec, vec.conj()))
-        pinned = max(abs(np.trace(beta @ r_mat).real - s_k),
-                     abs(np.trace(beta @ t_mat).real - s_k**2))
-        pinned /= 1.0 + max(1.0, abs(s_k), s_k**2)
-        sol.primal_residual = max(sol.primal_residual, pinned)
-        if sol.is_optimal and pinned > self.tol_feas:
-            sol.status = SolveStatus.NUMERICAL_FAILURE
+        cut = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
+        kernel = evecs[:, evals <= cut]
+        beta = None
+        if evals[0] < -cut:
+            # Sampled overlaps can leave the spread indefinite, and its kernel
+            # is then no feasible set: the pinned equalities go to the
+            # interior-point method as measured.
+            _, beta, _, sol, _ = solve_normalized(
+                overlaps, rank_tol=self.rank_tol, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
+                extra_constraint_ops={"symmetry": s_k, "symmetry_sq": s_k**2},
+            )
+            feasible = sol.status is not SolveStatus.INFEASIBLE
+        elif kernel.shape[1] == 0:
+            sol = SdpSolution(status=SolveStatus.INFEASIBLE)
+            feasible = False
+        else:
+            d_kernel = kernel.conj().T @ basis.operator(overlaps.objective) @ kernel
+            values, vectors = np.linalg.eigh(d_kernel)
+            sol = eigen_solution(d_kernel, "min", vectors[:, 0], values[0],
+                                 self.tol_feas, self.tol_gap)
+            vec = kernel @ vectors[:, 0]
+            beta = basis.lift_state(np.outer(vec, vec.conj()))
+            pinned = max(abs(np.trace(beta @ r_mat).real - s_k),
+                         abs(np.trace(beta @ t_mat).real - s_k**2))
+            pinned /= 1.0 + max(1.0, abs(s_k), s_k**2)
+            sol.primal_residual = max(sol.primal_residual, pinned)
+            feasible = pinned <= self.tol_feas
+            if sol.is_optimal and not feasible:
+                sol.status = SolveStatus.NUMERICAL_FAILURE
         self.solution_ = sol
         self.status_ = sol.status
-        self.feasible_ = True
+        self.feasible_ = feasible
         if sol.is_optimal:
             self.energy_ = sol.objective_value
             self.beta_ = beta

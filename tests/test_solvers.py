@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paulisdp import models, oracle
+from paulisdp import models, oracle, solvers
 from paulisdp.base import NotFittedError
 from paulisdp.pauli import PauliString, PauliSum, hermitian_elementary
 from paulisdp.sdp import SolveStatus
@@ -328,7 +328,7 @@ class TestSymmetrySector:
         assert solver.status_ is SolveStatus.OPTIMAL
         assert abs(solver.energy_ - expected) < 1e-8
 
-    def test_sector_fits_make_no_interior_point_solve(self, monkeypatch):
+    def test_exact_sector_fits_make_no_interior_point_solve(self, monkeypatch):
         calls = []
         monkeypatch.setattr("paulisdp.solvers.solve", lambda *a, **k: calls.append(a))
         h = models.heisenberg_hamiltonian(4)
@@ -339,20 +339,49 @@ class TestSymmetrySector:
             assert solver.solution_.status is solver.status_
         assert calls == []
 
-    @pytest.mark.parametrize("shots", [10**4, 10**6])
-    def test_status_follows_the_pinned_residuals_on_sampled_overlaps(self, shots):
-        solver = SymmetrySectorSolver(sector_value=0.0, mode="shots", shots=shots).fit(
+    def test_sampled_sector_solves_the_measured_equalities(self, monkeypatch):
+        # Sampled overlaps leave the whitened (S - s)^2 indefinite here, so
+        # its kernel is no feasible set and the equalities go to the IPM.
+        calls = []
+        real_solve = solvers.solve
+        monkeypatch.setattr(solvers, "solve", lambda *a, **k: calls.append(a) or real_solve(*a, **k))
+        solver = SymmetrySectorSolver(sector_value=0.0, mode="shots", shots=10**6).fit(
+            models.heisenberg_hamiltonian(4)
+        )
+        assert len(calls) == 1
+        assert solver.status_ is SolveStatus.OPTIMAL and solver.feasible_
+        assert abs(solver.energy_ - (-8.0)) < 1e-2
+        r = solver.overlaps_.constraints["symmetry"]
+        t = solver.overlaps_.constraints["symmetry_sq"]
+        assert abs(np.trace(solver.beta_ @ r).real) <= 1e-8
+        assert abs(np.trace(solver.beta_ @ t).real) <= 1e-8
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-6])
+    def test_status_follows_the_pinned_residuals(self, monkeypatch, offset):
+        # Shifting the measured <S> matrix by offset * Gram moves Tr(beta R)
+        # by offset and leaves the s = 0 spread, and so its kernel, as it is.
+        measure = SymmetrySectorSolver._measure
+
+        def shifted(self, *args, **kwargs):
+            ansatz, overlaps = measure(self, *args, **kwargs)
+            overlaps.constraints["symmetry"] = overlaps.constraints["symmetry"] + offset * overlaps.gram
+            return ansatz, overlaps
+
+        monkeypatch.setattr(SymmetrySectorSolver, "_measure", shifted)
+        solver = SymmetrySectorSolver(sector_value=0.0, circuit_seed=5, krylov_order=3).fit(
             models.heisenberg_hamiltonian(4)
         )
         sol = solver.solution_
-        certified = max(sol.primal_residual, sol.dual_residual) <= 1e-8 and sol.gap <= 1e-8
-        assert (solver.status_ is SolveStatus.OPTIMAL) == certified
-        if certified:
+        if offset == 0.0:
+            assert solver.status_ is SolveStatus.OPTIMAL and solver.feasible_
+            assert sol.primal_residual <= 1e-8
             r = solver.overlaps_.constraints["symmetry"]
             t = solver.overlaps_.constraints["symmetry_sq"]
             assert abs(np.trace(solver.beta_ @ r).real) <= 2e-8
             assert abs(np.trace(solver.beta_ @ t).real) <= 2e-8
         else:
+            assert solver.status_ is SolveStatus.NUMERICAL_FAILURE and not solver.feasible_
+            assert sol.primal_residual == pytest.approx(offset / 2.0, rel=1e-6)
             assert math.isnan(solver.energy_) and solver.beta_ is None
 
 
