@@ -136,10 +136,6 @@ class OverlapSet:
     def n_states(self) -> int:
         return self.gram.shape[0]
 
-    @property
-    def exact(self) -> bool:
-        return self.shots is None
-
     def restricted(self, m: int) -> "OverlapSet":
         """Top-left m x m corner of every matrix (nested ansatz prefix)."""
         if not (1 <= m <= self.n_states):

@@ -270,10 +270,6 @@ class PauliSum:
             raise ValueError("cannot infer qubit count from an empty term list; use PauliSum(n)")
         return cls(terms[0][1].n_qubits, terms)
 
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
     def terms(self) -> list[tuple[complex, PauliString]]:
         """Terms in a deterministic order (sorted by packed letter codes)."""
         return [(self._terms[s], s) for s in sorted(self._terms, key=lambda p: p.packed)]

@@ -7,6 +7,12 @@ Gram projection -> SDP and stores trailing-underscore results, returning
 ``self``.  A solver never raises on an infeasible program -- infeasibility
 is a legitimate outcome surfaced in ``status_`` -- but it does raise on
 malformed inputs.
+
+Every Krylov and X-string fit goes through one reduced-program layer:
+``_whiten`` cuts and whitens the Gram matrix once, ``_eigen_levels`` solves
+and certifies normalization-only programs with one eigendecomposition in
+that basis, and ``_equalities`` whitens measured constraint matrices into
+the rows of the interior-point programs.
 """
 
 from __future__ import annotations
@@ -103,6 +109,54 @@ def gram_cut(overlaps: OverlapSet, rank_tol: float | None = None) -> float | Non
     return rank_tol
 
 
+def _check_method(method: str) -> None:
+    if method not in ("sdp", "eig"):
+        raise ValueError(f"method must be 'sdp' or 'eig', got {method!r}")
+
+
+def _whiten(overlaps: OverlapSet, rank_tol: float | None = None):
+    """Gram basis at ``gram_cut`` and the whitened objective d~ = S^H D S."""
+    basis = gram_basis(overlaps.gram, gram_cut(overlaps, rank_tol))
+    return basis, basis.operator(overlaps.objective)
+
+
+def _eigen_levels(d_tilde: np.ndarray, sense: str, n_levels: int, tol_feas: float,
+                  tol_gap: float) -> tuple[list[SdpSolution], np.ndarray]:
+    """The ``n_levels`` lowest (``sense="max"``: highest) eigenpairs, certified.
+
+    One ``eigh``.  Level 0 is certified by ``eigen_solution`` on d~ itself,
+    level k on the complement of the levels below it, where it is the
+    extreme eigenpair.  Stops after the first level that fails its
+    certificate, and at the rank of d~.  Returns the solutions and the
+    eigenvectors in d~'s coordinates, column k for level k.
+    """
+    sign = 1.0 if sense == "min" else -1.0
+    evals, evecs = np.linalg.eigh(sign * d_tilde)
+    levels: list[SdpSolution] = []
+    for k in range(min(n_levels, evals.size)):
+        sub, vec = d_tilde, evecs[:, 0]
+        if k:
+            q = evecs[:, k:]
+            sub, vec = q.conj().T @ d_tilde @ q, q.conj().T @ evecs[:, k]
+        levels.append(eigen_solution(sub, sense, vec, sign * evals[k], tol_feas, tol_gap))
+        if not levels[-1].is_optimal:
+            break
+    return levels, evecs
+
+
+def _equalities(basis, overlaps: OverlapSet, rhs: dict[str, float]) -> list[SdpConstraint]:
+    """Tr(beta A) = rhs for named overlap constraint matrices, whitened."""
+    return [
+        SdpConstraint({BLOCK: basis.operator(overlaps.constraints[name])}, value)
+        for name, value in rhs.items()
+    ]
+
+
+def _lift(basis, solution: SdpSolution):
+    """The solution's coefficient matrix in ansatz coordinates, or None."""
+    return basis.lift_state(solution.blocks[BLOCK]) if solution.blocks else None
+
+
 def solve_normalized(
     overlaps: OverlapSet,
     sense: str = "min",
@@ -111,45 +165,25 @@ def solve_normalized(
     tol_feas: float = 1e-8,
     tol_gap: float = 1e-8,
     max_iter: int = 200,
-    extra_constraint_ops: dict[str, float] | None = None,
 ):
     """Solve min/max Tr(beta D) with Tr(beta E) = 1 in the whitened basis.
 
-    ``extra_constraint_ops`` maps names of overlap constraint matrices to
-    right-hand sides of equalities Tr(beta A) = rhs; such programs run the
-    interior-point method.
-    Otherwise ``method="eig"`` solves by one eigendecomposition, certified
-    by ``eigen_solution``, and ``method="sdp"`` is the interior-point
-    cross-check.  Returns (value, beta, status, solution, basis), beta in
-    ansatz coordinates and solution an ``SdpSolution`` on either path.
+    ``method="eig"`` takes one eigendecomposition of the objective in the
+    basis ``gram_cut`` whitens, certified by ``eigen_solution``, and
+    ``method="sdp"`` is the interior-point cross-check.  Returns (value,
+    beta, status, solution, basis), beta in ansatz coordinates and solution
+    an ``SdpSolution`` on either path.
     """
-    if method not in ("sdp", "eig"):
-        raise ValueError(f"method must be 'sdp' or 'eig', got {method!r}")
-    rank_tol = gram_cut(overlaps, rank_tol)
-    basis = gram_basis(overlaps.gram, rank_tol)
-    d_tilde = basis.operator(overlaps.objective)
-    if method == "eig" and not extra_constraint_ops:
-        sign = 1.0 if sense == "min" else -1.0
-        value, alpha = generalized_min_eig(
-            sign * overlaps.objective, overlaps.gram, rank_tol
-        )
-        value *= sign
-        beta = np.outer(alpha, alpha.conj())
-        # whitened coordinates of alpha: T^H alpha with T = V diag(w^1/2)
-        vec = np.sqrt(basis.eigenvalues) * (basis.raw_vectors.conj().T @ alpha)
-        solution = eigen_solution(d_tilde, sense, vec, value, tol_feas, tol_gap)
-        return value, beta, solution.status, solution, basis
-    extra = [
-        SdpConstraint({BLOCK: basis.operator(overlaps.constraints[name])}, rhs)
-        for name, rhs in (extra_constraint_ops or {}).items()
-    ]
-    problem = normalized_program(d_tilde, sense, extra)
-    solution = solve(problem, tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
-    beta = None
-    value = solution.objective_value
-    if solution.blocks:
-        beta = basis.lift_state(solution.blocks[BLOCK])
-    return value, beta, solution.status, solution, basis
+    _check_method(method)
+    basis, d_tilde = _whiten(overlaps, rank_tol)
+    if method == "eig":
+        (solution,), vectors = _eigen_levels(d_tilde, sense, 1, tol_feas, tol_gap)
+        alpha = basis.vectors @ vectors[:, 0]
+        return (solution.objective_value, np.outer(alpha, alpha.conj()), solution.status,
+                solution, basis)
+    solution = solve(normalized_program(d_tilde, sense), tol_feas=tol_feas, tol_gap=tol_gap,
+                     max_iter=max_iter)
+    return solution.objective_value, _lift(basis, solution), solution.status, solution, basis
 
 
 @_settings
@@ -224,6 +258,7 @@ class GroundStateSolver(_KrylovSolver):
     _value_name = "energy_"
 
     def fit(self, hamiltonian: PauliSum) -> "GroundStateSolver":
+        _check_method(self.method)
         self.ansatz_, self.overlaps_ = self._measure(hamiltonian)
         value, self.beta_, self.status_, self.solution_, basis = self._solve(
             self.overlaps_, self._sense
@@ -285,35 +320,22 @@ class ExcitedStatesSolver(_KrylovSolver):
             raise SettingError(
                 f"n_excited={self.n_excited} exceeds ansatz size minus one ({len(ansatz) - 1})"
             )
-        basis = gram_basis(overlaps.gram, gram_cut(overlaps, self.rank_tol))
-        d_tilde = basis.operator(overlaps.objective)
-        r = basis.rank
-
-        evals, evecs = np.linalg.eigh(d_tilde)
-        energies: list[float] = []
-        betas_tilde: list[np.ndarray] = []
-        statuses: list[SolveStatus] = []
-        for level in range(self.n_excited + 1):
-            if level >= r:
-                statuses.append(SolveStatus.INFEASIBLE)
-                break
-            q = evecs[:, level:]  # complement of the levels already found
-            sol = eigen_solution(
-                q.conj().T @ d_tilde @ q, "min", q.conj().T @ evecs[:, level], evals[level],
-                self.tol_feas, self.tol_gap,
-            )
-            statuses.append(sol.status)
-            if not sol.is_optimal:
-                break
-            vec = evecs[:, level]
-            betas_tilde.append(np.outer(vec, vec.conj()))
-            energies.append(sol.objective_value)
+        basis, d_tilde = _whiten(overlaps, self.rank_tol)
+        levels, vectors = _eigen_levels(
+            d_tilde, "min", self.n_excited + 1, self.tol_feas, self.tol_gap
+        )
+        optimal = [sol for sol in levels if sol.is_optimal]
+        statuses = [sol.status for sol in levels]
+        if len(optimal) == len(levels) <= self.n_excited:  # out of levels at the Gram rank
+            statuses.append(SolveStatus.INFEASIBLE)
 
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps
-        self.rank_ = r
-        self.energies_ = energies
-        self.betas_ = [basis.lift_state(bt) for bt in betas_tilde]
+        self.rank_ = basis.rank
+        self.energies_ = [sol.objective_value for sol in optimal]
+        self.betas_ = [
+            basis.lift_state(np.outer(vec, vec.conj())) for vec in vectors.T[: len(optimal)]
+        ]
         self.statuses_ = statuses
         e = overlaps.gram
         residuals = []
@@ -369,7 +391,7 @@ class SymmetrySectorSolver(_KrylovSolver):
             hamiltonian, {"symmetry": symmetry, "symmetry_sq": symmetry * symmetry}
         )
         s_k = float(self.sector_value)
-        basis = gram_basis(overlaps.gram, gram_cut(overlaps, self.rank_tol))
+        basis, d_tilde = _whiten(overlaps, self.rank_tol)
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps
         self.rank_ = basis.rank
@@ -390,19 +412,18 @@ class SymmetrySectorSolver(_KrylovSolver):
             # Sampled overlaps can leave the spread indefinite, and its kernel
             # is then no feasible set: the pinned equalities go to the
             # interior-point method as measured.
-            _, beta, _, sol, _ = solve_normalized(
-                overlaps, rank_tol=self.rank_tol, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
-                extra_constraint_ops={"symmetry": s_k, "symmetry_sq": s_k**2},
-            )
+            sector = _equalities(basis, overlaps, {"symmetry": s_k, "symmetry_sq": s_k**2})
+            sol = solve(normalized_program(d_tilde, "min", sector),
+                        tol_feas=self.tol_feas, tol_gap=self.tol_gap)
+            beta = _lift(basis, sol)
             feasible = sol.status is not SolveStatus.INFEASIBLE
         elif kernel.shape[1] == 0:
             sol = SdpSolution(status=SolveStatus.INFEASIBLE)
             feasible = False
         else:
-            d_kernel = kernel.conj().T @ basis.operator(overlaps.objective) @ kernel
-            values, vectors = np.linalg.eigh(d_kernel)
-            sol = eigen_solution(d_kernel, "min", vectors[:, 0], values[0],
-                                 self.tol_feas, self.tol_gap)
+            (sol,), vectors = _eigen_levels(
+                kernel.conj().T @ d_tilde @ kernel, "min", 1, self.tol_feas, self.tol_gap
+            )
             vec = kernel @ vectors[:, 0]
             beta = basis.lift_state(np.outer(vec, vec.conj()))
             pinned = max(abs(np.trace(beta @ r_mat).real - s_k),
@@ -656,18 +677,12 @@ class LovaszThetaSolver(_XStringSolver):
             constraint_ops[f"im_{i}_{j}"] = hermitian_elementary(n_qubits, i, j, imaginary=True)
 
         overlaps = build_overlaps(ansatz, objective=all_ones, constraints=constraint_ops)
-        _value, beta, _status, solution, _basis = solve_normalized(
-            overlaps,
-            sense="max",
-            rank_tol=self.rank_tol,
-            tol_feas=self.tol_feas,
-            tol_gap=self.tol_gap,
-            max_iter=self.max_iter,
-            extra_constraint_ops=dict.fromkeys(constraint_ops, 0.0),
-        )
+        basis, d_tilde = _whiten(overlaps, self.rank_tol)
+        zeros = _equalities(basis, overlaps, dict.fromkeys(constraint_ops, 0.0))
+        solution = self._solve(normalized_program(d_tilde, "max", zeros))
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps
-        self.beta_ = beta
+        self.beta_ = _lift(basis, solution)
         return solution
 
 
@@ -704,16 +719,12 @@ class XorGameSolver(_XStringSolver):
         }
         overlaps = build_overlaps(ansatz, objective=objective, constraints=constraint_ops)
 
-        basis = gram_basis(overlaps.gram, gram_cut(overlaps, self.rank_tol))
-        extra = [
-            SdpConstraint({BLOCK: basis.operator(overlaps.constraints[name])}, 1.0)
-            for name in constraint_ops
-        ]
+        basis, d_tilde = _whiten(overlaps, self.rank_tol)
         problem = SdpProblem(
             blocks=[(BLOCK, basis.rank)],
             sense="max",
-            objective={BLOCK: basis.operator(overlaps.objective)},
-            constraints=extra,
+            objective={BLOCK: d_tilde},
+            constraints=_equalities(basis, overlaps, dict.fromkeys(constraint_ops, 1.0)),
         )
         self.ansatz_ = ansatz
         self.overlaps_ = overlaps
@@ -780,6 +791,7 @@ def energy_sweep(hamiltonian: PauliSum, seed_state, krylov_order: int, m_values,
     solver = GroundStateSolver(
         seed_state=seed_state, krylov_order=krylov_order, n_states=max(m_values), **settings
     )
+    _check_method(solver.method)
     _ansatz, full = solver._measure(hamiltonian)
     rows = []
     for m in m_values:

@@ -2,8 +2,8 @@
 
 Two backends realize a prepared state:
 
-- :class:`DenseState` holds the full 2^n statevector (capped by
-  ``dense_cap``, default 14 qubits, roughly 256 KB of amplitudes).
+- :class:`DenseState` holds the full 2^n statevector (capped at
+  ``pauli.DENSE_QUBIT_CAP`` = 14 qubits, roughly 256 KB of amplitudes).
 - :class:`ProductState` holds one 2-component vector per qubit and
   evaluates Pauli expectations in O(n), which is what makes the
   1000-qubit largest-eigenvalue runs possible.
@@ -130,18 +130,13 @@ class ProductState:
     def sampled_expectation(self, p: PauliString, shots: int, seed: int) -> float:
         return _sampled_expectation(self, p, shots, seed)
 
-    def to_dense(self, dense_cap: int = DENSE_QUBIT_CAP) -> "DenseState":
-        if self.n_qubits > dense_cap:
-            raise DenseLimitError(f"dense backend capped at {dense_cap} qubits")
+    def to_dense(self) -> "DenseState":
+        if self.n_qubits > DENSE_QUBIT_CAP:
+            raise DenseLimitError(f"dense backend capped at {DENSE_QUBIT_CAP} qubits")
         amps = self.factors[0]
         for j in range(1, self.n_qubits):
             amps = np.kron(amps, self.factors[j])
         return DenseState(amps)
-
-    def inner(self, other: "ProductState") -> complex:
-        """<self|other>."""
-        per_site = np.sum(np.conj(self.factors) * other.factors, axis=1)
-        return complex(np.prod(per_site))
 
 
 class DenseState:
@@ -164,9 +159,6 @@ class DenseState:
 
     def sampled_expectation(self, p: PauliString, shots: int, seed: int) -> float:
         return _sampled_expectation(self, p, shots, seed)
-
-    def inner(self, other: "DenseState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 QuantumState = DenseState | ProductState
@@ -258,7 +250,7 @@ def _single_site_x_terms(op: PauliSum) -> np.ndarray:
 # preparation
 
 
-def prepare(spec: StateSpec, n_qubits: int, dense_cap: int = DENSE_QUBIT_CAP) -> QuantumState:
+def prepare(spec: StateSpec, n_qubits: int) -> QuantumState:
     """Prepare the seed state described by ``spec`` on ``n_qubits`` qubits."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be positive")
@@ -266,10 +258,10 @@ def prepare(spec: StateSpec, n_qubits: int, dense_cap: int = DENSE_QUBIT_CAP) ->
         return ProductState(np.tile([1.0, 0.0], (n_qubits, 1)))
     if isinstance(spec, PlusState):
         return ProductState(np.tile([1.0, 1.0], (n_qubits, 1)) / np.sqrt(2.0))
-    if n_qubits > dense_cap:
+    if n_qubits > DENSE_QUBIT_CAP:
         raise DenseLimitError(
             f"circuit state preparation on {n_qubits} qubits needs the dense backend "
-            f"(cap {dense_cap} qubits)"
+            f"(cap {DENSE_QUBIT_CAP} qubits)"
         )
     if isinstance(spec, HardwareEfficientCircuit):
         return _prepare_hardware_efficient(spec, n_qubits)

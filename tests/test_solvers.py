@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from paulisdp import models, oracle, solvers
+from paulisdp import models, oracle, sdp, solvers
 from paulisdp.base import NotFittedError
 from paulisdp.pauli import PauliString, PauliSum, hermitian_elementary
-from paulisdp.sdp import SolveStatus
+from paulisdp.sdp import SolveStatus, generalized_min_eig
 from paulisdp.solvers import (
     ExcitedStatesSolver,
     GroundStateSolver,
@@ -153,6 +153,18 @@ class TestGroundState:
         bad = PauliSum.from_terms([(1j, PauliString.from_label("XII"))])
         with pytest.raises(ValueError):
             GroundStateSolver().fit(bad)
+
+    @pytest.mark.parametrize("solver_class", [GroundStateSolver, LargestEigenvalueSolver])
+    def test_bad_method_fails_before_measuring(self, monkeypatch, solver_class):
+        def unmeasured(*_args, **_kwargs):
+            raise AssertionError("overlaps measured before the method was checked")
+
+        monkeypatch.setattr("paulisdp.solvers.build_overlaps", unmeasured)
+        h = models.ising_hamiltonian(4)
+        with pytest.raises(ValueError, match="method must be"):
+            solver_class(method="eigh").fit(h)
+        with pytest.raises(ValueError, match="method must be"):
+            energy_sweep(h, "plus", 1, [2], method="eigh")
 
 
 class TestLargestEigenvalue:
@@ -383,6 +395,48 @@ class TestSymmetrySector:
             assert solver.status_ is SolveStatus.NUMERICAL_FAILURE and not solver.feasible_
             assert sol.primal_residual == pytest.approx(offset / 2.0, rel=1e-6)
             assert math.isnan(solver.energy_) and solver.beta_ is None
+
+
+class TestReducedProgram:
+    """One Gram whitening per fit, and the eigen path's outputs bit for bit."""
+
+    @staticmethod
+    def _count_whitenings(monkeypatch):
+        calls = []
+        for module in (sdp, solvers):
+            real = module.gram_basis
+            monkeypatch.setattr(
+                module, "gram_basis",
+                lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k),
+            )
+        return calls
+
+    def test_ground_fit_whitens_once(self, monkeypatch):
+        calls = self._count_whitenings(monkeypatch)
+        solver = GroundStateSolver(seed_state="random", krylov_order=2).fit(
+            models.ising_hamiltonian(4, 1.0, 1.0)
+        )
+        assert solver.status_ is SolveStatus.OPTIMAL
+        assert len(calls) == 1
+
+    def test_sampled_sector_fallback_whitens_once(self, monkeypatch):
+        calls = self._count_whitenings(monkeypatch)
+        solver = SymmetrySectorSolver(sector_value=0.0, mode="shots", shots=10**6).fit(
+            models.heisenberg_hamiltonian(4)
+        )
+        assert solver.status_ is SolveStatus.OPTIMAL
+        assert solver.solution_.iterations > 0  # the interior-point fallback ran
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "shots"])
+    def test_eig_path_matches_generalized_min_eig_bit_for_bit(self, mode):
+        solver = GroundStateSolver(
+            seed_state="random", krylov_order=3, n_states=142, mode=mode, shots=10**4
+        ).fit(models.ising_hamiltonian(6, 1.0, 1.0))
+        overlaps = solver.overlaps_
+        value, alpha = generalized_min_eig(overlaps.objective, overlaps.gram, gram_cut(overlaps))
+        assert solver.energy_ == value
+        assert np.array_equal(solver.beta_, np.outer(alpha, alpha.conj()))
 
 
 class TestDiscrimination:
