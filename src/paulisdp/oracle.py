@@ -2,7 +2,9 @@
 
 Everything here works at full Hilbert-space (or graph) dimension and is
 deliberately independent of the ansatz/overlap machinery: this module may
-import only :mod:`paulisdp.pauli` and :mod:`paulisdp.sdp`.
+import only :mod:`paulisdp.pauli` and :mod:`paulisdp.sdp`.  The Lovasz and
+XOR program builders also take a map V, through which the solvers' ansatz
+modes pose the same program.
 """
 
 from __future__ import annotations
@@ -101,18 +103,27 @@ def classical_xor_value(pi, f) -> float:
 DIRECT_THETA_MAX_VERTICES = 32
 
 
-def lovasz_theta_program(n_vertices: int, edges) -> SdpProblem:
-    """Graph-dimension Lovasz theta SDP: max <J, X>, X_ij = 0 on edges, Tr X = 1."""
-    if n_vertices > DIRECT_THETA_MAX_VERTICES:
-        raise ValueError(f"direct theta capped at {DIRECT_THETA_MAX_VERTICES} vertices")
+def lovasz_theta_program(n_vertices: int, edges, v: np.ndarray | None = None) -> SdpProblem:
+    """Lovasz theta SDP: max <J, V X V^H>, (V X V^H)_ij = 0 on edges, Tr X = 1.
+
+    ``v=None`` is the graph-dimension program (V = I, capped at 32 vertices).
+    A (dim, r) map V puts the vertices first among dim coordinates and also
+    zeroes the entries between vertices and padding coordinates.
+    """
     n = n_vertices
-    on_edges = sorted({(min(i, j), max(i, j)) for i, j in edges})
+    if v is None:
+        if n > DIRECT_THETA_MAX_VERTICES:
+            raise ValueError(f"direct theta capped at {DIRECT_THETA_MAX_VERTICES} vertices")
+        v = np.eye(n)
+    dim, r = v.shape
+    zeros = sorted({(min(i, j), max(i, j)) for i, j in edges})
+    zeros += [(i, j) for i in range(n) for j in range(n, dim)]
     return SdpProblem(
-        blocks=[("x", n)],
+        blocks=[("x", r)],
         sense="max",
-        objective={"x": np.ones((n, n))},
-        constraints=[SdpConstraint({"x": np.eye(n)}, 1.0)],
-        matrix_constraint=MatrixConstraint({"x": np.eye(n)}, np.zeros((n, n)), on_edges),
+        objective={"x": v[:n].conj().T @ np.ones((n, n)) @ v[:n]},
+        constraints=[SdpConstraint({"x": np.eye(r)}, 1.0)],
+        matrix_constraint=MatrixConstraint({"x": v}, np.zeros((dim, dim)), zeros),
     )
 
 
@@ -124,14 +135,20 @@ def lovasz_theta_direct(n_vertices: int, edges, tol: float = 1e-9) -> float:
     return sol.objective_value
 
 
-def xor_bias_program(h_matrix: np.ndarray) -> SdpProblem:
-    """Full-dimension XOR-game bias SDP: max <H, Z> with unit diagonal."""
+def xor_bias_program(h_matrix: np.ndarray, v: np.ndarray | None = None) -> SdpProblem:
+    """XOR-game bias SDP: max <H, V Z V^H> with V Z V^H of unit diagonal.
+
+    ``v=None`` is the full-dimension program (V = I); a (dim, r) map V pads
+    H with zeros to dim and keeps the whole diagonal at one.
+    """
     h_matrix = np.asarray(h_matrix, dtype=float)
     n = h_matrix.shape[0]
-    unit_diagonal = MatrixConstraint({"z": np.eye(n)}, np.eye(n), [(i, i) for i in range(n)])
+    v = np.eye(n) if v is None else v
+    dim, r = v.shape
+    unit_diagonal = MatrixConstraint({"z": v}, np.eye(dim), [(i, i) for i in range(dim)])
     return SdpProblem(
-        blocks=[("z", n)], sense="max", objective={"z": h_matrix}, constraints=[],
-        matrix_constraint=unit_diagonal,
+        blocks=[("z", r)], sense="max", objective={"z": v[:n].conj().T @ h_matrix @ v[:n]},
+        constraints=[], matrix_constraint=unit_diagonal,
     )
 
 

@@ -8,11 +8,11 @@ Gram projection -> SDP and stores trailing-underscore results, returning
 is a legitimate outcome surfaced in ``status_`` -- but it does raise on
 malformed inputs.
 
-Every Krylov and X-string fit goes through one reduced-program layer:
-``_whiten`` cuts and whitens the Gram matrix once, ``_eigen_levels`` solves
-and certifies normalization-only programs with one eigendecomposition in
-that basis, and ``_equalities`` whitens measured constraint matrices into
-the rows of the interior-point programs.
+Every Krylov fit goes through one reduced-program layer: ``_whiten`` cuts
+and whitens the Gram matrix once, ``_eigen_levels`` solves and certifies
+normalization-only programs with one eigendecomposition in that basis, and
+``_equalities`` whitens the measured sector equalities for the sampled-sector
+fallback.  X-string fits pose the ``oracle`` program through a whitened map.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import models, oracle
 from .ansatz import AnsatzSet, OverlapSet, build_overlaps, krylov_ansatz, x_string_ansatz
 from .base import BaseSolver
-from .pauli import PauliString, PauliSum, SettingError, basis_state_projector, hermitian_elementary
+from .pauli import PauliString, PauliSum, SettingError
 from .sdp import (
     BLOCK,
     MatrixConstraint,
@@ -42,9 +43,11 @@ from .sdp import (
 from .states import (
     HardwareEfficientCircuit,
     PlusState,
+    ProductState,
     QuantumAnnealingState,
     StateSpec,
     ZeroState,
+    prepare,
 )
 from .validation import check_hermitian_operator, check_positive_int, check_probability
 
@@ -598,8 +601,10 @@ class _XStringSolver(BaseSolver):
     """Settings and fit of the graph and game solvers.
 
     ``mode="direct"`` solves the full-dimension program that ``oracle``
-    builds; ``mode="ansatz"`` solves it over an X-string ansatz on a real
-    seed state, with the constraints as measured overlap matrices.
+    builds; ``mode="ansatz"`` solves it through the map V of an X-string
+    ansatz on a real seed state (``_x_string_map``).  fit sets ``status_``,
+    ``solution_``, and ``ansatz_`` and ``beta_`` (ansatz-coordinate
+    coefficients), which are None in direct mode or without a solution.
     """
 
     mode: str = "direct"
@@ -613,23 +618,30 @@ class _XStringSolver(BaseSolver):
     max_iter: int = 200
 
     def fit(self, instance):
-        if self.mode == "direct":
-            sol = self._solve(self._direct_program(instance))
-        elif self.mode == "ansatz":
-            sol = self._fit_ansatz(instance)
-        else:
+        if self.mode not in ("direct", "ansatz"):
             raise ValueError(f"mode must be 'direct' or 'ansatz', got {self.mode!r}")
+        self.ansatz_ = self.beta_ = coords = v = None
+        if self.mode == "ansatz":
+            self.ansatz_, coords, v = self._x_string_map(instance)
+        sol = solve(self._program(instance, v), tol_feas=self.tol_feas, tol_gap=self.tol_gap,
+                    max_iter=self.max_iter)
+        if coords is not None and sol.blocks:
+            (block,) = sol.blocks.values()
+            self.beta_ = coords @ block @ coords.conj().T
         self.status_ = sol.status
         self.solution_ = sol
         self._set_value(sol.objective_value if sol.is_optimal else math.nan)
         return self
 
-    def _solve(self, problem: SdpProblem):
-        return solve(problem, tol_feas=self.tol_feas, tol_gap=self.tol_gap,
-                     max_iter=self.max_iter)
+    def _x_string_map(self, instance):
+        """X-string ansatz, whitened coordinates S and the map V = U S.
 
-    def _x_string_ansatz(self, dim: int) -> AnsatzSet:
-        """The ``n_states`` prefix of the X strings on ceil(log2 dim) qubits, real seed."""
+        The ansatz is the ``n_states`` prefix of the X strings on
+        ceil(log2 n) qubits; U has its states X_a|psi> as columns and S
+        whitens U^H U, so V^H A V is the whitened overlap matrix of any
+        operator A.  U is read from the simulated seed's amplitudes, so
+        ansatz mode is exact-mode only.
+        """
         seed = resolve_seed_state(
             self.seed_state, layers=self.layers, circuit_seed=self.circuit_seed
         )
@@ -637,10 +649,14 @@ class _XStringSolver(BaseSolver):
             raise SettingError(
                 "ansatz mode needs a real-valued seed: zero state or y-rotation circuit"
             )
-        ansatz = x_string_ansatz(max(1, math.ceil(math.log2(dim))), seed)
+        ansatz = x_string_ansatz(max(1, math.ceil(math.log2(self._size(instance)))), seed)
         if self.n_states is not None:
             ansatz = ansatz.take(check_positive_int(self.n_states, "n_states"))
-        return ansatz
+        state = prepare(seed, ansatz.n_qubits)
+        psi = (state.to_dense() if isinstance(state, ProductState) else state).amplitudes
+        u = np.stack([p.apply(psi) for p in ansatz.strings], axis=1)
+        coords = gram_basis(u.conj().T @ u, self.rank_tol).vectors
+        return ansatz, coords, u @ coords
 
 
 @_settings
@@ -648,87 +664,52 @@ class LovaszThetaSolver(_XStringSolver):
     """Lovasz theta of a graph, at graph dimension or over an X-string ansatz.
 
     Ansatz mode embeds the vertices in the first computational-basis
-    coordinates of ceil(log2 n) qubits (real seed states only) and imposes
-    the edge and padding-isolation constraints through measured overlap
-    matrices.  fit(graph) sets ``theta_``, ``status_`` and ``solution_``.
+    coordinates of ceil(log2 n) qubits (real seed states only) and zeroes
+    the edge entries and those between vertices and padding coordinates.
+    fit(graph) sets ``theta_`` and the attributes of ``_XStringSolver``.
     """
 
-    def _direct_program(self, graph: "models.Graph") -> SdpProblem:
-        return oracle.lovasz_theta_program(graph.n_vertices, graph.edges)
+    def _size(self, graph: "models.Graph") -> int:
+        return graph.n_vertices
+
+    def _x_string_map(self, graph: "models.Graph"):
+        """The map cut to the span of the states that split into vertex and padding parts.
+
+        Zero vertex-padding entries confine the range of V X V^H there; a larger
+        span leaves no strictly feasible X, where the interior-point method stalls.
+        """
+        ansatz, coords, v = super()._x_string_map(graph)
+        n = graph.n_vertices
+        split = np.hstack([scipy.linalg.null_space(v[n:]), scipy.linalg.null_space(v[:n])])
+        if split.shape[1] < v.shape[1]:
+            coords, v = coords @ split, v @ split
+        return ansatz, coords, v
+
+    def _program(self, graph: "models.Graph", v) -> SdpProblem:
+        return oracle.lovasz_theta_program(graph.n_vertices, graph.edges, v)
 
     def _set_value(self, value: float) -> None:
         self.theta_ = value
-
-    def _fit_ansatz(self, graph: "models.Graph"):
-        n = graph.n_vertices
-        ansatz = self._x_string_ansatz(n)
-        n_qubits = ansatz.n_qubits
-        dim = 1 << n_qubits
-
-        all_ones = PauliSum(n_qubits)
-        for i in range(n):
-            for j in range(n):
-                all_ones = all_ones + basis_state_projector(n_qubits, i, j)
-
-        constraint_ops: dict[str, PauliSum] = {}
-        pairs = list(graph.edges) + [(i, j) for i in range(n) for j in range(n, dim)]
-        for i, j in pairs:
-            constraint_ops[f"re_{i}_{j}"] = hermitian_elementary(n_qubits, i, j)
-            constraint_ops[f"im_{i}_{j}"] = hermitian_elementary(n_qubits, i, j, imaginary=True)
-
-        overlaps = build_overlaps(ansatz, objective=all_ones, constraints=constraint_ops)
-        basis, d_tilde = _whiten(overlaps, self.rank_tol)
-        zeros = _equalities(basis, overlaps, dict.fromkeys(constraint_ops, 0.0))
-        solution = self._solve(normalized_program(d_tilde, "max", zeros))
-        self.ansatz_ = ansatz
-        self.overlaps_ = overlaps
-        self.beta_ = _lift(basis, solution)
-        return solution
 
 
 @_settings
 class XorGameSolver(_XStringSolver):
     """Quantum bias and value of a two-player XOR game.
 
-    fit(game) sets ``bias_`` and ``value_`` = 0.5 + 0.5 * bias_, solving
-    either at full matrix dimension or over the X-string ansatz with the
-    unit-diagonal constraints expressed as measured overlaps.
+    fit(game) sets ``bias_``, ``value_`` = 0.5 + 0.5 * bias_ and the
+    attributes of ``_XStringSolver``, solving at full matrix dimension or
+    over the X-string ansatz with the whole padded diagonal at one.
     """
 
-    def _direct_program(self, game: "models.XorGame") -> SdpProblem:
-        return oracle.xor_bias_program(game.h_matrix())
+    def _size(self, game: "models.XorGame") -> int:
+        return game.h_matrix().shape[0]
+
+    def _program(self, game: "models.XorGame", v) -> SdpProblem:
+        return oracle.xor_bias_program(game.h_matrix(), v)
 
     def _set_value(self, value: float) -> None:
         self.bias_ = value
         self.value_ = 0.5 + 0.5 * value
-
-    def _fit_ansatz(self, game: "models.XorGame"):
-        h = game.h_matrix()
-        n = h.shape[0]
-        ansatz = self._x_string_ansatz(n)
-        n_qubits = ansatz.n_qubits
-        dim = 1 << n_qubits
-
-        objective = PauliSum(n_qubits)
-        for i in range(n):
-            for j in range(n):
-                if h[i, j] != 0.0:
-                    objective = objective + h[i, j] * basis_state_projector(n_qubits, i, j)
-        constraint_ops = {
-            f"diag_{i}": basis_state_projector(n_qubits, i, i) for i in range(dim)
-        }
-        overlaps = build_overlaps(ansatz, objective=objective, constraints=constraint_ops)
-
-        basis, d_tilde = _whiten(overlaps, self.rank_tol)
-        problem = SdpProblem(
-            blocks=[(BLOCK, basis.rank)],
-            sense="max",
-            objective={BLOCK: d_tilde},
-            constraints=_equalities(basis, overlaps, dict.fromkeys(constraint_ops, 1.0)),
-        )
-        self.ansatz_ = ansatz
-        self.overlaps_ = overlaps
-        return self._solve(problem)
 
 
 @_settings

@@ -582,12 +582,15 @@ class TestCommands:
 
 
 class TestFigures:
-    def test_fig6b_runs(self, tmp_path):
-        code = cli.main(["figures", "--figure", "fig6b", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("figure", ["fig6a", "fig6b"])
+    def test_fig6_runs(self, tmp_path, figure):
+        code = cli.main(["figures", "--figure", figure, "--out", str(tmp_path)])
         assert code == cli.EXIT_OK
-        _meta, header, rows = read_csv(tmp_path / "fig6b.csv")
-        finals = [r for r in rows if r[header.index("m")] == "4"]
+        _meta, header, rows = read_csv(tmp_path / f"{figure}.csv")
+        m = [int(r[header.index("m")]) for r in rows]
+        finals = [r for r, size in zip(rows, m) if size == max(m)]
         assert all(float(r[header.index("error")]) < 1e-4 for r in finals)
+        assert {r[header.index("status")] for r in rows} <= {"optimal", "infeasible"}
 
     def test_unknown_figure_rejected(self, tmp_path, capsys):
         code = cli.main(["figures", "--figure", "fig99", "--out", str(tmp_path)])

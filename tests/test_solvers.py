@@ -5,7 +5,7 @@ import pytest
 
 from paulisdp import models, oracle, sdp, solvers
 from paulisdp.base import NotFittedError
-from paulisdp.pauli import PauliString, PauliSum, hermitian_elementary
+from paulisdp.pauli import PauliString, PauliSum, basis_state_projector, hermitian_elementary
 from paulisdp.sdp import SolveStatus, generalized_min_eig
 from paulisdp.solvers import (
     ExcitedStatesSolver,
@@ -500,11 +500,34 @@ class TestLovaszTheta:
         solver = LovaszThetaSolver(mode="direct").fit(models.cycle_graph(5))
         assert abs(solver.theta_ - math.sqrt(5.0)) < 1e-8
 
-    def test_c5_ansatz_with_padding(self):
-        # 5 vertices in 3 qubits: coordinates 5..7 isolated by constraints
-        solver = LovaszThetaSolver(mode="ansatz", seed_state="zero").fit(models.cycle_graph(5))
+    @pytest.mark.parametrize(
+        "n, theta",
+        [
+            (5, math.sqrt(5.0)),
+            (33, 33 * math.cos(math.pi / 33) / (1 + math.cos(math.pi / 33))),
+            (64, 32.0),
+        ],
+        ids=["c5", "c33", "c64"],
+    )
+    def test_cycle_ansatz_with_padding(self, n, theta):
+        # n vertices in ceil(log2 n) qubits: coordinates n.. isolated by constraints;
+        # past 32 vertices ansatz mode is the only mode
+        solver = LovaszThetaSolver(mode="ansatz", seed_state="zero").fit(models.cycle_graph(n))
         assert solver.status_ is SolveStatus.OPTIMAL
-        assert abs(solver.theta_ - math.sqrt(5.0)) < 1e-6
+        assert abs(solver.theta_ - theta) < 1e-6
+
+    @pytest.mark.parametrize(
+        "n, circuit_seed, n_states, theta",
+        [(5, 0, 7, 0.0281287615645), (9, 2, 14, 4.01769097873)],
+    )
+    def test_random_seed_span_wider_than_its_split(self, n, circuit_seed, n_states, theta):
+        # these spans hold states with both vertex and padding parts, which the
+        # padding entries exclude; the fit must still end optimal
+        solver = LovaszThetaSolver(
+            mode="ansatz", seed_state="random", circuit_seed=circuit_seed, n_states=n_states
+        ).fit(models.cycle_graph(n))
+        assert solver.status_ is SolveStatus.OPTIMAL
+        assert abs(solver.theta_ - theta) < 1e-7
 
     def test_edge_addition_monotone(self):
         rng = np.random.default_rng(0)
@@ -536,10 +559,95 @@ class TestLovaszTheta:
             LovaszThetaSolver(mode="ansatz", seed_state="plus").fit(models.cycle_graph(5))
 
 
+def _measured(ansatz, objective, pairs):
+    """The Pauli-expanded overlaps a device would measure on the simulated seed.
+
+    The objective is sum_ij objective[i, j] |i><j|; pair (i, j) names the
+    constraint hermitian_elementary(q, i, j), keyed "i,j".
+    """
+    q = ansatz.n_qubits
+    expanded = PauliSum(q)
+    for (i, j), weight in np.ndenumerate(objective):
+        if weight:
+            expanded = expanded + weight * basis_state_projector(q, i, j)
+    return build_overlaps(
+        ansatz, objective=expanded,
+        constraints={f"{i},{j}": hermitian_elementary(q, i, j) for i, j in pairs},
+    )
+
+
+def _congruence_row(v, i, j):
+    """V^H (e_ij + e_ji) V, or V^H e_ii V on the diagonal."""
+    e = np.zeros((v.shape[0], v.shape[0]))
+    e[i, j] = e[j, i] = 1.0
+    return v.conj().T @ e @ v
+
+
+class TestXStringMap:
+    """Ansatz mode reads V from amplitudes: its rows must be what a device measures."""
+
+    @pytest.mark.parametrize("n_states", [5, 6, 8])
+    @pytest.mark.parametrize("seed_state", ["zero", "random"])
+    def test_lovasz_rows_are_measured_overlaps(self, seed_state, n_states):
+        graph = models.cycle_graph(5)
+        solver = LovaszThetaSolver(
+            mode="ansatz", seed_state=seed_state, circuit_seed=2, n_states=n_states
+        )
+        ansatz, coords, v = solver._x_string_map(graph)
+        program = oracle.lovasz_theta_program(5, graph.edges, v)
+        pairs = [tuple(e) for e in program.matrix_constraint.entries]
+        overlaps = _measured(ansatz, np.ones((5, 5)), pairs)
+
+        def whitened(mat):
+            return coords.conj().T @ mat @ coords
+
+        assert np.max(np.abs(whitened(overlaps.gram) - np.eye(v.shape[1]))) < 1e-12
+        assert np.max(np.abs(whitened(overlaps.objective) - program.objective["x"])) < 1e-12
+        for i, j in pairs:
+            measured = whitened(overlaps.constraints[f"{i},{j}"])
+            assert np.max(np.abs(measured - _congruence_row(v, i, j))) < 1e-12
+
+        solver.fit(graph)
+        if (seed_state, n_states) == ("random", 5):  # two vertex states: no zero-edge mix
+            assert solver.status_ is SolveStatus.INFEASIBLE and solver.beta_ is None
+            return
+        assert solver.status_ is SolveStatus.OPTIMAL
+        beta = solver.beta_
+        assert abs(np.trace(beta @ overlaps.objective).real - solver.theta_) < 1e-7
+        assert abs(np.trace(beta @ overlaps.gram).real - 1.0) < 1e-7
+        for i, j in pairs:
+            assert abs(np.trace(beta @ overlaps.constraints[f"{i},{j}"])) < 1e-7
+
+    @pytest.mark.parametrize("seed_state", ["zero", "random"])
+    def test_xor_unit_diagonal_rows_are_measured_overlaps(self, seed_state):
+        game = models.XorGame.chsh()
+        h = game.h_matrix()
+        solver = XorGameSolver(mode="ansatz", seed_state=seed_state, circuit_seed=2)
+        ansatz, coords, v = solver._x_string_map(game)
+        diagonal = [(i, i) for i in range(4)]
+        overlaps = _measured(ansatz, h, diagonal)
+
+        def whitened(mat):
+            return coords.conj().T @ mat @ coords
+
+        program = oracle.xor_bias_program(h, v)
+        assert np.max(np.abs(whitened(overlaps.objective) - program.objective["z"])) < 1e-12
+        for i, _ in diagonal:
+            measured = whitened(overlaps.constraints[f"{i},{i}"])
+            assert np.max(np.abs(measured - _congruence_row(v, i, i))) < 1e-12
+
+        solver.fit(game)
+        assert solver.status_ is SolveStatus.OPTIMAL
+        assert abs(np.trace(solver.beta_ @ overlaps.objective).real - solver.bias_) < 1e-7
+        for i, _ in diagonal:
+            assert abs(np.trace(solver.beta_ @ overlaps.constraints[f"{i},{i}"]) - 1.0) < 1e-7
+
+
 class TestXorGames:
     def test_chsh_direct(self):
         solver = XorGameSolver(mode="direct").fit(models.XorGame.chsh())
         assert abs(solver.value_ - math.cos(math.pi / 8) ** 2) < 1e-7
+        assert solver.ansatz_ is None and solver.beta_ is None
 
     def test_constant_predicate_always_wins(self):
         game = models.XorGame(pi=((0.25, 0.25), (0.25, 0.25)), f=((0, 0), (0, 0)))
@@ -551,6 +659,8 @@ class TestXorGames:
         solver = XorGameSolver(mode="ansatz", seed_state="zero").fit(models.XorGame.chsh())
         assert solver.status_ is SolveStatus.OPTIMAL
         assert abs(solver.value_ - math.cos(math.pi / 8) ** 2) < 1e-7
+        assert len(solver.ansatz_) == 4 and solver.beta_.shape == (4, 4)
+        assert not hasattr(solver, "overlaps_")
 
     def test_quantum_beats_classical(self):
         game = models.XorGame.chsh()
