@@ -8,7 +8,7 @@ frontends follow the estimator convention: configure in ``__init__``,
 """
 
 from .ansatz import AnsatzSet, OverlapSet, build_overlaps, krylov_ansatz, x_string_ansatz
-from .base import BaseSolver, NotFittedError
+from .base import BaseSolver
 from .models import (
     DiscriminationInstance,
     Graph,
@@ -72,7 +72,6 @@ __all__ = [
     "LargestEigenvalueSolver",
     "LovaszThetaSolver",
     "MatrixConstraint",
-    "NotFittedError",
     "OverlapSet",
     "PauliString",
     "PauliSum",

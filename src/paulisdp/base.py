@@ -12,10 +12,6 @@ from __future__ import annotations
 import inspect
 
 
-class NotFittedError(RuntimeError):
-    """fit() has not been called on this solver."""
-
-
 class BaseSolver:
     """Mixin providing get_params/set_params introspected from __init__."""
 
@@ -41,12 +37,6 @@ class BaseSolver:
                 )
             setattr(self, name, value)
         return self
-
-    def _check_fitted(self, attribute: str) -> None:
-        if not hasattr(self, attribute):
-            raise NotFittedError(
-                f"{type(self).__name__} instance is not fitted yet; call fit() first"
-            )
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

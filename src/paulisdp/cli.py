@@ -497,10 +497,11 @@ def run_excited(cfg: RunConfig) -> int:
 def run_symmetry(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
     settings = _solver_settings(cfg, solvers.SymmetrySectorSolver)
+    solver = solvers.SymmetrySectorSolver(**settings).fit(h)
+    overlaps = solver.overlaps_  # every sector value is solved on one measurement
     rows = []
     for sector in cfg.extra.get("sector_values", [settings["sector_value"]]):
-        settings["sector_value"] = float(sector)
-        solver = solvers.SymmetrySectorSolver(**settings).fit(h)
+        solver.set_params(sector_value=float(sector)).fit_overlaps(overlaps)
         reference = math.nan
         if h.n_qubits <= 10:
             try:
@@ -718,21 +719,20 @@ def _figure_fig3(cfg: RunConfig):
     cases = [("transverse_ising_parity", h_ti, parity, (1.0, -1.0))]
     cases.append(("heisenberg_number", h_he, mag, tuple(float(q) for q in range(-n, n + 1, 2))))
     for label, h, sym, sectors in cases:
-        m_values = sorted(set(np.linspace(2, _n_krylov_strings(h, 2), 8, dtype=int).tolist()))
+        # one measurement per model at the full Krylov size, sliced for each (sector, m)
+        solver = solvers.SymmetrySectorSolver(
+            symmetry=sym, seed_state="random", circuit_seed=1, krylov_order=2
+        ).fit(h)
+        full = solver.overlaps_
+        m_values = sorted(set(np.linspace(2, len(solver.ansatz_), 8, dtype=int).tolist()))
         for sector in sectors:
             try:
                 e0 = oracle.sector_minimum(h, sym, sector)
             except oracle.EmptySectorError:
                 e0 = math.nan
+            solver.set_params(sector_value=sector)
             for m in m_values:
-                solver = solvers.SymmetrySectorSolver(
-                    symmetry=sym,
-                    sector_value=sector,
-                    seed_state="random",
-                    circuit_seed=1,
-                    krylov_order=2,
-                    n_states=m,
-                ).fit(h)
+                solver.fit_overlaps(full.restricted(m))
                 rows.append((label, sector, m, solver.energy_, e0, solver.status_.value))
     return ["model", "sector", "m", "energy", "sector_minimum", "status"], rows
 

@@ -6,7 +6,8 @@ Every solver follows the same contract: keyword-only hyperparameters in
 Gram projection -> SDP and stores trailing-underscore results, returning
 ``self``.  A solver never raises on an infeasible program -- infeasibility
 is a legitimate outcome surfaced in ``status_`` -- but it does raise on
-malformed inputs.
+malformed inputs.  A Krylov fit measures, then solves in the public
+``fit_overlaps(overlaps)``, so sweeps over m or over a sector measure once.
 
 Every Krylov fit goes through one reduced-program layer: ``_whiten`` cuts
 and whitens the Gram matrix once, ``_eigen_levels`` solves and certifies
@@ -191,11 +192,13 @@ def solve_normalized(
 
 @_settings
 class _KrylovSolver(BaseSolver):
-    """Settings of the solvers that measure a Krylov ansatz.
+    """Settings and fit of the solvers that measure a Krylov ansatz.
 
     Seed state, Krylov strings and their ``n_states`` prefix, exact or
     sampled overlaps, and ``rank_tol``, the Gram eigenvalue cut (see
-    ``gram_cut``).  ``_measure`` reads them.
+    ``gram_cut``).  ``_measure`` reads them.  ``fit`` measures and sets
+    ``ansatz_``; ``fit_overlaps(overlaps)`` solves measured overlaps, such as
+    a prefix ``overlaps.restricted(m)``, and sets every other result.
     """
 
     seed_state: str | StateSpec = "plus"
@@ -209,6 +212,18 @@ class _KrylovSolver(BaseSolver):
     sample_seed: int = 0
     rank_tol: float | None = None
 
+    def fit(self, hamiltonian: PauliSum):
+        """Check the settings, measure what the solver needs, then ``fit_overlaps``."""
+        check_hermitian_operator(hamiltonian, "hamiltonian")
+        ansatz, overlaps = self._measure(hamiltonian, self._operators(hamiltonian))
+        self.fit_overlaps(overlaps)
+        self.ansatz_ = ansatz
+        return self
+
+    def _operators(self, hamiltonian: PauliSum) -> dict[str, PauliSum] | None:
+        """The constraint operators to measure besides the objective."""
+        return None
+
     def _measure(
         self,
         hamiltonian: PauliSum,
@@ -219,7 +234,6 @@ class _KrylovSolver(BaseSolver):
 
         A given ``ansatz`` is measured as it is.
         """
-        check_hermitian_operator(hamiltonian, "hamiltonian")
         if ansatz is None:
             seed = resolve_seed_state(
                 self.seed_state,
@@ -260,27 +274,18 @@ class GroundStateSolver(_KrylovSolver):
     _sense = "min"
     _value_name = "energy_"
 
-    def fit(self, hamiltonian: PauliSum) -> "GroundStateSolver":
-        _check_method(self.method)
-        self.ansatz_, self.overlaps_ = self._measure(hamiltonian)
-        value, self.beta_, self.status_, self.solution_, basis = self._solve(
-            self.overlaps_, self._sense
+    def _operators(self, hamiltonian: PauliSum) -> None:
+        _check_method(self.method)  # no constraint operators; a bad method fails unmeasured
+
+    def fit_overlaps(self, overlaps: OverlapSet) -> "GroundStateSolver":
+        value, self.beta_, self.status_, self.solution_, basis = solve_normalized(
+            overlaps, sense=self._sense, method=self.method, rank_tol=self.rank_tol,
+            tol_feas=self.tol_feas, tol_gap=self.tol_gap, max_iter=self.max_iter,
         )
+        self.overlaps_ = overlaps
         self.rank_ = basis.rank
         setattr(self, self._value_name, value)
         return self
-
-    def _solve(self, overlaps: OverlapSet, sense: str):
-        """``solve_normalized`` with this solver's method and tolerances."""
-        return solve_normalized(
-            overlaps,
-            sense=sense,
-            method=self.method,
-            rank_tol=self.rank_tol,
-            tol_feas=self.tol_feas,
-            tol_gap=self.tol_gap,
-            max_iter=self.max_iter,
-        )
 
 
 @_settings
@@ -317,12 +322,10 @@ class ExcitedStatesSolver(_KrylovSolver):
     tol_feas: float = 1e-8
     tol_gap: float = 1e-8
 
-    def fit(self, hamiltonian: PauliSum) -> "ExcitedStatesSolver":
-        ansatz, overlaps = self._measure(hamiltonian)
-        if self.n_excited > len(ansatz) - 1:
-            raise SettingError(
-                f"n_excited={self.n_excited} exceeds ansatz size minus one ({len(ansatz) - 1})"
-            )
+    def fit_overlaps(self, overlaps: OverlapSet) -> "ExcitedStatesSolver":
+        if self.n_excited > overlaps.n_states - 1:
+            raise SettingError(f"n_excited={self.n_excited} exceeds ansatz size minus one "
+                               f"({overlaps.n_states - 1})")
         basis, d_tilde = _whiten(overlaps, self.rank_tol)
         levels, vectors = _eigen_levels(
             d_tilde, "min", self.n_excited + 1, self.tol_feas, self.tol_gap
@@ -332,7 +335,6 @@ class ExcitedStatesSolver(_KrylovSolver):
         if len(optimal) == len(levels) <= self.n_excited:  # out of levels at the Gram rank
             statuses.append(SolveStatus.INFEASIBLE)
 
-        self.ansatz_ = ansatz
         self.overlaps_ = overlaps
         self.rank_ = basis.rank
         self.energies_ = [sol.objective_value for sol in optimal]
@@ -385,17 +387,18 @@ class SymmetrySectorSolver(_KrylovSolver):
             return models.magnetization(hamiltonian.n_qubits)
         raise SettingError(f"unknown symmetry {self.symmetry!r}")
 
-    def fit(self, hamiltonian: PauliSum) -> "SymmetrySectorSolver":
-        check_hermitian_operator(hamiltonian, "hamiltonian")
+    def _operators(self, hamiltonian: PauliSum) -> dict[str, PauliSum]:
         symmetry = check_hermitian_operator(self._resolve_symmetry(hamiltonian), "symmetry")
         if not symmetry.commutes_with(hamiltonian):
             raise SettingError("symmetry operator does not commute with the Hamiltonian")
-        ansatz, overlaps = self._measure(
-            hamiltonian, {"symmetry": symmetry, "symmetry_sq": symmetry * symmetry}
-        )
+        return {"symmetry": symmetry, "symmetry_sq": symmetry * symmetry}
+
+    def fit_overlaps(self, overlaps: OverlapSet) -> "SymmetrySectorSolver":
+        for name in ("symmetry", "symmetry_sq"):
+            if name not in overlaps.constraints:
+                raise ValueError(f"sector overlaps need the {name!r} matrix")
         s_k = float(self.sector_value)
         basis, d_tilde = _whiten(overlaps, self.rank_tol)
-        self.ansatz_ = ansatz
         self.overlaps_ = overlaps
         self.rank_ = basis.rank
         self.energy_ = math.nan
@@ -760,22 +763,24 @@ def energy_sweep(hamiltonian: PauliSum, seed_state, krylov_order: int, m_values,
                  sense: str = "min", **settings):
     """Normalized-program values over an ansatz-size sweep.
 
-    ``settings`` are the other ``GroundStateSolver`` settings (``layers``,
-    ``mode``, ``shots``, ``rank_tol``, the tolerances, ``method`` and so on)
-    with that class's defaults; an unknown name raises ``TypeError``.
-    Overlaps are measured once at the largest requested size and sliced,
-    which is how nested prefix sets behave on a device.  Returns a list of
-    (m, value, status_name, dual_residual) rows ordered by m, the dual
-    residual being that of the solution's certificate.
+    ``settings`` are the other ``GroundStateSolver`` (``sense="max"``:
+    ``LargestEigenvalueSolver``) settings, such as ``layers``, ``mode``,
+    ``rank_tol`` or ``method``, with that class's defaults; an unknown name
+    raises ``TypeError``.  One ``fit`` measures at the largest requested size
+    and ``fit_overlaps`` solves each prefix slice, which is how nested prefix
+    sets behave on a device.  Returns (m, value, status_name, dual_residual)
+    rows ordered by m, the dual residual being that of the solution's
+    certificate.
     """
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
     m_values = sorted({int(m) for m in m_values})
-    solver = GroundStateSolver(
+    solver = (GroundStateSolver if sense == "min" else LargestEigenvalueSolver)(
         seed_state=seed_state, krylov_order=krylov_order, n_states=max(m_values), **settings
     )
-    _check_method(solver.method)
-    _ansatz, full = solver._measure(hamiltonian)
+    full = solver.fit(hamiltonian).overlaps_
     rows = []
     for m in m_values:
-        value, _beta, status, solution, _basis = solver._solve(full.restricted(m), sense)
-        rows.append((m, value, status.value, solution.dual_residual))
+        solution = solver.fit_overlaps(full.restricted(m)).solution_
+        rows.append((m, solution.objective_value, solution.status.value, solution.dual_residual))
     return rows

@@ -8,6 +8,14 @@ from paulisdp.solvers import GroundStateSolver, RankOneReducer, XorGameSolver, e
 from paulisdp.states import PlusState
 
 
+def count_measurements(monkeypatch):
+    """Record every overlap measurement a solver makes."""
+    calls = []
+    real = solvers.build_overlaps
+    monkeypatch.setattr(solvers, "build_overlaps", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
 def read_csv(path):
     meta = []
     with open(path) as fh:
@@ -435,19 +443,21 @@ class TestCommands:
         _meta, header, rows = read_csv(out)
         assert rows[0][header.index("status")] == "infeasible"
 
-    def test_symmetry_sector_values(self, tmp_path):
+    def test_symmetry_sector_values(self, tmp_path, monkeypatch):
+        calls = count_measurements(monkeypatch)
         out = tmp_path / "sym.csv"
         code = cli.main(
             [
                 "symmetry", "--model", "heisenberg", "--n", "4",
-                "--symmetry", "magnetization", "--sectors", "0,2",
+                "--symmetry", "magnetization", "--sectors", "0,2,4",
                 "--seed-state", "random", "--circuit-seed", "5",
                 "--krylov-order", "3", "--out", str(out),
             ]
         )
         assert code == cli.EXIT_OK
+        assert len(calls) == 1  # every sector is solved on one measurement
         _meta, header, rows = read_csv(out)
-        assert len(rows) == 2
+        assert [r[header.index("sector")] for r in rows] == ["0", "2", "4"]
         for row in rows:
             energy = float(row[header.index("energy")])
             reference = float(row[header.index("sector_minimum")])
@@ -591,6 +601,23 @@ class TestFigures:
         finals = [r for r, size in zip(rows, m) if size == max(m)]
         assert all(float(r[header.index("error")]) < 1e-4 for r in finals)
         assert {r[header.index("status")] for r in rows} <= {"optimal", "infeasible"}
+
+    def test_fig3_measures_once_per_model(self, tmp_path, monkeypatch):
+        calls = count_measurements(monkeypatch)
+        code = cli.main(["figures", "--figure", "fig3", "--max-qubits", "4", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert len(calls) == 2
+        _meta, header, rows = read_csv(tmp_path / "fig3.csv")
+        assert {r[header.index("status")] for r in rows} <= {"optimal", "infeasible"}
+        last = {}
+        for r in rows:
+            last[r[header.index("model")], r[header.index("sector")]] = r
+            if r[header.index("status")] == "optimal":
+                energy, reference = (float(r[header.index(k)]) for k in ("energy", "sector_minimum"))
+                assert energy >= reference - 1e-8
+        for r in last.values():  # the full Krylov size reaches every sector minimum
+            energy, reference = (float(r[header.index(k)]) for k in ("energy", "sector_minimum"))
+            assert abs(energy - reference) < 1e-6
 
     def test_unknown_figure_rejected(self, tmp_path, capsys):
         code = cli.main(["figures", "--figure", "fig99", "--out", str(tmp_path)])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from paulisdp import models, oracle, sdp, solvers
-from paulisdp.base import NotFittedError
 from paulisdp.pauli import PauliString, PauliSum, basis_state_projector, hermitian_elementary
 from paulisdp.sdp import SolveStatus, generalized_min_eig
 from paulisdp.solvers import (
@@ -22,7 +21,7 @@ from paulisdp.solvers import (
     solve_normalized,
     two_state_discrimination_instance,
 )
-from paulisdp.ansatz import build_overlaps, krylov_ansatz
+from paulisdp.ansatz import OverlapSet, build_overlaps, krylov_ansatz
 from paulisdp.states import HardwareEfficientCircuit, PlusState, ZeroState, prepare
 
 
@@ -85,11 +84,6 @@ class TestEstimatorApi:
         h = models.ising_hamiltonian(3)
         solver = GroundStateSolver(seed_state="plus", krylov_order=1)
         assert solver.fit(h) is solver
-
-    def test_not_fitted_helper(self):
-        solver = GroundStateSolver()
-        with pytest.raises(NotFittedError):
-            solver._check_fitted("energy_")
 
 
 class TestGroundState:
@@ -165,6 +159,8 @@ class TestGroundState:
             solver_class(method="eigh").fit(h)
         with pytest.raises(ValueError, match="method must be"):
             energy_sweep(h, "plus", 1, [2], method="eigh")
+        with pytest.raises(ValueError, match="sense must be"):
+            energy_sweep(h, "plus", 1, [2], sense="maximum")
 
 
 class TestLargestEigenvalue:
@@ -395,6 +391,85 @@ class TestSymmetrySector:
             assert solver.status_ is SolveStatus.NUMERICAL_FAILURE and not solver.feasible_
             assert sol.primal_residual == pytest.approx(offset / 2.0, rel=1e-6)
             assert math.isnan(solver.energy_) and solver.beta_ is None
+
+
+def _same(a, b) -> bool:
+    """Bit-for-bit equality of results, None and NaN included."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _same_solution(a, b) -> bool:
+    return a.status is b.status and all(
+        _same(getattr(a, k), getattr(b, k))
+        for k in ("objective_value", "primal_residual", "dual_residual", "gap")
+    )
+
+
+class TestFitOverlaps:
+    """Solving a prefix slice of one measurement is a fresh fit at that size, bit for bit."""
+
+    _SEAM_CASES = [
+        (GroundStateSolver, dict(seed_state="random", krylov_order=2),
+         models.ising_hamiltonian(4, 1.0, 1.0), (1, 7, 20)),
+        (LargestEigenvalueSolver, dict(seed_state="zero", krylov_order=2),
+         models.random_pauli_operator(5, 6, seed=0), (1, 9, 22)),
+        (ExcitedStatesSolver, dict(n_excited=2, seed_state="random", krylov_order=2),
+         models.heisenberg_hamiltonian(4), (3, 12, 30)),
+        (SymmetrySectorSolver, dict(sector_value=0.0, circuit_seed=5, krylov_order=3),
+         models.heisenberg_hamiltonian(4), (2, 18, 40)),
+        (SymmetrySectorSolver, dict(symmetry="parity", sector_value=-1.0, krylov_order=2),
+         models.ising_hamiltonian(4, g=0.0, h=1.0), (2, 11, 20)),
+    ]
+
+    @staticmethod
+    def _results(solver) -> dict:
+        if isinstance(solver, ExcitedStatesSolver):
+            return {"energies_": solver.energies_, "betas_": solver.betas_,
+                    "statuses_": solver.statuses_, "rank_": solver.rank_,
+                    "orthogonality_residuals_": solver.orthogonality_residuals_}
+        results = {"beta_": solver.beta_, "status_": solver.status_, "rank_": solver.rank_,
+                   "value": solver.solution_.objective_value}
+        if isinstance(solver, SymmetrySectorSolver):
+            results.update(energy_=solver.energy_, feasible_=solver.feasible_)
+        else:
+            results[solver._value_name] = getattr(solver, solver._value_name)
+        return results
+
+    @pytest.mark.parametrize("mode", ["exact", "shots"])
+    @pytest.mark.parametrize("solver_class, settings, hamiltonian, sizes", _SEAM_CASES)
+    def test_prefix_slices_match_fresh_fits(self, mode, solver_class, settings, hamiltonian,
+                                            sizes):
+        settings = dict(settings, mode=mode, shots=10**4, sample_seed=3)
+        full = solver_class(**settings, n_states=max(sizes)).fit(hamiltonian)
+        ansatz, overlaps = full.ansatz_, full.overlaps_
+        for m in sizes:
+            fresh = solver_class(**settings, n_states=m).fit(hamiltonian)
+            sliced = full.fit_overlaps(overlaps.restricted(m))
+            assert sliced is full and sliced.ansatz_ is ansatz
+            assert np.array_equal(sliced.overlaps_.gram, fresh.overlaps_.gram)
+            want, got = self._results(fresh), self._results(sliced)
+            assert want.keys() == got.keys()
+            for key, value in want.items():
+                if key in ("status_", "statuses_", "feasible_", "rank_"):
+                    assert got[key] == value, key
+                elif key in ("energies_", "betas_"):
+                    assert len(got[key]) == len(value) and all(map(_same, got[key], value)), key
+                else:
+                    assert _same(got[key], value), key
+            if not isinstance(full, ExcitedStatesSolver):
+                assert _same_solution(sliced.solution_, fresh.solution_)
+
+    def test_sector_overlaps_must_hold_the_symmetry_matrices(self):
+        h = models.heisenberg_hamiltonian(4)
+        plain = GroundStateSolver(seed_state="random", krylov_order=1).fit(h).overlaps_
+        solver = SymmetrySectorSolver()
+        with pytest.raises(ValueError, match="'symmetry' matrix"):
+            solver.fit_overlaps(plain)
+        half = OverlapSet(plain.gram, plain.objective, {"symmetry": plain.gram})
+        with pytest.raises(ValueError, match="'symmetry_sq' matrix"):
+            solver.fit_overlaps(half)
 
 
 class TestReducedProgram:
