@@ -4,8 +4,11 @@ The ansatz is a seed state |psi> expanded by M phase-free Pauli strings,
 identity first.  Every overlap entry <psi_a| Op |psi_b> reduces, through
 the closed Pauli algebra, to a single phase-tagged string s_a u s_b on
 the seed state.  :func:`build_overlaps` forms them for blocks of entries
-with one vectorized product, deduplicates once per call across all its
-matrices and evaluates each distinct string once, as a device would.
+with one vectorized product as x/z word arrays, keys each reduced string
+by one integer (its bytes above 32 qubits), and evaluates the strings not
+yet seen in the call in one batch backend call: each distinct string is
+measured once per call, as a device would, and no ``PauliString`` is built
+for it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, SettingError, multiply_words
+from .pauli import PauliString, PauliSum, SettingError, multiply_words, word_codes
 from .states import StateSpec, prepare
 
 
@@ -103,12 +106,10 @@ def x_string_ansatz(n_qubits: int, seed: StateSpec) -> AnsatzSet:
     These keep real seed states real, which is what the graph and game
     reductions need.
     """
-    entries = []
-    for mask in range(1 << n_qubits):
-        codes = np.array(
-            [(mask >> (n_qubits - 1 - j)) & 1 for j in range(n_qubits)], dtype=np.uint8
-        )
-        entries.append(PauliString(codes))
+    entries = [
+        PauliString.from_words(*np.array([[mask], [0]], dtype=np.uint64), n_qubits)
+        for mask in range(1 << n_qubits)
+    ]
     entries.sort(key=lambda s: (s.weight, s.packed))
     return AnsatzSet(
         seed=seed,
@@ -173,6 +174,13 @@ class OverlapSet:
 _BLOCK_WORDS = 1 << 17
 
 
+def _string_keys(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
+    """One sortable key per row of x and z words: x << n | z to 32 qubits, else the row's bytes."""
+    if n_qubits <= 32:
+        return x[:, 0] << np.uint64(n_qubits) | z[:, 0]
+    return np.concatenate([x, z], axis=1).view(np.dtype((np.void, 16 * x.shape[1]))).ravel()
+
+
 def build_overlaps(
     ansatz: AnsatzSet,
     objective: PauliSum | None = None,
@@ -199,19 +207,35 @@ def build_overlaps(
     sx, sz = _stacked_words(ansatz.strings, n)
     width = sx.shape[1]
     block = max(1, _BLOCK_WORDS // (m * width))
-    measured: dict[bytes, float] = {}  # distinct reduced strings of this call
+    seed_bytes = sample_seed.to_bytes(8, "little", signed=True)
+    # distinct reduced strings of this call, sorted by key, and their values
+    seen_keys, seen_values = _string_keys(sx[:0], sz[:0], n), np.empty(0)
 
-    def value(row: np.ndarray) -> float:
-        key = row.tobytes()
-        if key not in measured:
-            string = PauliString.from_words(*row.reshape(2, -1), n)
-            if shots is None:
-                measured[key] = float(state.expectation(string).real)
-            else:
-                seed_key = string.codes.tobytes() + sample_seed.to_bytes(8, "little", signed=True)
-                seed = int.from_bytes(hashlib.blake2b(seed_key, digest_size=8).digest(), "little")
-                measured[key] = state.sampled_expectation(string, shots, seed=seed)
-        return measured[key]
+    def measure(x, z):
+        if shots is None:
+            return state.expectations(x, z).real
+        digests = (
+            hashlib.blake2b(codes.tobytes() + seed_bytes, digest_size=8).digest()
+            for codes in word_codes(x, z, n)
+        )
+        seeds = [int.from_bytes(d, "little") for d in digests]
+        return state.sampled_expectations(x, z, shots, seeds)
+
+    def values(x, z):
+        """Value of each row's string; only strings this call has not seen are measured."""
+        nonlocal seen_keys, seen_values
+        keys, inverse = np.unique(_string_keys(x, z, n), return_inverse=True)
+        first = np.empty(keys.size, dtype=np.intp)
+        first[inverse] = np.arange(inverse.size)  # a row holding each distinct key
+        at = np.searchsorted(seen_keys, keys)
+        new = at == seen_keys.size
+        new[~new] = seen_keys[at[~new]] != keys[~new]
+        vals = np.empty(keys.size)
+        vals[~new] = seen_values[at[~new]]
+        vals[new] = measure(x[first[new]], z[first[new]])
+        seen_keys = np.insert(seen_keys, at[new], keys[new])
+        seen_values = np.insert(seen_values, at[new], vals[new])
+        return vals[inverse]
 
     def matrix_for(op: PauliSum | None) -> np.ndarray:
         out = np.zeros((m, m), dtype=complex)
@@ -222,10 +246,7 @@ def build_overlaps(
                 rows = slice(a, a + block)
                 x, z, exps = multiply_words(left_x[rows, None], left_z[rows, None], sx, sz)
                 exps = (exps + left_exp[rows, None]) & 3
-                reduced = np.concatenate([x, z], axis=-1).reshape(-1, 2 * width)
-                rows_as_bytes = reduced.view(np.dtype((np.void, 16 * width))).ravel()
-                _, first, inverse = np.unique(rows_as_bytes, return_index=True, return_inverse=True)
-                vals = np.array([value(reduced[i]) for i in first])[inverse].reshape(exps.shape)
+                vals = values(x.reshape(-1, width), z.reshape(-1, width)).reshape(exps.shape)
                 out[rows] += coeff * (1j ** exps) * vals
         return (out + out.conj().T) / 2.0
 

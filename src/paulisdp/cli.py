@@ -380,8 +380,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _statuses_exit_code(statuses) -> int:
-    statuses = list(statuses)
+def _write_result(cfg: RunConfig, header: list[str], rows: list[tuple]) -> int:
+    """Write a command's CSV; the exit code follows its ``status`` column."""
+    write_csv(cfg.output or "-", cfg, header, rows)
+    statuses = [row[header.index("status")] for row in rows]
     if all(s == SolveStatus.INFEASIBLE.value for s in statuses):
         return EXIT_INFEASIBLE
     if any(s == SolveStatus.NUMERICAL_FAILURE.value for s in statuses):
@@ -472,13 +474,8 @@ def _run_eig(cfg: RunConfig, sense: str, value_name: str) -> int:
     for m, value, status, dual in results:
         delta = abs(value - reference) if not math.isnan(reference) else math.nan
         rows.append((m, value, delta, dual, status))
-    write_csv(
-        cfg.output or "-",
-        cfg,
-        ["m", value_name, f"delta_{value_name}", "dual_residual", "status"],
-        rows,
-    )
-    return _statuses_exit_code(r[4] for r in rows)
+    return _write_result(cfg, ["m", value_name, f"delta_{value_name}", "dual_residual", "status"],
+                         rows)
 
 
 def run_excited(cfg: RunConfig) -> int:
@@ -490,8 +487,7 @@ def run_excited(cfg: RunConfig) -> int:
     for level, status in enumerate(solver.statuses_):
         energy = solver.energies_[level] if level < len(solver.energies_) else math.nan
         rows.append((level, energy, max_residual, status.value))
-    write_csv(cfg.output or "-", cfg, ["level", "energy", "max_ortho_residual", "status"], rows)
-    return _statuses_exit_code(r[3] for r in rows)
+    return _write_result(cfg, ["level", "energy", "max_ortho_residual", "status"], rows)
 
 
 def run_symmetry(cfg: RunConfig) -> int:
@@ -512,13 +508,7 @@ def run_symmetry(cfg: RunConfig) -> int:
                 reference = math.nan
         rows.append((sector, len(solver.ansatz_), solver.energy_, reference,
                      solver.status_.value))
-    write_csv(
-        cfg.output or "-",
-        cfg,
-        ["sector", "m", "energy", "sector_minimum", "status"],
-        rows,
-    )
-    return _statuses_exit_code(r[4] for r in rows)
+    return _write_result(cfg, ["sector", "m", "energy", "sector_minimum", "status"], rows)
 
 
 def run_discriminate(cfg: RunConfig) -> int:
@@ -534,25 +524,10 @@ def run_discriminate(cfg: RunConfig) -> int:
         )
         disc = solvers.UnambiguousDiscriminator(**settings).fit(instance)
         mean_error = float(disc.error_rates_.mean()) if disc.error_rates_ is not None else math.nan
-        rows.append(
-            (
-                float(angle),
-                eps,
-                disc.q_correct_,
-                1.0 - math.cos(float(angle)),
-                disc.q_unknown_,
-                mean_error,
-                disc.status_.value,
-            )
-        )
-    write_csv(
-        cfg.output or "-",
-        cfg,
-        ["angle", "error_budget", "q_correct", "q_correct_pure_optimum", "q_unknown",
-         "mean_error", "status"],
-        rows,
-    )
-    return _statuses_exit_code(r[6] for r in rows)
+        rows.append((float(angle), eps, disc.q_correct_, 1.0 - math.cos(float(angle)),
+                     disc.q_unknown_, mean_error, disc.status_.value))
+    return _write_result(cfg, ["angle", "error_budget", "q_correct", "q_correct_pure_optimum",
+                               "q_unknown", "mean_error", "status"], rows)
 
 
 def _load_graph(spec: dict) -> models.Graph:
@@ -599,8 +574,7 @@ def run_lovasz(cfg: RunConfig) -> int:
             raise ConfigError(errors)
     fits = _x_string_fits(cfg, solvers.LovaszThetaSolver, graph, graph.n_vertices)
     rows = [(m, graph.n_vertices, s.theta_, s.status_.value) for m, s in fits]
-    write_csv(cfg.output or "-", cfg, ["m", "n_vertices", "theta", "status"], rows)
-    return _statuses_exit_code(r[3] for r in rows)
+    return _write_result(cfg, ["m", "n_vertices", "theta", "status"], rows)
 
 
 def run_xor(cfg: RunConfig) -> int:
@@ -608,22 +582,14 @@ def run_xor(cfg: RunConfig) -> int:
     fits = _x_string_fits(cfg, solvers.XorGameSolver, game, game.h_matrix().shape[0])
     classical = oracle.classical_xor_value(game.pi, game.f)
     rows = [(m, s.bias_, s.value_, s.status_.value, classical) for m, s in fits]
-    write_csv(cfg.output or "-", cfg, ["m", "bias", "value", "status", "classical_value"], rows)
-    return _statuses_exit_code(r[3] for r in rows)
+    return _write_result(cfg, ["m", "bias", "value", "status", "classical_value"], rows)
 
 
 def run_rank1(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
     reducer = solvers.RankOneReducer(**_solver_settings(cfg, solvers.RankOneReducer)).fit(h)
     value = reducer.value_ if reducer.value_ is not None else math.nan
-    rows = [
-        (
-            len(reducer.ansatz_),
-            len(reducer.constraint_matrices_),
-            reducer.solvable_,
-            value,
-        )
-    ]
+    rows = [(len(reducer.ansatz_), len(reducer.constraint_matrices_), reducer.solvable_, value)]
     write_csv(cfg.output or "-", cfg, ["m", "n_constraints", "solvable", "value"], rows)
     return EXIT_OK
 
@@ -665,28 +631,12 @@ def _figure_scaling(cfg: RunConfig, variants):
             for t in t_grid:
                 seed = QuantumAnnealingState(layers=layers, total_time=float(t), hz=hz, hx=hx)
                 state = prepare(seed, n)
-                e_qa = float(
-                    sum(
-                        (coeff * state.expectation(string)).real
-                        for coeff, string in h.terms()
-                    )
-                )
-                delta_qa = e_qa - exact
+                e_qa = sum((coeff * state.expectation(string)).real for coeff, string in h.terms())
+                delta_qa = float(e_qa) - exact
                 for m, value, status, _dual in solvers.energy_sweep(h, seed, 1, m_values):
                     delta_nse = max(value - exact, 1e-16)
-                    rows.append(
-                        (
-                            label,
-                            n,
-                            float(t),
-                            m,
-                            m / (3.0 * n),
-                            delta_qa,
-                            delta_nse,
-                            delta_qa / delta_nse,
-                            status,
-                        )
-                    )
+                    rows.append((label, n, float(t), m, m / (3.0 * n), delta_qa, delta_nse,
+                                 delta_qa / delta_nse, status))
     return (
         ["variant", "n", "t", "m", "m_star", "delta_qa", "delta_nse", "ratio", "status"],
         rows,
@@ -764,16 +714,8 @@ def _figure_fig5(cfg: RunConfig):
                 angle=float(angle), n_qubits=5, n_strings=10, seed=1, error_budget=eps
             )
             disc = solvers.UnambiguousDiscriminator(error_budget=eps).fit(instance)
-            rows.append(
-                (
-                    float(angle),
-                    eps,
-                    disc.q_correct_,
-                    disc.q_unknown_,
-                    1.0 - math.cos(float(angle)),
-                    disc.status_.value,
-                )
-            )
+            rows.append((float(angle), eps, disc.q_correct_, disc.q_unknown_,
+                         1.0 - math.cos(float(angle)), disc.status_.value))
     return ["angle", "error_budget", "q_correct", "q_unknown", "pure_optimum", "status"], rows
 
 

@@ -94,6 +94,13 @@ def multiply_words(x1, z1, x2, z2):
     return x3, z3, exp & 3
 
 
+def word_codes(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Letter codes, shape (strings, n_qubits), of strings held as rows of x and z words."""
+    words = np.concatenate((x, z), axis=-1).view(np.uint8).reshape(-1, 2, 8 * x.shape[-1])
+    bits = np.unpackbits(words, axis=-1, count=n_qubits, bitorder="little")[..., ::-1]
+    return bits[:, 0] ^ (3 * bits[:, 1])
+
+
 class PauliString:
     """Immutable n-qubit Pauli string with an exact unit phase."""
 
@@ -120,11 +127,7 @@ class PauliString:
     @classmethod
     def from_words(cls, x, z, n_qubits: int, phase_power: int = 0) -> "PauliString":
         """String with the given x/z words (the layout of ``.x`` and ``.z``)."""
-        bits = np.unpackbits(
-            np.concatenate((x, z)).view(np.uint8).reshape(2, -1), axis=-1, count=n_qubits,
-            bitorder="little",
-        )
-        return cls(bits[0, ::-1] ^ (3 * bits[1, ::-1]), phase_power)
+        return cls(word_codes(x, z, n_qubits)[0], phase_power)
 
     @classmethod
     def from_label(cls, label: str, phase_power: int = 0) -> "PauliString":
@@ -406,25 +409,12 @@ def basis_state_projector(n_qubits: int, row: int, col: int) -> PauliSum:
     dim = 1 << n_qubits
     if not (0 <= row < dim and 0 <= col < dim):
         raise ValueError("basis indices out of range")
-    flip = row ^ col
-    flip_bits = [(flip >> (n_qubits - 1 - j)) & 1 for j in range(n_qubits)]
+    x = row ^ col  # X or Y where the bit flips, I or Z elsewhere; each z mask picks Y and Z
     terms = []
-    # Free choice per site: {I or Z} where flip bit is 0, {X or Y} where it is 1.
-    for choice in range(dim):
-        codes = np.zeros(n_qubits, dtype=np.uint8)
-        n_y = 0
-        for j in range(n_qubits):
-            pick = (choice >> (n_qubits - 1 - j)) & 1
-            if flip_bits[j]:
-                codes[j] = 2 if pick else 1
-                n_y += pick
-            else:
-                codes[j] = 3 if pick else 0
-        string = PauliString(codes)
-        _, zy_mask = string.masks()
-        # P|row> = i^{n_y} * (-1)^{popcount(row & zy_mask)} |row ^ flip>
-        sign_row = -1.0 if (np.bitwise_count(np.uint64(row & zy_mask)) & 1) else 1.0
-        amp = _PHASES[n_y & 3] * sign_row  # <col|P|row>
+    for z in range(dim):
+        string = PauliString.from_words(*np.array([[x], [z]], dtype=np.uint64), n_qubits)
+        # <col|P|row> = i^{n_y} (-1)^{popcount(row & z)}, with n_y = popcount(x & z)
+        amp = _PHASES[(x & z).bit_count() & 3] * (-1.0 if (row & z).bit_count() & 1 else 1.0)
         terms.append((amp / dim, string))
     return PauliSum(n_qubits, terms)
 

@@ -467,7 +467,8 @@ class _IpmCore:
             for jitter in (0.0, 1e-14, 1e-10, 1e-7):
                 try:
                     shift = jitter * (1.0 + float(np.trace(schur)) / self.m)
-                    schur_f = scipy.linalg.cho_factor(schur + shift * np.eye(self.m))
+                    schur_f = scipy.linalg.cho_factor(schur + shift * np.eye(self.m),
+                                                      check_finite=False)
                     break
                 except np.linalg.LinAlgError:
                     continue
@@ -475,10 +476,11 @@ class _IpmCore:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
 
+            # schur is finite (checked above); a non-finite rhs fails in _max_step
             def solve_schur(rhs):
-                dy = scipy.linalg.cho_solve(schur_f, rhs)
+                dy = scipy.linalg.cho_solve(schur_f, rhs, check_finite=False)
                 # one step of iterative refinement keeps feasibility tight
-                dy += scipy.linalg.cho_solve(schur_f, rhs - schur @ dy)
+                dy += scipy.linalg.cho_solve(schur_f, rhs - schur @ dy, check_finite=False)
                 return dy
 
             def directions(r3s):
@@ -625,11 +627,11 @@ def solve(
     """Solve the SDP; returns a certified status rather than raising on infeasibility."""
     c_blocks, all_rows, b, sign = _build_data(problem)
 
-    # presolve: an identically-zero row is either vacuous or a contradiction
-    # (a ``<=`` row is never zero: it holds its slack entry)
+    # presolve: a row below 1e-12 of the largest row norm is zero up to rounding, so it
+    # is either vacuous or a contradiction (a ``<=`` row holds its slack entry)
     m_all = b.size
     row_norms = all_rows.row_norms()
-    keep = row_norms > 1e-14
+    keep = row_norms > 1e-12 * row_norms.max(initial=0.0)
     if np.any(np.abs(b[~keep]) > tol_feas * (1.0 + np.abs(b[~keep]))):
         return SdpSolution(status=SolveStatus.INFEASIBLE, primal_residual=math.inf)
     if not np.any(keep):

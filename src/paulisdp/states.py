@@ -8,10 +8,16 @@ Two backends realize a prepared state:
   evaluates Pauli expectations in O(n), which is what makes the
   1000-qubit largest-eigenvalue runs possible.
 
+Each backend evaluates a batch of phase-free strings, given as rows of x
+and z words (the layout of ``PauliString.x`` and ``.z``), in one call:
+``expectations(x, z)``, of which ``expectation(p)`` is the one-row case.
+
 Shot sampling measures a Hermitian string's parity ``shots`` times.  Both
 backends draw the odd-parity count in one binomial draw from the exact
 parity probability, which is the law of simulating every shot, so a
 sampled expectation costs one exact expectation whatever the shot count.
+``sampled_expectations(x, z, shots, seeds)`` draws once per string, from
+its own seed; ``sampled_expectation(p, shots, seed)`` is its one-row case.
 
 Bit convention matches :mod:`paulisdp.pauli`: qubit 0 is the most
 significant bit of a basis index.
@@ -24,11 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
+    _PHASES,
     DENSE_QUBIT_CAP,
     DenseLimitError,
     DimensionMismatchError,
     PauliString,
     PauliSum,
+    word_codes,
 )
 
 # ---------------------------------------------------------------------------
@@ -96,6 +104,46 @@ StateSpec = ZeroState | PlusState | HardwareEfficientCircuit | QuantumAnnealingS
 # backends
 
 
+# Amplitudes (dense) or sites (product) per chunk of a batch evaluation: temporaries stay ~1 MB.
+_CHUNK = 1 << 14
+_PHASE_VALUES = np.array(_PHASES)
+
+
+def _expectation(state, p: PauliString) -> complex:
+    """<psi|p|psi>: the one-row case of ``state.expectations``, times p's phase."""
+    if p.n_qubits != state.n_qubits:
+        raise DimensionMismatchError("string and state qubit counts differ")
+    return p.phase * complex(state.expectations(p.x[None], p.z[None])[0])
+
+
+def _sampled_expectations(state, x: np.ndarray, z: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Mean of ``shots`` parity outcomes of each phase-free string, drawn from its own seed.
+
+    The odd-parity count of ``shots`` measurements is Binomial(shots, p_odd)
+    with p_odd = (1 - <P>)/2, so one draw from the exact expectation has the
+    law of simulating every shot, at no cost in shots.  The identity reads 1
+    without a draw.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    out = np.ones(len(x))
+    drawn = np.flatnonzero(x.any(axis=-1) | z.any(axis=-1))
+    p_odd = np.clip((1.0 - state.expectations(x[drawn], z[drawn]).real) / 2.0, 0.0, 1.0)
+    odd = [np.random.default_rng(seeds[i]).binomial(shots, p) for i, p in zip(drawn, p_odd)]
+    out[drawn] = 1.0 - 2.0 * np.array(odd, dtype=float) / shots
+    return out
+
+
+def _sampled_expectation(state, p: PauliString, shots: int, seed: int) -> float:
+    """One-row case of ``state.sampled_expectations`` for a Hermitian string, times its sign."""
+    if p.n_qubits != state.n_qubits:
+        raise DimensionMismatchError("string and state qubit counts differ")
+    if not p.is_hermitian:
+        raise ValueError("sampled expectation requires a Hermitian string (phase +/-1)")
+    sampled = state.sampled_expectations(p.x[None], p.z[None], shots, [seed])
+    return float(p.phase.real) * float(sampled[0])
+
+
 class ProductState:
     """Tensor product of single-qubit states; expectations in O(n)."""
 
@@ -121,14 +169,19 @@ class ProductState:
             axis=1,
         )
 
-    def expectation(self, p: PauliString) -> complex:
-        if p.n_qubits != self.n_qubits:
-            raise DimensionMismatchError("string and state qubit counts differ")
-        vals = self._site_values[np.arange(self.n_qubits), p.codes]
-        return p.phase * float(np.prod(vals))
+    def expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Real <P> of each phase-free string P given as rows of x and z words."""
+        sites = np.arange(self.n_qubits)
+        step = max(1, _CHUNK // self.n_qubits)
+        out = np.empty(len(x))
+        for lo in range(0, len(x), step):
+            codes = word_codes(x[lo : lo + step], z[lo : lo + step], self.n_qubits)
+            out[lo : lo + step] = np.prod(self._site_values[sites, codes], axis=1)
+        return out
 
-    def sampled_expectation(self, p: PauliString, shots: int, seed: int) -> float:
-        return _sampled_expectation(self, p, shots, seed)
+    expectation = _expectation
+    sampled_expectations = _sampled_expectations
+    sampled_expectation = _sampled_expectation
 
     def to_dense(self) -> "DenseState":
         if self.n_qubits > DENSE_QUBIT_CAP:
@@ -152,41 +205,29 @@ class DenseState:
         self.amplitudes = amplitudes / norm
         self.n_qubits = int(np.log2(amplitudes.size))
 
-    def expectation(self, p: PauliString) -> complex:
-        if p.n_qubits != self.n_qubits:
-            raise DimensionMismatchError("string and state qubit counts differ")
-        return complex(np.vdot(self.amplitudes, p.apply(self.amplitudes)))
+    def expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """<psi|P|psi> of each phase-free string P given as rows of x and z words.
 
-    def sampled_expectation(self, p: PauliString, shots: int, seed: int) -> float:
-        return _sampled_expectation(self, p, shots, seed)
+        Row by row, P|psi> is built as ``PauliString.apply`` builds it and takes one ``np.vdot``.
+        """
+        psi = self.amplitudes
+        cols = np.arange(psi.size, dtype=np.uint64)
+        phases = _PHASE_VALUES[np.bitwise_count(x & z).sum(axis=-1) & 3]
+        step = max(1, _CHUNK // psi.size)
+        out = np.empty(len(x), dtype=complex)
+        for lo in range(0, len(x), step):
+            k = cols ^ x[lo : lo + step]  # row j of P|psi> takes its amplitude from k = j ^ x
+            signs = 1.0 - 2.0 * (np.bitwise_count(k & z[lo : lo + step]) & 1)
+            applied = phases[lo : lo + step, None] * signs * psi[k]
+            out[lo : lo + step] = [np.vdot(psi, row) for row in applied]
+        return out
+
+    expectation = _expectation
+    sampled_expectations = _sampled_expectations
+    sampled_expectation = _sampled_expectation
 
 
 QuantumState = DenseState | ProductState
-
-
-def _check_sampling_args(state, p: PauliString, shots: int) -> None:
-    if p.n_qubits != state.n_qubits:
-        raise DimensionMismatchError("string and state qubit counts differ")
-    if not p.is_hermitian:
-        raise ValueError("sampled expectation requires a Hermitian string (phase +/-1)")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-
-
-def _sampled_expectation(state: QuantumState, p: PauliString, shots: int, seed: int) -> float:
-    """Mean of ``shots`` parity outcomes of the unsigned string, times its sign.
-
-    The odd-parity count of ``shots`` measurements is Binomial(shots, p_odd)
-    with p_odd = (1 - <P_unsigned>)/2, so one draw from the exact
-    expectation has the law of simulating every shot, at no cost in shots.
-    """
-    _check_sampling_args(state, p, shots)
-    sign = float(p.phase.real)
-    if p.is_identity:
-        return sign
-    p_odd = min(max((1.0 - sign * state.expectation(p).real) / 2.0, 0.0), 1.0)
-    odd = int(np.random.default_rng(seed).binomial(shots, p_odd))
-    return sign * (1.0 - 2.0 * odd / shots)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +240,8 @@ def _apply_single(psi: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndar
     return np.moveaxis(tensor, 0, qubit).reshape(-1)
 
 def _apply_cnot(psi: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    tensor = psi.reshape([2] * n).copy()
-    sl = [slice(None)] * n
-    sl[control] = 1
-    sl0, sl1 = list(sl), list(sl)
-    sl0[target] = 0
-    sl1[target] = 1
-    tensor[tuple(sl0)], tensor[tuple(sl1)] = (
-        tensor[tuple(sl1)].copy(),
-        tensor[tuple(sl0)].copy(),
-    )
-    return tensor.reshape(-1)
+    k = np.arange(psi.size)
+    return psi[k ^ (((k >> (n - 1 - control)) & 1) << (n - 1 - target))]
 
 def _ry(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import paulisdp.ansatz
 from paulisdp.ansatz import AnsatzSet, build_overlaps, krylov_ansatz, krylov_strings, x_string_ansatz
 from paulisdp.models import ising_hamiltonian, magnetization, random_pauli_operator, spin_flip_parity
 from paulisdp.pauli import PauliString, PauliSum
@@ -276,13 +277,13 @@ class TestOverlapRegression:
         ansatz = krylov_ansatz(h, HardwareEfficientCircuit(layers=2, seed=9), 2).take(40)
         constraints = {"mag": magnetization(6)}
         calls = []
-        sample = DenseState.sampled_expectation
+        sample = DenseState.sampled_expectations
 
-        def counted(self, p, shots, seed):
-            calls.append(p.packed)
-            return sample(self, p, shots, seed)
+        def counted(self, x, z, shots, seeds):
+            calls.extend(row.tobytes() for row in np.concatenate([x, z], axis=1))
+            return sample(self, x, z, shots, seeds)
 
-        monkeypatch.setattr(DenseState, "sampled_expectation", counted)
+        monkeypatch.setattr(DenseState, "sampled_expectations", counted)
         overlaps = build_overlaps(
             ansatz, objective=h, constraints=constraints, shots=300, sample_seed=17
         )
@@ -294,6 +295,19 @@ class TestOverlapRegression:
         for mat, ref in zip(got, expected, strict=True):
             np.testing.assert_array_equal(mat, ref)
         assert n_calls == n_distinct == len(set(calls[:n_calls]))
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    @pytest.mark.parametrize(
+        "n, seed", [(5, HardwareEfficientCircuit(layers=2, seed=4)), (70, PlusState())]
+    )
+    def test_one_row_blocks_match_default_blocks(self, monkeypatch, n, seed, shots):
+        op = random_pauli_operator(n, 6, seed=n)
+        ansatz = krylov_ansatz(op, seed, 3).take(20)
+        default = build_overlaps(ansatz, objective=op, shots=shots, sample_seed=3)
+        monkeypatch.setattr(paulisdp.ansatz, "_BLOCK_WORDS", 1)
+        one_row = build_overlaps(ansatz, objective=op, shots=shots, sample_seed=3)
+        np.testing.assert_array_equal(one_row.gram, default.gram)
+        np.testing.assert_array_equal(one_row.objective, default.objective)
 
 
 class TestShotsMode:

@@ -231,6 +231,24 @@ class TestBasics:
         sol = solve(problem)
         assert sol.status is SolveStatus.INFEASIBLE
 
+    @pytest.mark.parametrize(
+        "rhs, status", [(0.0, SolveStatus.OPTIMAL), (0.5, SolveStatus.INFEASIBLE)]
+    )
+    def test_rounding_noise_row_is_vacuous(self, rhs, status):
+        # a row of norm 2e-13 next to unit rows is zero up to rounding: dropped,
+        # not scaled up to the unit constraint x00 = x11 (which would give 1.5)
+        noise = 2e-13 * np.diag([1.0, -1.0]) / math.sqrt(2.0)
+        problem = SdpProblem(
+            blocks=[("x", 2)],
+            sense="min",
+            objective={"x": np.diag([1.0, 2.0])},
+            constraints=[SdpConstraint({"x": np.eye(2)}, 1.0), SdpConstraint({"x": noise}, rhs)],
+        )
+        sol = solve(problem)
+        assert sol.status is status
+        if status is SolveStatus.OPTIMAL:
+            assert abs(sol.objective_value - 1.0) < 1e-7
+
     def test_zero_imaginary_parts_give_real_blocks(self):
         rng = np.random.default_rng(1)
         problem = random_bounded_instance(rng, [3, 2], 3, complex_=False, n_ineq=1)

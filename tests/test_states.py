@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paulisdp.models import ising_hamiltonian, ising_split
-from paulisdp.pauli import DimensionMismatchError, PauliString
+from paulisdp.pauli import DENSE_QUBIT_CAP, DimensionMismatchError, PauliString
 from paulisdp.states import (
     DenseState,
     HardwareEfficientCircuit,
@@ -225,3 +225,79 @@ class TestSamplerLaw:
         codes = rng.integers(0, 4, size=1000, dtype=np.uint8)
         value = st.sampled_expectation(PauliString(codes), shots=10**12, seed=3)
         assert -1.0 <= value <= 1.0
+
+
+def y_heavy_strings(rng, n, count):
+    """Identity, all-Y, then random strings drawn with Y at half the sites."""
+    codes = rng.choice(np.array([0, 1, 2, 3], dtype=np.uint8), p=[1 / 6, 1 / 6, 1 / 2, 1 / 6],
+                       size=(count, n))
+    strings = [PauliString.identity(n), PauliString(np.full(n, 2, dtype=np.uint8))]
+    return strings + [PauliString(row) for row in codes]
+
+
+def stacked(strings):
+    return np.stack([s.x for s in strings]), np.stack([s.z for s in strings])
+
+
+def one_string_sample(exact: float, shots: int, seed: int) -> float:
+    """The per-string sampled estimate: one binomial odd-parity count."""
+    p_odd = min(max((1.0 - exact) / 2.0, 0.0), 1.0)
+    odd = int(np.random.default_rng(seed).binomial(shots, p_odd))
+    return 1.0 - 2.0 * odd / shots
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBatchEvaluation:
+    """The batch methods match the one-string arithmetic bit for bit."""
+
+    SHOTS = 1000
+
+    @pytest.mark.parametrize("n", [1, 6, DENSE_QUBIT_CAP])
+    def test_dense_exact_and_shots(self, n):
+        rng = np.random.default_rng(n)
+        st = random_dense_state(rng, n)
+        strings = y_heavy_strings(rng, n, 30)
+        x, z = stacked(strings)
+        exact = [complex(np.vdot(st.amplitudes, p.apply(st.amplitudes))) for p in strings]
+        assert_bits_equal(st.expectations(x, z), np.array(exact))
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=len(strings))]
+        sampled = [
+            1.0 if p.is_identity else one_string_sample(e.real, self.SHOTS, s)
+            for p, e, s in zip(strings, exact, seeds)
+        ]
+        assert_bits_equal(st.sampled_expectations(x, z, self.SHOTS, seeds), np.array(sampled))
+
+    @pytest.mark.parametrize("spec", [ZeroState(), PlusState()])
+    @pytest.mark.parametrize("n", [5, 1000])
+    def test_product_exact_and_shots(self, spec, n):
+        rng = np.random.default_rng(n)
+        st = prepare(spec, n)
+        strings = y_heavy_strings(rng, n, 20)
+        # Z-only strings have a nonzero value on the zero seed, X-only ones on the plus seed
+        for letters in ([0, 3], [0, 1]):
+            strings.append(PauliString(rng.choice(np.array(letters, dtype=np.uint8), size=n)))
+        x, z = stacked(strings)
+        exact = [float(np.prod(st._site_values[np.arange(n), p.codes])) for p in strings]
+        assert_bits_equal(st.expectations(x, z), np.array(exact))
+        assert np.count_nonzero(exact) >= 2
+        seeds = list(range(len(strings)))
+        sampled = [
+            1.0 if p.is_identity else one_string_sample(e, self.SHOTS, s)
+            for p, e, s in zip(strings, exact, seeds)
+        ]
+        assert_bits_equal(st.sampled_expectations(x, z, self.SHOTS, seeds), np.array(sampled))
+
+    def test_one_string_methods_are_the_one_row_case(self):
+        rng = np.random.default_rng(4)
+        st = random_dense_state(rng, 4)
+        for p in y_heavy_strings(rng, 4, 10):
+            row = st.expectations(p.x[None], p.z[None])[0]
+            assert st.expectation(p) == row
+            assert st.sampled_expectation(p, 50, seed=2) == st.sampled_expectations(
+                p.x[None], p.z[None], 50, [2]
+            )[0]
