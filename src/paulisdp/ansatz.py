@@ -5,21 +5,22 @@ identity first.  Every overlap entry <psi_a| Op |psi_b> reduces, through
 the closed Pauli algebra, to a single phase-tagged string s_a u s_b on
 the seed state.  :func:`build_overlaps` forms them for blocks of entries
 with one vectorized product as x/z word arrays, keys each reduced string
-by one integer (its bytes above 32 qubits), and evaluates the strings not
-yet seen in the call in one batch backend call: each distinct string is
-measured once per call, as a device would, and no ``PauliString`` is built
-for it.
+by an XOR of two per-string GF(2)-linear keys (hashed and row-checked
+above 32 qubits), and evaluates the strings not yet seen in the call in
+one batch backend call: each distinct string is measured once per call,
+as a device would, and no ``PauliString`` is built for it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .pauli import PauliString, PauliSum, SettingError, multiply_words, word_codes
-from .states import StateSpec, prepare
+from .states import _PHASE_VALUES, StateSpec, prepare
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,20 @@ def krylov_strings(h: PauliSum, max_order: int) -> tuple[list[PauliString], list
         raise ValueError("max_order must be >= 0")
     n = h.n_qubits
     gx, gz = _stacked_words([s for _c, s in h.terms()], n)
-    seen = {PauliString.identity(n).packed}
-    strings = [PauliString.identity(n)]
-    orders = [0]
-    level = [PauliString.identity(n)]
+    gkeys = _string_keys(gx, gz, n)
+    strings, orders = [PauliString.identity(n)], [0]
+    seen = {strings[0].packed}
+    lkeys, lx, lz = gkeys[:1] * 0, gx[:1] * 0, gz[:1] * 0  # the identity
+    table = (lkeys, lx, lz)
     for k in range(1, max_order + 1):
-        lx, lz = _stacked_words(level, n)
         x, z, _exp = multiply_words(lx[:, None], lz[:, None], gx, gz)
-        products = np.unique(np.concatenate([x, z], axis=-1).reshape(-1, 2 * gx.shape[1]), axis=0)
-        level = [PauliString.from_words(*row.reshape(2, -1), n) for row in products]
-        level.sort(key=lambda s: s.packed)
-        for s in level:
+        x, z = x.reshape(-1, gx.shape[1]), z.reshape(-1, gx.shape[1])
+        keys = (lkeys[:, None] ^ gkeys).ravel()
+        table, first, new, _index, clashed = _dedupe(keys, x, z, n, table)
+        level = np.concatenate([first, clashed])  # every product string, clashed ones maybe twice
+        lx, lz, lkeys = x[level], z[level], keys[level]
+        fresh = [PauliString.from_words(x[r], z[r], n) for r in (*first[new], *clashed)]
+        for s in sorted(fresh, key=lambda s: s.packed):
             if s.packed not in seen:
                 seen.add(s.packed)
                 strings.append(s)
@@ -174,11 +178,42 @@ class OverlapSet:
 _BLOCK_WORDS = 1 << 17
 
 
+@functools.cache
+def _key_table(width: int) -> np.ndarray:
+    """Per-byte XOR table of a fixed random GF(2)-linear map from 16 * width bytes to 64 bits."""
+    basis = np.random.default_rng(0).integers(0, 1 << 64, size=(16 * width, 8), dtype=np.uint64)
+    table = np.zeros((16 * width, 256), dtype=np.uint64)
+    for bit in range(8):
+        table[:, 1 << bit : 2 << bit] = table[:, : 1 << bit] ^ basis[:, bit, None]
+    return table
+
+
 def _string_keys(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
-    """One sortable key per row of x and z words: x << n | z to 32 qubits, else the row's bytes."""
+    """One key per row of x and z words, XOR-linear: x << n | z to 32 qubits, else a linear hash."""
     if n_qubits <= 32:
         return x[:, 0] << np.uint64(n_qubits) | z[:, 0]
-    return np.concatenate([x, z], axis=1).view(np.dtype((np.void, 16 * x.shape[1]))).ravel()
+    octets = np.concatenate([x, z], axis=1).view(np.uint8)
+    return np.bitwise_xor.reduce(_key_table(x.shape[1])[np.arange(octets.shape[1]), octets], axis=1)
+
+
+def _dedupe(keys, x, z, n_qubits: int, seen):
+    """Group rows of x/z words by key against ``seen`` = (sorted keys, x rows, z rows[, values]).
+
+    Returns ``seen`` with new keys inserted (values NaN), a row per distinct key, which are
+    new, each row's index into ``seen`` and the rows whose words differ from their key's
+    stored row: above 32 qubits a key can collide, and such a row holds another string.
+    """
+    keys, inverse = np.unique(keys, return_inverse=True)  # return_index would sort stably: slower
+    first = np.empty(keys.size, dtype=np.intp)
+    first[inverse] = np.arange(inverse.size)  # a row holding each distinct key
+    at = np.searchsorted(seen[0], keys)
+    new = at == seen[0].size
+    new[~new] = seen[0][at[~new]] != keys[~new]
+    added = (keys[new], x[first[new]], z[first[new]], np.nan)
+    seen = tuple(np.insert(a, at[new], b, axis=0) for a, b in zip(seen, added))
+    index = (at + np.cumsum(new) - new)[inverse]
+    clashed = n_qubits > 32 and ((x != seen[1][index]) | (z != seen[2][index])).any(axis=1)
+    return seen, first, new, index, np.flatnonzero(clashed)
 
 
 def build_overlaps(
@@ -208,8 +243,9 @@ def build_overlaps(
     width = sx.shape[1]
     block = max(1, _BLOCK_WORDS // (m * width))
     seed_bytes = sample_seed.to_bytes(8, "little", signed=True)
+    string_keys = _string_keys(sx, sz, n)
     # distinct reduced strings of this call, sorted by key, and their values
-    seen_keys, seen_values = _string_keys(sx[:0], sz[:0], n), np.empty(0)
+    seen = (string_keys[:0], sx[:0], sz[:0], np.empty(0))
 
     def measure(x, z):
         if shots is None:
@@ -221,33 +257,25 @@ def build_overlaps(
         seeds = [int.from_bytes(d, "little") for d in digests]
         return state.sampled_expectations(x, z, shots, seeds)
 
-    def values(x, z):
-        """Value of each row's string; only strings this call has not seen are measured."""
-        nonlocal seen_keys, seen_values
-        keys, inverse = np.unique(_string_keys(x, z, n), return_inverse=True)
-        first = np.empty(keys.size, dtype=np.intp)
-        first[inverse] = np.arange(inverse.size)  # a row holding each distinct key
-        at = np.searchsorted(seen_keys, keys)
-        new = at == seen_keys.size
-        new[~new] = seen_keys[at[~new]] != keys[~new]
-        vals = np.empty(keys.size)
-        vals[~new] = seen_values[at[~new]]
-        vals[new] = measure(x[first[new]], z[first[new]])
-        seen_keys = np.insert(seen_keys, at[new], keys[new])
-        seen_values = np.insert(seen_values, at[new], vals[new])
-        return vals[inverse]
-
     def matrix_for(op: PauliSum | None) -> np.ndarray:
+        nonlocal seen
         out = np.zeros((m, m), dtype=complex)
         terms = [(1.0 + 0j, PauliString.identity(n))] if op is None else op.terms()
         for coeff, u in terms:
             left_x, left_z, left_exp = multiply_words(sx, sz, u.x, u.z)
+            left_keys = string_keys ^ _string_keys(u.x[None], u.z[None], n)
             for a in range(0, m, block):
                 rows = slice(a, a + block)
                 x, z, exps = multiply_words(left_x[rows, None], left_z[rows, None], sx, sz)
                 exps = (exps + left_exp[rows, None]) & 3
-                vals = values(x.reshape(-1, width), z.reshape(-1, width)).reshape(exps.shape)
-                out[rows] += coeff * (1j ** exps) * vals
+                x, z = x.reshape(-1, width), z.reshape(-1, width)
+                # only strings this call has not seen are measured; clashed rows on their own
+                keys = (left_keys[rows, None] ^ string_keys).ravel()
+                seen, first, new, index, clashed = _dedupe(keys, x, z, n, seen)
+                seen[3][index[first[new]]] = measure(x[first[new]], z[first[new]])
+                vals = seen[3][index]
+                vals[clashed] = measure(x[clashed], z[clashed])
+                out[rows] += coeff * _PHASE_VALUES[exps] * vals.reshape(exps.shape)
         return (out + out.conj().T) / 2.0
 
     gram = matrix_for(None)

@@ -467,8 +467,8 @@ class _IpmCore:
             for jitter in (0.0, 1e-14, 1e-10, 1e-7):
                 try:
                     shift = jitter * (1.0 + float(np.trace(schur)) / self.m)
-                    schur_f = scipy.linalg.cho_factor(schur + shift * np.eye(self.m),
-                                                      check_finite=False)
+                    shifted = schur + shift * np.eye(self.m) if jitter else schur
+                    schur_f = scipy.linalg.cho_factor(shifted, check_finite=False)
                     break
                 except np.linalg.LinAlgError:
                     continue

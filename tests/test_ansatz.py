@@ -6,8 +6,15 @@ import pytest
 import paulisdp.ansatz
 from paulisdp.ansatz import AnsatzSet, build_overlaps, krylov_ansatz, krylov_strings, x_string_ansatz
 from paulisdp.models import ising_hamiltonian, magnetization, random_pauli_operator, spin_flip_parity
-from paulisdp.pauli import PauliString, PauliSum
-from paulisdp.states import DenseState, HardwareEfficientCircuit, PlusState, ZeroState, prepare
+from paulisdp.pauli import PauliString, PauliSum, multiply_words
+from paulisdp.states import (
+    DenseState,
+    HardwareEfficientCircuit,
+    PlusState,
+    ProductState,
+    ZeroState,
+    prepare,
+)
 
 # Exponent of i acquired by the product of two letters (codes 0=I, 1=X,
 # 2=Y, 3=Z); the product letter itself is the XOR of the codes.
@@ -273,17 +280,26 @@ class TestOverlapRegression:
             np.testing.assert_array_equal(mat, ref)
 
     def test_shots_mode_and_one_sample_per_distinct_string(self, monkeypatch):
-        h = ising_hamiltonian(6, g=1.0, h=1.0)
-        ansatz = krylov_ansatz(h, HardwareEfficientCircuit(layers=2, seed=9), 2).take(40)
-        constraints = {"mag": magnetization(6)}
+        self.check_one_sample_per_distinct_string(
+            monkeypatch, 6, HardwareEfficientCircuit(layers=2, seed=9), DenseState
+        )
+
+    def test_hashed_keys_sample_each_distinct_string_once(self, monkeypatch):
+        self.check_one_sample_per_distinct_string(monkeypatch, 40, PlusState(), ProductState)
+
+    @staticmethod
+    def check_one_sample_per_distinct_string(monkeypatch, n, seed, backend):
+        h = ising_hamiltonian(n, g=1.0, h=1.0)
+        ansatz = krylov_ansatz(h, seed, 2).take(40)
+        constraints = {"mag": magnetization(n)}
         calls = []
-        sample = DenseState.sampled_expectations
+        sample = backend.sampled_expectations
 
         def counted(self, x, z, shots, seeds):
             calls.extend(row.tobytes() for row in np.concatenate([x, z], axis=1))
             return sample(self, x, z, shots, seeds)
 
-        monkeypatch.setattr(DenseState, "sampled_expectations", counted)
+        monkeypatch.setattr(backend, "sampled_expectations", counted)
         overlaps = build_overlaps(
             ansatz, objective=h, constraints=constraints, shots=300, sample_seed=17
         )
@@ -308,6 +324,56 @@ class TestOverlapRegression:
         one_row = build_overlaps(ansatz, objective=op, shots=shots, sample_seed=3)
         np.testing.assert_array_equal(one_row.gram, default.gram)
         np.testing.assert_array_equal(one_row.objective, default.objective)
+
+
+class TestStringKeys:
+    """The overlap builder's string keys: XOR-linear, and never trusted above 32 qubits."""
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 1000])
+    def test_key_of_product_is_xor_of_keys(self, n):
+        rng = np.random.default_rng(n)
+        strings = [PauliString(c) for c in rng.integers(0, 4, size=(50, n), dtype=np.uint8)]
+        x, z = paulisdp.ansatz._stacked_words(strings, n)
+        keys = paulisdp.ansatz._string_keys(x, z, n)
+        px, pz, _exp = multiply_words(x[:, None], z[:, None], x, z)
+        width = x.shape[1]
+        product_keys = paulisdp.ansatz._string_keys(px.reshape(-1, width), pz.reshape(-1, width), n)
+        np.testing.assert_array_equal(product_keys, (keys[:, None] ^ keys).ravel())
+        assert keys.dtype == np.uint64
+        assert len(set(keys.tolist())) == len({s.packed for s in strings})
+
+    @pytest.mark.parametrize("n", [1, 5, 31, 32])
+    def test_narrow_key_is_x_shifted_over_z(self, n):
+        rng = np.random.default_rng(n)
+        strings = [PauliString(c) for c in rng.integers(0, 4, size=(30, n), dtype=np.uint8)]
+        x, z = paulisdp.ansatz._stacked_words(strings, n)
+        expected = [int(s.x[0]) << n | int(s.z[0]) for s in strings]
+        assert paulisdp.ansatz._string_keys(x, z, n).tolist() == expected
+
+    @staticmethod
+    def colliding_key_table(width):
+        """The zero linear map: every string above 32 qubits gets key 0."""
+        return np.zeros((16 * width, 256), dtype=np.uint64)
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    def test_colliding_keys_give_the_reference_matrices(self, monkeypatch, shots):
+        op = random_pauli_operator(40, 6, seed=2)
+        ansatz = krylov_ansatz(op, PlusState(), 3).take(30)
+        monkeypatch.setattr(paulisdp.ansatz, "_key_table", self.colliding_key_table)
+        x, z = paulisdp.ansatz._stacked_words(ansatz.strings, 40)
+        assert not paulisdp.ansatz._string_keys(x, z, 40).any()  # every string collides
+        overlaps = build_overlaps(ansatz, objective=op, shots=shots, sample_seed=5)
+        (gram, objective), _ = reference_overlaps(ansatz, objective=op, shots=shots, sample_seed=5)
+        np.testing.assert_array_equal(overlaps.gram, gram)
+        np.testing.assert_array_equal(overlaps.objective, objective)
+
+    def test_colliding_keys_give_the_reference_expansion(self, monkeypatch):
+        op = random_pauli_operator(40, 6, seed=2)
+        monkeypatch.setattr(paulisdp.ansatz, "_key_table", self.colliding_key_table)
+        strings, orders = krylov_strings(op, 3)
+        ref_strings, ref_orders = reference_krylov(op, 3)
+        assert [s.packed for s in strings] == [s.packed for s in ref_strings]
+        assert orders == ref_orders
 
 
 class TestShotsMode:
