@@ -13,8 +13,9 @@ sum_b V_b X_b V_b^H = R (``MatrixConstraint``), imposed on selected entries
 of the Hermitian basis.  Its rows never exist as dense matrices: the Schur
 block of the family is a fixed change of basis of sum_b P_b (x) Q_b^T with
 P_b = V_b X_b V_b^H and Q_b = V_b Z_b^-1 V_b^H (the structure exploitation of
-Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), and its cross terms with
-the scalar rows cost one congruence per row.
+Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), assembled from
+row-then-column gathers of P_b and Q_b, and its cross terms with the scalar
+rows cost one congruence per row.
 
 The returned status is certified: residuals are recomputed from the
 original data after the iteration, and ``OPTIMAL`` is reported only when
@@ -268,27 +269,63 @@ class _MatrixRows:
 
         With E = c e_ab + conj(c) e_ba and Tr(e_ab P e_cd Q) = P[b,c] Q[d,a],
         each entry pair needs three gathered products; the first appears
-        twice, once conjugate-transposed, since P and Q are Hermitian.
+        twice, once conjugate-transposed, since P and Q are Hermitian.  Each
+        (n, n) factor is gathered rows first, then columns, and the products
+        are summed over blocks in block order.  Their real and imaginary
+        parts are combined in place, in real arithmetic, term by term in the
+        order of the complex sums, so the block keeps the bits of those sums.
+        The r^4 matrix sum_b P_b (x) Q_b^T is never formed: as one complex
+        GEMM it is faster on its own but slower inside the iteration at two
+        BLAS threads.
         """
-        a, b = self.a, self.b
-        s0 = s1 = s2 = 0.0
+        full = self._combine(self._products(xs, z_invs)).take(self.psi, 0).take(self.psi, 1)
+        full *= self.rho[:, None]
+        full *= self.rho
+        return full
+
+    def _products(self, xs, z_invs) -> np.ndarray:
+        """s0 = P[b,a] Q^T[a,b], s1 = P[b,b] Q^T[a,a], s2 = P[a,a] Q^T[b,b], summed over blocks."""
+        a, b, n = self.a, self.b, self.n
+
+        def gathered(left, left_cols, right, right_cols):
+            term = left.take(left_cols, 1)
+            term *= right.take(right_cols, 1)
+            return term
+
+        s = np.zeros((3, n, n), complex if self.complex else float)
+        s0, s1, s2 = s
         for v, x, zi in zip(self.maps, xs, z_invs):
             if v is None:
                 continue
             p = v @ x @ v.conj().T
             qt = (v @ zi @ v.conj().T).T
-            s0 = s0 + p[np.ix_(b, a)] * qt[np.ix_(a, b)]
-            s1 = s1 + p[np.ix_(b, b)] * qt[np.ix_(a, a)]
-            s2 = s2 + p[np.ix_(a, a)] * qt[np.ix_(b, b)]
-        s0h = np.conj(s0).T
-        real_real = (s0 + s0h + s1 + s2).real
+            p_b, p_a, qt_a, qt_b = p.take(b, 0), p.take(a, 0), qt.take(a, 0), qt.take(b, 0)
+            s0 += gathered(p_b, a, qt_a, b)
+            s1 += gathered(p_b, b, qt_a, a)
+            s2 += gathered(p_a, a, qt_b, b)
+        return s
+
+    def _combine(self, s) -> np.ndarray:
+        """Real-part rows Re(s0 + s0^H + s1 + s2); for complex data, imaginary-part
+        rows Re(s1 + s2 - s0 - s0^H) and the cross block Im(s1 - s2 - s0 + s0^H)."""
+        n = self.n
+        s0_re, s1_re, s2_re = s.real
+        full = np.empty((2 * n, 2 * n) if self.complex else (n, n))
+        real_real = full[:n, :n]
+        np.add(s0_re, s0_re.T, out=real_real)
+        real_real += s1_re
+        real_real += s2_re
         if self.complex:
-            real_imag = (s1 - s2 - s0 + s0h).imag
-            imag_imag = (s1 + s2 - s0 - s0h).real
-            full = np.block([[real_real, real_imag], [real_imag.T, imag_imag]])
-        else:
-            full = real_real
-        return self.rho[:, None] * full[np.ix_(self.psi, self.psi)] * self.rho[None, :]
+            s0_im, s1_im, s2_im = s.imag
+            real_imag, imag_imag = full[:n, n:], full[n:, n:]
+            np.subtract(s1_im, s2_im, out=real_imag)
+            real_imag -= s0_im
+            real_imag -= s0_im.T
+            np.add(s1_re, s2_re, out=imag_imag)
+            imag_imag -= s0_re
+            imag_imag -= s0_re.T
+            full[n:, :n] = real_imag.T
+        return full
 
     def row_norms(self) -> np.ndarray:
         """sqrt(sum_b ||V_b^H E_j V_b||^2), with ||V^H E V||^2 = Tr(E G E G), G = V V^H.
@@ -342,11 +379,14 @@ class _Rows:
         return out
 
     def schur(self, xs, z_invs) -> np.ndarray:
-        schur, ts = self.dense.schur(xs, z_invs)
-        if self.matrix is not None:
-            # M_ij = Re Tr(A_j X A_i Z^-1): matrix row j read on t_i = X A_i Z^-1
-            cross = self.matrix.apply(ts)
-            schur = np.block([[schur, cross], [cross.T, self.matrix.schur(xs, z_invs)]])
+        if self.matrix is not None and self.dense.m == 0:
+            schur = self.matrix.schur(xs, z_invs)
+        else:
+            schur, ts = self.dense.schur(xs, z_invs)
+            if self.matrix is not None:
+                # M_ij = Re Tr(A_j X A_i Z^-1): matrix row j read on t_i = X A_i Z^-1
+                cross = self.matrix.apply(ts)
+                schur = np.block([[schur, cross], [cross.T, self.matrix.schur(xs, z_invs)]])
         if self.column is not None:
             schur += (xs[-1][0, 0] * z_invs[-1][0, 0]) * np.outer(self.column, self.column)
         return schur
@@ -458,8 +498,11 @@ class _IpmCore:
                 for zb, ch in zip(zs, z_chols)
             ]
 
-            # Schur complement M_ij = Re sum_b Tr(A_i X A_j Z^-1); symmetric PD
-            schur = _hermitize(self.rows.schur(xs, z_invs))
+            # Schur complement M_ij = Re sum_b Tr(A_i X A_j Z^-1); symmetric PD,
+            # a fresh real array, so it is symmetrized in place
+            schur = self.rows.schur(xs, z_invs)
+            schur += schur.T
+            schur /= 2.0
             if not np.all(np.isfinite(schur)):
                 status = SolveStatus.NUMERICAL_FAILURE
                 break

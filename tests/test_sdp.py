@@ -448,6 +448,31 @@ def as_scalar_rows(problem: SdpProblem) -> SdpProblem:
                       constraints=[*problem.constraints, *rows])
 
 
+def index_grid_schur(rows, xs, z_invs) -> np.ndarray:
+    """``_MatrixRows.schur`` as ``np.ix_`` gathers and complex sums, term by term.
+
+    The gathered assembly must reproduce these bits: the same products, the
+    same order over blocks, the same association in each combination.
+    """
+    a, b = rows.a, rows.b
+    s0 = s1 = s2 = 0.0
+    for v, x, zi in zip(rows.maps, xs, z_invs):
+        if v is None:
+            continue
+        p = v @ x @ v.conj().T
+        qt = (v @ zi @ v.conj().T).T
+        s0 = s0 + p[np.ix_(b, a)] * qt[np.ix_(a, b)]
+        s1 = s1 + p[np.ix_(b, b)] * qt[np.ix_(a, a)]
+        s2 = s2 + p[np.ix_(a, a)] * qt[np.ix_(b, b)]
+    s0h = np.conj(s0).T
+    full = (s0 + s0h + s1 + s2).real
+    if rows.complex:
+        real_imag = (s1 - s2 - s0 + s0h).imag
+        imag_imag = (s1 + s2 - s0 - s0h).real
+        full = np.block([[full, real_imag], [real_imag.T, imag_imag]])
+    return rows.rho[:, None] * full[np.ix_(rows.psi, rows.psi)] * rows.rho[None, :]
+
+
 def scalar_row_multipliers(problem: SdpProblem, sol: SdpSolution) -> np.ndarray:
     """``sol.y`` followed by the coordinates of ``sol.y_matrix`` in ``basis_rows`` order."""
     y = sol.y_matrix
@@ -498,13 +523,38 @@ class TestMatrixConstraint:
         np.testing.assert_allclose(rows.row_norms(), dense.row_norms(), rtol=1e-12)
         xs = [random_psd(rng, d, complex_) for d in (5, 6, 3, 6)] + [np.diag([1.0, 2.0])]
         z_invs = [random_psd(rng, d, complex_) for d in (5, 6, 3, 6)] + [np.diag([3.0, 0.5])]
-        expected = dense.schur(xs, z_invs)
-        got = rows.schur(xs, z_invs)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-        np.testing.assert_allclose(rows.apply(xs), dense.apply(xs), rtol=1e-12)
-        y = rng.normal(size=b.size)
-        for got_b, want_b in zip(rows.adjoint(y), dense.adjoint(y)):
-            np.testing.assert_allclose(got_b, want_b, rtol=0, atol=1e-12)
+        # the presolve of ``solve`` drops vacuous rows and rescales the rest
+        keep = np.ones(b.size, dtype=bool)
+        keep[[1, b.size - 1]] = False
+        scale = rng.uniform(0.5, 2.0, size=b.size - 2)
+        families = [(rows, dense), (rows.select(keep, scale), dense.select(keep, scale))]
+        for got_rows, want_rows in families:
+            expected = want_rows.schur(xs, z_invs)
+            got = got_rows.schur(xs, z_invs)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+            np.testing.assert_allclose(got_rows.apply(xs), want_rows.apply(xs), rtol=1e-12)
+            y = rng.normal(size=got_rows.m)
+            for got_b, want_b in zip(got_rows.adjoint(y), want_rows.adjoint(y)):
+                np.testing.assert_allclose(got_b, want_b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["complex_all_entries", "real_entry_subset", "selected"])
+    def test_schur_block_bits_match_index_grid_formula(self, case):
+        rng = np.random.default_rng(49)
+        complex_ = case != "real_entry_subset"
+        entries = [(0, 0), (0, 2), (1, 3), (2, 2), (3, 3)] if case == "real_entry_subset" else None
+        problem = random_matrix_instance(rng, [3, 5], 4, complex_, 1, entries)
+        c_blocks, rows, _b, _sign = _build_data(problem)
+        matrix = rows.matrix
+        if case == "complex_all_entries":  # no imaginary-part rows on the diagonal
+            assert matrix.n == 10 and matrix.m == 16
+        if case == "selected":
+            keep = np.ones(matrix.m, dtype=bool)
+            keep[4] = False
+            matrix = matrix.select(keep, rng.uniform(0.5, 2.0, size=matrix.m - 1))
+        xs = [random_psd(rng, cb.shape[0], np.iscomplexobj(cb)) for cb in c_blocks]
+        z_invs = [random_psd(rng, cb.shape[0], np.iscomplexobj(cb)) for cb in c_blocks]
+        np.testing.assert_array_equal(matrix.schur(xs, z_invs),
+                                      index_grid_schur(matrix, xs, z_invs))
 
     def test_infeasible_equality_goes_through_feasibility_phase(self, monkeypatch):
         # X = diag(1, -1) is forced and not PSD
