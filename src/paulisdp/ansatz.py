@@ -1,14 +1,14 @@
 """Krylov-flavored ansatz sets and the overlap matrices the reduced SDPs use.
 
 The ansatz is a seed state |psi> expanded by M phase-free Pauli strings,
-identity first.  Every overlap entry <psi_a| Op |psi_b> reduces, through
-the closed Pauli algebra, to a single phase-tagged string s_a u s_b on
-the seed state.  :func:`build_overlaps` forms them for blocks of entries
-with one vectorized product as x/z word arrays, keys each reduced string
-by an XOR of two per-string GF(2)-linear keys (hashed and row-checked
-above 32 qubits), and evaluates the strings not yet seen in the call in
-one batch backend call: each distinct string is measured once per call,
-as a device would, and no ``PauliString`` is built for it.
+identity first.  An overlap entry <psi_a| u |psi_b> of an operator term u
+is the string s_a u s_b = (-1)^c (s_a s_b) u on the seed state, with c the
+parity of the sites where u and s_b anticommute.  :func:`build_overlaps`
+forms the M^2 Gram products s_a s_b once, as x/z word arrays, and
+multiplies each term only into their distinct strings.  Strings are keyed
+by XORs of per-string GF(2)-linear keys (hashed and row-checked above 32
+qubits); each distinct string is measured once per call, in one batch
+backend call per block, and no ``PauliString`` is built for it.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def krylov_strings(h: PauliSum, max_order: int) -> tuple[list[PauliString], list
         table, first, new, _index, clashed = _dedupe(keys, x, z, n, table)
         level = np.concatenate([first, clashed])  # every product string, clashed ones maybe twice
         lx, lz, lkeys = x[level], z[level], keys[level]
-        fresh = [PauliString.from_words(x[r], z[r], n) for r in (*first[new], *clashed)]
-        for s in sorted(fresh, key=lambda s: s.packed):
+        fresh = np.concatenate([first[new], clashed])
+        for s in sorted(map(PauliString, word_codes(x[fresh], z[fresh], n)), key=lambda s: s.packed):
             if s.packed not in seen:
                 seen.add(s.packed)
                 strings.append(s)
@@ -225,6 +225,10 @@ def build_overlaps(
 ) -> OverlapSet:
     """Measure the Gram matrix plus objective/constraint overlap matrices.
 
+    A Gram pass measures and tables the distinct g of s_a s_b = i^e g, a
+    clashed entry on a row of its own; a term pass multiplies a term u into
+    that table only, g u = i^f r, and gathers s_a u s_b = (-1)^c i^(e + f) r.
+
     Exact mode evaluates statevector expectations; shots mode estimates each
     distinct reduced Pauli string from ``shots`` parity measurements, drawn
     as one binomial count (see :mod:`paulisdp.states`) with a per-string
@@ -257,32 +261,48 @@ def build_overlaps(
         seeds = [int.from_bytes(d, "little") for d in digests]
         return state.sampled_expectations(x, z, shots, seeds)
 
-    def matrix_for(op: PauliSum | None) -> np.ndarray:
+    def measured(keys, x, z):
+        # only strings this call has not seen are measured; clashed rows on their own
         nonlocal seen
+        seen, first, new, index, clashed = _dedupe(keys, x, z, n, seen)
+        seen[3][index[first[new]]] = measure(x[first[new]], z[first[new]])
+        vals = seen[3][index]
+        vals[clashed] = measure(x[clashed], z[clashed])
+        return vals, clashed
+
+    gram, e = np.zeros((m, m), dtype=complex), np.empty((m, m), dtype=np.uint8)
+    keys = string_keys[:, None] ^ string_keys
+    blocks = [slice(a, a + block) for a in range(0, m, block)]
+    spilled = []  # clashed entries and their words: the Gram table's rows after seen's distinct g
+    for rows in blocks:
+        x, z, e[rows] = multiply_words(sx[rows, None], sz[rows, None], sx, sz)
+        x, z = x.reshape(-1, width), z.reshape(-1, width)
+        vals, clashed = measured(keys[rows].ravel(), x, z)
+        gram[rows] += _PHASE_VALUES[e[rows]] * vals.reshape(-1, m)
+        spilled.append((clashed + rows.start * m, x[clashed], z[clashed]))
+    at, cx, cz = (np.concatenate(p) for p in zip(*spilled))
+    g_index = np.searchsorted(seen[0], keys)
+    g_index.flat[at] = seen[0].size + np.arange(at.size)
+    gkeys, gx, gz = (np.concatenate(p) for p in zip(seen[:3], (keys.flat[at], cx, cz)))
+
+    def matrix_for(op: PauliSum) -> np.ndarray:
         out = np.zeros((m, m), dtype=complex)
-        terms = [(1.0 + 0j, PauliString.identity(n))] if op is None else op.terms()
-        for coeff, u in terms:
-            left_x, left_z, left_exp = multiply_words(sx, sz, u.x, u.z)
-            left_keys = string_keys ^ _string_keys(u.x[None], u.z[None], n)
-            for a in range(0, m, block):
-                rows = slice(a, a + block)
-                x, z, exps = multiply_words(left_x[rows, None], left_z[rows, None], sx, sz)
-                exps = (exps + left_exp[rows, None]) & 3
-                x, z = x.reshape(-1, width), z.reshape(-1, width)
-                # only strings this call has not seen are measured; clashed rows on their own
-                keys = (left_keys[rows, None] ^ string_keys).ravel()
-                seen, first, new, index, clashed = _dedupe(keys, x, z, n, seen)
-                seen[3][index[first[new]]] = measure(x[first[new]], z[first[new]])
-                vals = seen[3][index]
-                vals[clashed] = measure(x[clashed], z[clashed])
-                out[rows] += coeff * _PHASE_VALUES[exps] * vals.reshape(exps.shape)
+        for coeff, u in op.terms():
+            f, vals = np.empty(gkeys.size, dtype=np.uint8), np.empty(gkeys.size)
+            for d in range(0, gkeys.size, block * m):
+                rows = slice(d, d + block * m)
+                x, z, f[rows] = multiply_words(gx[rows], gz[rows], u.x, u.z)
+                vals[rows] = measured(gkeys[rows] ^ _string_keys(u.x[None], u.z[None], n), x, z)[0]
+            c = np.bitwise_count(u.x & sz).sum(axis=-1) + np.bitwise_count(u.z & sx).sum(axis=-1)
+            for rows in blocks:
+                g = g_index[rows]
+                out[rows] += coeff * _PHASE_VALUES[(e[rows] + f[g] + 2 * c) & 3] * vals[g]
         return (out + out.conj().T) / 2.0
 
-    gram = matrix_for(None)
     obj_matrix = None if objective is None else matrix_for(objective)
     con_matrices = {name: matrix_for(op) for name, op in constraints.items()}
     return OverlapSet(
-        gram=gram,
+        gram=(gram + gram.conj().T) / 2.0,
         objective=obj_matrix,
         constraints=con_matrices,
         shots=shots,

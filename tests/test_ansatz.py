@@ -5,7 +5,13 @@ import pytest
 
 import paulisdp.ansatz
 from paulisdp.ansatz import AnsatzSet, build_overlaps, krylov_ansatz, krylov_strings, x_string_ansatz
-from paulisdp.models import ising_hamiltonian, magnetization, random_pauli_operator, spin_flip_parity
+from paulisdp.models import (
+    heisenberg_hamiltonian,
+    ising_hamiltonian,
+    magnetization,
+    random_pauli_operator,
+    spin_flip_parity,
+)
 from paulisdp.pauli import PauliString, PauliSum, multiply_words
 from paulisdp.states import (
     DenseState,
@@ -279,6 +285,56 @@ class TestOverlapRegression:
         for mat, ref in zip(got, expected, strict=True):
             np.testing.assert_array_equal(mat, ref)
 
+    @pytest.mark.parametrize("shots", [None, 300])
+    @pytest.mark.parametrize(
+        "n, seed", [(6, HardwareEfficientCircuit(layers=2, seed=4)), (40, PlusState())]
+    )
+    def test_ansatz_not_closed_under_products(self, n, seed, shots):
+        """Random strings: Gram products s_a s_b repeat little beyond s_b s_a, so D is near M^2 / 2."""
+        rng = np.random.default_rng(n)
+        codes = {tuple(c) for c in rng.integers(0, 4, size=(40, n)) if any(c)}
+        strings = (PauliString.identity(n), *(PauliString(np.array(c)) for c in sorted(codes)))
+        ansatz = AnsatzSet(seed=seed, strings=strings, orders=(0,) + (1,) * len(codes))
+        op = random_pauli_operator(n, 6, seed=n)
+        overlaps = build_overlaps(ansatz, objective=op, shots=shots, sample_seed=7)
+        (gram, objective), _ = reference_overlaps(ansatz, objective=op, shots=shots, sample_seed=7)
+        np.testing.assert_array_equal(overlaps.gram, gram)
+        np.testing.assert_array_equal(overlaps.objective, objective)
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    def test_constraint_terms_outside_the_hamiltonians_group(self, shots):
+        """Single-site Z terms anticommute with the global flips every Heisenberg product commutes with."""
+        h = heisenberg_hamiltonian(6)
+        ansatz = krylov_ansatz(h, HardwareEfficientCircuit(layers=2, seed=9), 2).take(40)
+        constraints = {"mag": magnetization(6)}
+        overlaps = build_overlaps(ansatz, h, constraints, shots=shots, sample_seed=11)
+        expected, _ = reference_overlaps(
+            ansatz, h, list(constraints.items()), shots=shots, sample_seed=11
+        )
+        got = [overlaps.gram, overlaps.objective, overlaps.constraints["mag"]]
+        for mat, ref in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(mat, ref)
+
+    def test_terms_multiply_only_the_distinct_gram_strings(self, monkeypatch):
+        """Word products: M^2 for the Gram pass, then D per term, not M^2 per term."""
+        op = random_pauli_operator(1000, 8, seed=5)
+        ansatz = krylov_ansatz(op, ZeroState(), 8).take(64)
+        products = [(s * t).phase_free() for s in ansatz.strings for t in ansatz.strings]
+        n_distinct = len({p.packed for p in products})
+        rows = []
+
+        def counted(x1, z1, x2, z2):
+            rows.append(int(np.prod(np.broadcast_shapes(x1.shape, x2.shape)[:-1])))
+            return multiply_words(x1, z1, x2, z2)
+
+        monkeypatch.setattr(paulisdp.ansatz, "multiply_words", counted)
+        build_overlaps(ansatz, objective=op)
+        m, terms = len(ansatz), len(op)
+        x, z = paulisdp.ansatz._stacked_words(products, 1000)
+        assert len(set(paulisdp.ansatz._string_keys(x, z, 1000).tolist())) == n_distinct  # no clash
+        assert sum(rows) == m * m + terms * n_distinct
+        assert sum(rows) < (1 + terms) * m * m / 5
+
     def test_shots_mode_and_one_sample_per_distinct_string(self, monkeypatch):
         self.check_one_sample_per_distinct_string(
             monkeypatch, 6, HardwareEfficientCircuit(layers=2, seed=9), DenseState
@@ -366,6 +422,12 @@ class TestStringKeys:
         (gram, objective), _ = reference_overlaps(ansatz, objective=op, shots=shots, sample_seed=5)
         np.testing.assert_array_equal(overlaps.gram, gram)
         np.testing.assert_array_equal(overlaps.objective, objective)
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    def test_colliding_keys_in_one_row_blocks(self, monkeypatch, shots):
+        """Gram and term products clash within and across the smallest blocks."""
+        monkeypatch.setattr(paulisdp.ansatz, "_BLOCK_WORDS", 1)
+        self.test_colliding_keys_give_the_reference_matrices(monkeypatch, shots)
 
     def test_colliding_keys_give_the_reference_expansion(self, monkeypatch):
         op = random_pauli_operator(40, 6, seed=2)
