@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, SettingError, multiply_words, word_codes
+from .pauli import PauliString, PauliSum, SettingError, multiply_words, pack_code_rows, word_codes
 from .states import _PHASE_VALUES, StateSpec, prepare
 
 
@@ -72,7 +72,8 @@ def krylov_strings(h: PauliSum, max_order: int) -> tuple[list[PauliString], list
 
     Strings are ordered by the smallest k at which they appear; ties within
     one order break by the packed letter encoding, so the expansion is
-    deterministic.
+    deterministic.  Each level's new strings share its codes, packed bytes
+    and word rows, decoded and packed once for the whole level.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -91,10 +92,17 @@ def krylov_strings(h: PauliSum, max_order: int) -> tuple[list[PauliString], list
         level = np.concatenate([first, clashed])  # every product string, clashed ones maybe twice
         lx, lz, lkeys = x[level], z[level], keys[level]
         fresh = np.concatenate([first[new], clashed])
-        for s in sorted(map(PauliString, word_codes(x[fresh], z[fresh], n)), key=lambda s: s.packed):
-            if s.packed not in seen:
-                seen.add(s.packed)
-                strings.append(s)
+        fx, fz = x[fresh], z[fresh]
+        codes = word_codes(fx, fz, n)
+        packed = pack_code_rows(codes)
+        for a in (fx, fz, codes):
+            a.flags.writeable = False
+        flat, size = packed.tobytes(), packed.shape[1]
+        keys = [flat[i * size : (i + 1) * size] for i in range(fresh.size)]
+        for i in sorted(range(fresh.size), key=keys.__getitem__):
+            if keys[i] not in seen:
+                seen.add(keys[i])
+                strings.append(PauliString._from_parts(codes[i], keys[i], fx[i], fz[i]))
                 orders.append(k)
     return strings, orders
 
@@ -254,12 +262,11 @@ def build_overlaps(
     def measure(x, z):
         if shots is None:
             return state.expectations(x, z).real
-        digests = (
+        digests = b"".join(
             hashlib.blake2b(codes.tobytes() + seed_bytes, digest_size=8).digest()
             for codes in word_codes(x, z, n)
         )
-        seeds = [int.from_bytes(d, "little") for d in digests]
-        return state.sampled_expectations(x, z, shots, seeds)
+        return state.sampled_expectations(x, z, shots, np.frombuffer(digests, "<u8"))
 
     def measured(keys, x, z):
         # only strings this call has not seen are measured; clashed rows on their own

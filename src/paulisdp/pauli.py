@@ -51,15 +51,12 @@ class DenseLimitError(SettingError):
     """Dense realization requested above the configured qubit cap."""
 
 
-def pack_codes(codes: np.ndarray) -> bytes:
-    """Pack letter codes (2 bits each, four per byte) into bytes."""
-    n = codes.size
-    pad = (-n) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    quads = codes.reshape(-1, 4).astype(np.uint8)
-    packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    return packed.tobytes()
+def pack_code_rows(codes: np.ndarray) -> np.ndarray:
+    """Pack rows of letter codes, shape (strings, n), 2 bits each and four per byte, into uint8 rows."""
+    rows, n = codes.shape
+    quads = np.zeros((rows, -(-n // 4), 4), dtype=np.uint8)
+    quads.reshape(rows, 4 * quads.shape[1])[:, :n] = codes
+    return quads[..., 0] | (quads[..., 1] << 2) | (quads[..., 2] << 4) | (quads[..., 3] << 6)
 
 
 # x and z bit of the letters I, X, Y, Z.
@@ -116,9 +113,21 @@ class PauliString:
         self.n_qubits = codes.size
         self.phase_power = int(phase_power) & 3
         self.codes = codes
-        self.packed = pack_codes(codes)
+        self.packed = pack_code_rows(codes[None]).tobytes()
         self.x, self.z = _words(codes)
         self._hash = hash((self.n_qubits, self.phase_power, self.packed))
+
+    @classmethod
+    def _from_parts(cls, codes, packed: bytes, x, z) -> "PauliString":
+        """Phase-free string from read-only codes, packed bytes and x/z words, none re-derived.
+
+        The parts must be what ``__init__`` derives from ``codes``; nothing is checked.
+        """
+        string = object.__new__(cls)
+        string.n_qubits, string.phase_power = codes.size, 0
+        string.codes, string.packed, string.x, string.z = codes, packed, x, z
+        string._hash = hash((string.n_qubits, 0, packed))
+        return string
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":

@@ -17,7 +17,12 @@ backends draw the odd-parity count in one binomial draw from the exact
 parity probability, which is the law of simulating every shot, so a
 sampled expectation costs one exact expectation whatever the shot count.
 ``sampled_expectations(x, z, shots, seeds)`` draws once per string, from
-its own seed; ``sampled_expectation(p, shots, seed)`` is its one-row case.
+its own seed in [0, 2**64); ``sampled_expectation(p, shots, seed)`` is its
+one-row case.  Each count is exactly
+``np.random.default_rng(seed).binomial(shots, p_odd)``, drawn from one
+generator reused for the whole call: the seeds are hashed at once as
+numpy's ``SeedSequence`` hashes them, and each string loads the PCG64 state
+its seed gives, so no generator is built per string.
 
 Bit convention matches :mod:`paulisdp.pauli`: qubit 0 is the most
 significant bit of a basis index.
@@ -116,26 +121,112 @@ def _expectation(state, p: PauliString) -> complex:
     return p.phase * complex(state.expectations(p.x[None], p.z[None])[0])
 
 
+def _hash_rounds(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """XOR and multiplier columns of ``count`` successive rounds of numpy's SeedSequence hash."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+# numpy's SeedSequence with its pool of 4 uint32 words: 4 rounds hash the entropy into the pool
+# and 12 mix it, then 8 rounds of a second hash draw the output words.
+_POOL_XOR, _POOL_MUL = _hash_rounds(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MUL = _hash_rounds(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# Seeds per chunk turned into Python ints at a time: temporaries stay a few tens of KB.
+_SEED_CHUNK = 256
+
+
+def _seed_array(seeds, count: int) -> np.ndarray:
+    """``seeds`` as a uint64 array of ``count`` seeds, each an integer in [0, 2**64)."""
+    if not isinstance(seeds, np.ndarray):
+        seeds = np.array(seeds, dtype=object)  # Python ints keep their exact values
+    if seeds.shape != (count,):
+        raise ValueError(f"expected one seed per string ({count}), got shape {seeds.shape}")
+    if seeds.dtype.kind == "O":
+        valid = all(isinstance(s, (int, np.integer)) and 0 <= s < 1 << 64 for s in seeds)
+    else:
+        valid = seeds.dtype.kind == "u" or seeds.dtype.kind == "i" and seeds.min(initial=0) >= 0
+    if not valid:
+        raise ValueError("seeds must be integers in [0, 2**64)")
+    return seeds.astype(np.uint64, copy=False)
+
+
+def _hashed(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """One round of the SeedSequence hash on each row of uint32 values, with that row's constants."""
+    values = (values ^ xor) * mul
+    return values ^ (values >> np.uint32(16))
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each uint64 seed, one row per seed.
+
+    numpy's algorithm on uint32 rows holding all seeds at once: each seed's
+    two 32-bit words (low first) and two zeros are hashed into the pool, each
+    pool word is hashed into the three others in turn, and 8 output words are
+    hashed from the pool, cycled.
+    """
+    entropy = np.zeros((4, seeds.size), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)
+    pool = _hashed(entropy, _POOL_XOR[:4], _POOL_MUL[:4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        rounds = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = _hashed(pool[src], _POOL_XOR[rounds], _POOL_MUL[rounds])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = _hashed(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MUL)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+
+
 def _sampled_expectations(state, x: np.ndarray, z: np.ndarray, shots: int, seeds) -> np.ndarray:
     """Mean of ``shots`` parity outcomes of each phase-free string, drawn from its own seed.
 
     The odd-parity count of ``shots`` measurements is Binomial(shots, p_odd)
     with p_odd = (1 - <P>)/2, so one draw from the exact expectation has the
     law of simulating every shot, at no cost in shots.  The identity reads 1
-    without a draw.
+    without a draw.  Each seed is an integer in [0, 2**64), and each count is
+    exactly ``np.random.default_rng(seed).binomial(shots, p_odd)``, drawn from
+    one reused generator: ``_seed_states`` hashes all seeds at once as
+    ``SeedSequence`` does, and each string loads the state PCG64's seeding
+    step gives (state 0, one step, add the seed state, one more step).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    seeds = _seed_array(seeds, len(x))
     out = np.ones(len(x))
     drawn = np.flatnonzero(x.any(axis=-1) | z.any(axis=-1))
     p_odd = np.clip((1.0 - state.expectations(x[drawn], z[drawn]).real) / 2.0, 0.0, 1.0)
-    odd = [np.random.default_rng(seeds[i]).binomial(shots, p) for i, p in zip(drawn, p_odd)]
-    out[drawn] = 1.0 - 2.0 * np.array(odd, dtype=float) / shots
+    words = _seed_states(seeds[drawn])
+    odd = np.empty(drawn.size)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    loaded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for lo in range(0, drawn.size, _SEED_CHUNK):
+        rows = zip(words[lo : lo + _SEED_CHUNK].tolist(), p_odd[lo : lo + _SEED_CHUNK].tolist())
+        for i, ((a, b, c, d), p) in enumerate(rows, lo):
+            # PCG64 seeds from (initstate, initseq) = (a << 64 | b, c << 64 | d)
+            inc = (c << 65 | d << 1 | 1) & _MASK128
+            pcg["state"], pcg["inc"] = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc
+            bit_generator.state = loaded
+            odd[i] = generator.binomial(shots, p)
+    out[drawn] = 1.0 - 2.0 * odd / shots
     return out
 
 
 def _sampled_expectation(state, p: PauliString, shots: int, seed: int) -> float:
-    """One-row case of ``state.sampled_expectations`` for a Hermitian string, times its sign."""
+    """One-row case of ``state.sampled_expectations`` for a Hermitian string, times its sign.
+
+    ``seed`` must be an integer in [0, 2**64); any other seed raises
+    ``ValueError``.  ``np.random.default_rng``, whose draw this reproduces,
+    also takes seeds of 2**64 and above; this sampler does not.
+    """
     if p.n_qubits != state.n_qubits:
         raise DimensionMismatchError("string and state qubit counts differ")
     if not p.is_hermitian:

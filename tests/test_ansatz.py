@@ -133,13 +133,44 @@ class TestKrylovExpansion:
 
     @pytest.mark.parametrize(
         "h, order",
-        [(ising_hamiltonian(5), 3), (random_pauli_operator(70, 5, seed=4), 4)],
+        [
+            (ising_hamiltonian(5), 3),
+            (random_pauli_operator(70, 5, seed=4), 4),
+            (ising_hamiltonian(6, g=1.0, h=1.0), 3),
+            (random_pauli_operator(1000, 8, seed=1), 5),
+            (random_pauli_operator(3, 4, seed=2), 6),  # orders 5 and 6 add no string
+        ],
     )
     def test_matches_one_product_at_a_time(self, h, order):
         strings, orders = krylov_strings(h, order)
         ref_strings, ref_orders = reference_krylov(h, order)
         assert [s.packed for s in strings] == [s.packed for s in ref_strings]
         assert orders == ref_orders
+
+    @pytest.mark.parametrize(
+        "h, order",
+        [
+            (ising_hamiltonian(6, g=1.0, h=1.0), 3),
+            (random_pauli_operator(70, 5, seed=4), 4),
+            (random_pauli_operator(1000, 8, seed=1), 8),
+            (random_pauli_operator(3, 4, seed=2), 6),
+        ],
+    )
+    def test_strings_equal_their_rebuilt_strings(self, h, order):
+        """Expanded strings carry the slots ``PauliString(codes)`` derives, read-only."""
+        strings, orders = krylov_strings(h, order)
+        if h.n_qubits == 3:
+            assert max(orders) == 4  # the levels of orders 5 and 6 are empty
+        for s in strings:
+            rebuilt = PauliString(s.codes.copy())
+            assert s == rebuilt and hash(s) == hash(rebuilt)
+            assert s.packed == rebuilt.packed and s.phase_power == 0
+            np.testing.assert_array_equal(s.x, rebuilt.x)
+            np.testing.assert_array_equal(s.z, rebuilt.z)
+            assert s.x.dtype == s.z.dtype == np.uint64 and s.x.shape == rebuilt.x.shape
+            assert s.codes.dtype == np.uint8 and s.codes.flags.c_contiguous
+            for part in (s.codes, s.x, s.z):
+                assert not part.flags.writeable
 
 
 class TestAnsatzSet:

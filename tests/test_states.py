@@ -301,3 +301,82 @@ class TestBatchEvaluation:
             assert st.sampled_expectation(p, 50, seed=2) == st.sampled_expectations(
                 p.x[None], p.z[None], 50, [2]
             )[0]
+
+
+class TestSeededDraws:
+    """Each batch count is ``default_rng(seed).binomial(shots, p_odd)``, bit for bit.
+
+    Covers the edge seeds of the seed hash, over a thousand random 64-bit
+    seeds (as a uint64 array and as Python ints) and parity probabilities 0, 1, 1/2, about 1e-12 and random ones,
+    each also in runs of one repeated string, which reuse the generator's
+    cached binomial setup.
+    """
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    N = 6
+    RUN = 40
+
+    def state(self, backend):
+        # <Z> is 1, -1 and 1 - 2e-12 on sites 0, 1, 2 and <X> is 0 on site 3
+        small = np.sqrt(1e-12)
+        rng = np.random.default_rng(7)
+        fixed = np.array([[1, 0], [0, 1], [np.sqrt(1 - small**2), small], [1, 0]], dtype=complex)
+        randoms = rng.normal(size=(self.N - 4, 2)) + 1j * rng.normal(size=(self.N - 4, 2))
+        st = ProductState(np.vstack([fixed, randoms]))
+        return st if backend == "product" else st.to_dense()
+
+    def strings_and_seeds(self):
+        rng = np.random.default_rng(8)
+        runs = [PauliString.single(self.N, site, letter) for site, letter in enumerate("ZZZX")]
+        runs.append(PauliString(rng.integers(0, 4, size=self.N, dtype=np.uint8)))
+        strings = [PauliString.identity(self.N)]
+        for p in runs:
+            strings += [p] * self.RUN
+        strings += [PauliString(c) for c in rng.integers(0, 4, size=(1200, self.N), dtype=np.uint8)]
+        seeds = rng.integers(0, 2**64, size=len(strings), dtype=np.uint64)
+        for start in range(1, len(strings), self.RUN):  # each block of RUN strings starts at the edges
+            seeds[start : start + len(self.EDGE_SEEDS)] = self.EDGE_SEEDS
+        return strings, seeds
+
+    @pytest.mark.parametrize("backend", ["product", "dense"])
+    @pytest.mark.parametrize("shots", [1, 16, 10**4, 10**8, 10**12])
+    def test_counts_are_default_rng_draws(self, backend, shots):
+        st = self.state(backend)
+        strings, seeds = self.strings_and_seeds()
+        x, z = stacked(strings)
+        exact = st.expectations(x, z).real
+        p_odd = (1.0 - exact) / 2.0
+        for want in (0.0, 1.0, 0.5):
+            assert np.count_nonzero(np.abs(p_odd - want) < 1e-15) >= self.RUN
+        assert np.count_nonzero(np.abs(p_odd - 1e-12) < 1e-15) >= self.RUN
+        sampled = [
+            1.0 if p.is_identity else one_string_sample(e, shots, int(s))
+            for p, e, s in zip(strings, exact, seeds)
+        ]
+        assert_bits_equal(st.sampled_expectations(x, z, shots, seeds), np.array(sampled))
+        assert_bits_equal(st.sampled_expectations(x, z, shots, seeds.tolist()), np.array(sampled))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0])
+    def test_seeds_outside_the_range_raise(self, seed):
+        st = self.state("product")
+        p = PauliString.single(self.N, 3, "X")
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            st.sampled_expectation(p, 100, seed=seed)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            st.sampled_expectations(p.x[None], p.z[None], 100, [seed])
+        if isinstance(seed, int) and seed < 0:
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+                st.sampled_expectations(p.x[None], p.z[None], 100, np.array([seed]))
+
+    def test_largest_seed(self):
+        st = self.state("product")
+        p = PauliString.single(self.N, 3, "X")
+        want = one_string_sample(st.expectation(p).real, 100, 2**64 - 1)
+        assert st.sampled_expectation(p, 100, seed=2**64 - 1) == want
+        assert st.sampled_expectations(p.x[None], p.z[None], 100, np.array([2**64 - 1], np.uint64))[0] == want
+
+    def test_one_seed_per_string(self):
+        st = self.state("product")
+        p = PauliString.single(self.N, 3, "X")
+        with pytest.raises(ValueError, match="one seed per string"):
+            st.sampled_expectations(p.x[None], p.z[None], 100, [1, 2])
