@@ -106,24 +106,21 @@ DIRECT_THETA_MAX_VERTICES = 32
 def lovasz_theta_program(n_vertices: int, edges, v: np.ndarray | None = None) -> SdpProblem:
     """Lovasz theta SDP: max <J, V X V^H>, (V X V^H)_ij = 0 on edges, Tr X = 1.
 
-    ``v=None`` is the graph-dimension program (V = I, capped at 32 vertices).
-    A (dim, r) map V puts the vertices first among dim coordinates and also
-    zeroes the entries between vertices and padding coordinates.
+    ``v=None`` is the graph-dimension program (V = I, capped at 32 vertices);
+    an (n, r) map V poses it over r vertex vectors.
     """
     n = n_vertices
     if v is None:
         if n > DIRECT_THETA_MAX_VERTICES:
             raise ValueError(f"direct theta capped at {DIRECT_THETA_MAX_VERTICES} vertices")
         v = np.eye(n)
-    dim, r = v.shape
     zeros = sorted({(min(i, j), max(i, j)) for i, j in edges})
-    zeros += [(i, j) for i in range(n) for j in range(n, dim)]
     return SdpProblem(
-        blocks=[("x", r)],
+        blocks=[("x", v.shape[1])],
         sense="max",
-        objective={"x": v[:n].conj().T @ np.ones((n, n)) @ v[:n]},
-        constraints=[SdpConstraint({"x": np.eye(r)}, 1.0)],
-        matrix_constraint=MatrixConstraint({"x": v}, np.zeros((dim, dim)), zeros),
+        objective={"x": v.conj().T @ np.ones((n, n)) @ v},
+        constraints=[SdpConstraint({"x": np.eye(v.shape[1])}, 1.0)],
+        matrix_constraint=MatrixConstraint({"x": v}, np.zeros((n, n)), zeros),
     )
 
 

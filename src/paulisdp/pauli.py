@@ -20,11 +20,14 @@ Conventions used throughout the package:
 
 A :class:`PauliSum` is a complex-weighted set of phase-free strings in
 canonical form: phases are folded into the coefficients, duplicates are
-merged and coefficients below ``ZERO_COEFF`` are dropped.  A canonical
+merged and coefficients below ``ZERO_COEFF`` are dropped; a NaN or infinite
+coefficient raises ``ValueError``.  A canonical
 PauliSum is Hermitian exactly when all its coefficients are real.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -273,6 +276,9 @@ class PauliSum:
         self._terms[key] = self._terms.get(key, 0j) + coeff * string.phase
 
     def _drop_zeros(self) -> None:
+        for s, c in self._terms.items():
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} of {s.label} is not finite")
         self._terms = {s: c for s, c in self._terms.items() if abs(c) >= ZERO_COEFF}
 
     @classmethod

@@ -667,8 +667,8 @@ class LovaszThetaSolver(_XStringSolver):
     """Lovasz theta of a graph, at graph dimension or over an X-string ansatz.
 
     Ansatz mode embeds the vertices in the first computational-basis
-    coordinates of ceil(log2 n) qubits (real seed states only) and zeroes
-    the edge entries and those between vertices and padding coordinates.
+    coordinates of ceil(log2 n) qubits (real seed states only), keeps the
+    span of the ansatz states with no padding part and zeroes the edge entries.
     fit(graph) sets ``theta_`` and the attributes of ``_XStringSolver``.
     """
 
@@ -676,17 +676,14 @@ class LovaszThetaSolver(_XStringSolver):
         return graph.n_vertices
 
     def _x_string_map(self, graph: "models.Graph"):
-        """The map cut to the span of the states that split into vertex and padding parts.
+        """The map cut to the span of the states with no padding part, as (n, r) vertex rows.
 
-        Zero vertex-padding entries confine the range of V X V^H there; a larger
-        span leaves no strictly feasible X, where the interior-point method stalls.
+        J is positive semidefinite, so trace moved from padding to vertex
+        coordinates raises <J, V X V^H>: an optimum leaves padding empty.
         """
         ansatz, coords, v = super()._x_string_map(graph)
-        n = graph.n_vertices
-        split = np.hstack([scipy.linalg.null_space(v[n:]), scipy.linalg.null_space(v[:n])])
-        if split.shape[1] < v.shape[1]:
-            coords, v = coords @ split, v @ split
-        return ansatz, coords, v
+        vertex = scipy.linalg.null_space(v[graph.n_vertices:])
+        return ansatz, coords @ vertex, v[:graph.n_vertices] @ vertex
 
     def _program(self, graph: "models.Graph", v) -> SdpProblem:
         return oracle.lovasz_theta_program(graph.n_vertices, graph.edges, v)

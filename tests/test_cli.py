@@ -186,6 +186,13 @@ class TestConfigValidation:
             (["figures"], {"figure": "fig99"}, "unknown figure(s) ['fig99']"),
             (["symmetry"], {"symmetry": "spin"},
              "symmetry must be one of ('parity', 'magnetization'), got 'spin'"),
+            (["discriminate", "--angle", "nan"], {}, "angle must be a number, got nan"),
+            (["symmetry", "--sectors", "nan"], {},
+             "sector_values must be a non-empty list of numbers, got [nan]"),
+            (["nse", "--seed-state", "annealing", "--anneal-time", "inf"], {},
+             "state.anneal_time must be a positive number, got inf"),
+            (["nse", "--model", "ising", "--n", "4", "--field", "nan"], {},
+             "model.h must be a number, got nan"),
         ],
     )
     def test_malformed_command_input_exits_with_message(
@@ -221,6 +228,8 @@ class TestConfigValidation:
              "symmetry operator does not commute with the Hamiltonian"),
             (["lovasz", "--ansatz", "--seed-state", "plus"], {},
              "ansatz mode needs a real-valued seed"),
+            (["nse", "--model-file", "{dir}/h.txt"], {"h.txt": "nan 0 XZ\n"},
+             "{dir}/h.txt: coefficient (nan+nanj) of XZ is not finite"),
         ],
     )
     def test_rejected_input_exits_with_message(self, tmp_path, capsys, argv, files, message):
@@ -419,6 +428,12 @@ class TestCommands:
         assert cli.main(["lovasz", "--graph", str(edges), "--direct", "--out", str(out)]) == 0
         _meta, header, rows = read_csv(out)
         assert abs(float(rows[0][header.index("theta")]) - 2.2360680) < 1e-6
+
+    def test_lovasz_ansatz_past_the_direct_cap(self, tmp_path):
+        out = tmp_path / "theta.csv"
+        assert cli.main(["lovasz", "--graph", "cycle:100", "--ansatz", "--out", str(out)]) == 0
+        _meta, header, rows = read_csv(out)
+        assert abs(float(rows[0][header.index("theta")]) - 50.0) < 1e-6
 
     def test_lovasz_direct_edge_file_over_cap(self, tmp_path):
         edges = tmp_path / "c40.edges"

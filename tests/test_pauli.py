@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paulisdp import models
 from paulisdp.pauli import (
     DimensionMismatchError,
     DenseLimitError,
@@ -267,6 +268,23 @@ class TestPauliSum:
             PauliSum.from_text("1.0 ZZ\n")
         with pytest.raises(ValueError):
             PauliSum.from_text("1.0 0.0 ZA\n")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        x = PauliString.from_label("XZ")
+        finite = PauliSum.from_terms([(1.0, x)])
+        with pytest.raises(ValueError, match="XZ is not finite"):
+            PauliSum.from_terms([(bad, x)])
+        with pytest.raises(ValueError, match="not finite"):
+            bad * finite
+        with pytest.raises(ValueError, match="not finite"):
+            finite + PauliSum.from_terms([(1.0, x), (bad, PauliString.from_label("ZZ"))])
+        with pytest.raises(ValueError, match="XZ is not finite"):
+            PauliSum.from_text(f"{bad.real} {bad.imag} XZ\n")
+
+    def test_nan_field_is_not_dropped_from_a_model(self):
+        with pytest.raises(ValueError, match="XIII is not finite"):
+            models.ising_hamiltonian(4, 1.0, np.nan)
 
     def test_commutator(self):
         zz = PauliSum.from_terms([(1.0, PauliString.from_label("ZZ"))])

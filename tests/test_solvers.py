@@ -581,12 +581,13 @@ class TestLovaszTheta:
             (5, math.sqrt(5.0)),
             (33, 33 * math.cos(math.pi / 33) / (1 + math.cos(math.pi / 33))),
             (64, 32.0),
+            (100, 50.0),
         ],
-        ids=["c5", "c33", "c64"],
+        ids=["c5", "c33", "c64", "c100"],
     )
     def test_cycle_ansatz_with_padding(self, n, theta):
-        # n vertices in ceil(log2 n) qubits: coordinates n.. isolated by constraints;
-        # past 32 vertices ansatz mode is the only mode
+        # n vertices in ceil(log2 n) qubits: the fit keeps the span of the states
+        # with no part on coordinates n..; past 32 vertices ansatz mode is the only mode
         solver = LovaszThetaSolver(mode="ansatz", seed_state="zero").fit(models.cycle_graph(n))
         assert solver.status_ is SolveStatus.OPTIMAL
         assert abs(solver.theta_ - theta) < 1e-6
@@ -596,13 +597,21 @@ class TestLovaszTheta:
         [(5, 0, 7, 0.0281287615645), (9, 2, 14, 4.01769097873)],
     )
     def test_random_seed_span_wider_than_its_split(self, n, circuit_seed, n_states, theta):
-        # these spans hold states with both vertex and padding parts, which the
-        # padding entries exclude; the fit must still end optimal
+        # these spans hold states with both vertex and padding parts; the fit
+        # keeps their vertex-only span and must still end optimal
         solver = LovaszThetaSolver(
             mode="ansatz", seed_state="random", circuit_seed=circuit_seed, n_states=n_states
         ).fit(models.cycle_graph(n))
         assert solver.status_ is SolveStatus.OPTIMAL
         assert abs(solver.theta_ - theta) < 1e-7
+
+    def test_vertex_span_that_misses_the_edge_zeros_is_infeasible(self):
+        # the states with no padding part admit no X with zero edge entries
+        solver = LovaszThetaSolver(
+            mode="ansatz", seed_state="random", circuit_seed=0, n_states=6
+        ).fit(models.cycle_graph(5))
+        assert solver.status_ is SolveStatus.INFEASIBLE
+        assert solver.beta_ is None and math.isnan(solver.theta_)
 
     def test_edge_addition_monotone(self):
         rng = np.random.default_rng(0)
@@ -671,6 +680,12 @@ class TestXStringMap:
         ansatz, coords, v = solver._x_string_map(graph)
         program = oracle.lovasz_theta_program(5, graph.edges, v)
         pairs = [tuple(e) for e in program.matrix_constraint.entries]
+        assert v.shape[0] == 5
+        assert pairs == sorted((min(i, j), max(i, j)) for i, j in graph.edges)
+        seed = prepare(resolve_seed_state(seed_state, circuit_seed=2), ansatz.n_qubits)
+        psi = (seed.to_dense() if seed_state == "zero" else seed).amplitudes
+        u = np.stack([p.apply(psi) for p in ansatz.strings], axis=1)
+        assert np.max(np.abs((u @ coords)[5:])) < 1e-12
         overlaps = _measured(ansatz, np.ones((5, 5)), pairs)
 
         def whitened(mat):
