@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, SettingError, multiply_words, pack_code_rows, word_codes
-from .states import _PHASE_VALUES, StateSpec, prepare
+from .pauli import (_PHASE_VALUES, PauliString, PauliSum, SettingError, multiply_words,
+                    pack_code_rows, word_codes)
+from .states import StateSpec, prepare
 
 
 @dataclass(frozen=True)

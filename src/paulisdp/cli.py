@@ -73,33 +73,38 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
 
-def _parse_m_sweep(text: str):
-    """``start:stop[:step]`` (stop included) or a comma list of sizes.
-
-    Text that does not parse is returned as it is, for ``validate_config``
-    to report along with every other violation.
-    """
-    try:
-        if ":" in text:
-            start, stop, *step = (int(v) for v in text.split(":"))
-            return list(range(start, stop + 1, *step))
-        return [int(v) for v in text.split(",")]
-    except (ValueError, TypeError):
-        return text
+def _lenient(convert):
+    """``convert`` of a flag's text, or the text as it is, for ``validate_config`` to report."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, TypeError):
+            return text
+    return parse
 
 
-def _parse_numbers(text: str):
-    """A comma list of numbers; unparsable text is returned as it is (see ``_parse_m_sweep``)."""
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        return text
+_INT, _FLOAT = _lenient(int), _lenient(float)
+
+
+@_lenient
+def _parse_m_sweep(text: str) -> list[int]:
+    """``start:stop[:step]`` (stop included) or a comma list of sizes."""
+    if ":" in text:
+        start, stop, *step = (int(v) for v in text.split(":"))
+        return list(range(start, stop + 1, *step))
+    return [int(v) for v in text.split(",")]
+
+
+@_lenient
+def _parse_numbers(text: str) -> list[float]:
+    """A comma list of numbers."""
+    return [float(v) for v in text.split(",")]
 
 
 def _parse_graph_flag(text: str) -> dict:
     """``chsh``, ``cycle:N``, ``complete:N`` or an edge-list file path.
 
-    A count that does not parse is kept as text (see ``_parse_m_sweep``).
+    A count that does not parse is kept as text (see ``_lenient``).
     """
     if text == "chsh":
         return {"kind": "chsh"}
@@ -149,6 +154,7 @@ def _is_list_of(accepts):
 # typed field that is checked when present
 _FIELD_RULES = [
     ("model", "g", _is_number, "a number"),
+    ("model", "n", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     ("model", "h", _is_number, "a number"),
     ("model", "periodic", lambda v: isinstance(v, bool), "true or false"),
     ("model", "terms", lambda v: _is_int(v) and v >= 1, "a positive integer"),
@@ -183,7 +189,7 @@ _FIELD_RULES = [
     (None, "t_grid", _is_list_of(_is_positive), "a non-empty list of positive numbers"),
 ]
 # section keys that validate_config checks itself, outside _FIELD_RULES
-_UNTYPED_KEYS = {"model": ("kind", "n"), "state": ("kind",), "ansatz": (), "solver": ()}
+_UNTYPED_KEYS = {"model": ("kind",), "state": ("kind",), "ansatz": (), "solver": ()}
 
 
 def _load_json_object(path: str) -> dict:
@@ -264,14 +270,16 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
     if model:
         kind = model.get("kind")
         if kind not in _MODEL_KINDS:
-            errors.append(f"{source}: model.kind must be one of {sorted(_MODEL_KINDS)}")
+            errors.append(
+                f"{source}: model.kind must be one of {sorted(_MODEL_KINDS)}, got {kind!r}"
+            )
         elif kind in ("ising", "heisenberg", "random_pauli"):
             n = model.get("n")
-            if not (_is_int(n) and n >= 2):
-                errors.append(f"{source}: model.n must be an integer >= 2")
+            if "n" not in model:
+                errors.append(f"{source}: model.n is required for kind {kind!r}")
             elif kind == "random_pauli" and "terms" not in model:
                 errors.append(f"{source}: model.terms is required for kind 'random_pauli'")
-            elif kind == "random_pauli" and _is_int(model["terms"]) and (
+            elif kind == "random_pauli" and _is_int(model["terms"]) and _is_int(n) and (
                 model["terms"] > 4 ** min(n, 32)
             ):
                 errors.append(f"{source}: model.terms={model['terms']} exceeds the {4 ** n} "
@@ -279,8 +287,8 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
         elif kind == "file" and not model.get("path"):
             errors.append(f"{source}: model.path is required for kind 'file'")
 
-    if state and state.get("kind") not in _STATE_KINDS:
-        errors.append(f"{source}: state.kind must be one of {sorted(_STATE_KINDS)}")
+    if state and (kind := state.get("kind")) not in _STATE_KINDS:
+        errors.append(f"{source}: state.kind must be one of {sorted(_STATE_KINDS)}, got {kind!r}")
 
     graph = raw.get("graph", {})
     if not isinstance(graph, dict):
@@ -312,7 +320,7 @@ def validate_config(raw: dict, source: str = "<config>") -> RunConfig:
 
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "shots"):
-        errors.append(f"{source}: mode must be 'exact' or 'shots'")
+        errors.append(f"{source}: mode must be 'exact' or 'shots', got {mode!r}")
 
     for section in _SECTIONS:
         known = {*_UNTYPED_KEYS[section], *(k for s, k, *_rule in _FIELD_RULES if s == section)}
@@ -801,44 +809,44 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--out", dest="output", help="output CSV path (default stdout)")
-        p.add_argument("--model", dest="model.kind", choices=sorted(_MODEL_KINDS))
+        p.add_argument("--model", dest="model.kind", help=f"one of {sorted(_MODEL_KINDS)}")
         p.add_argument("--n", dest="n_qubits" if command == "discriminate" else "model.n",
-                       type=int, help="qubit / vertex count for built-in models")
-        p.add_argument("--g", dest="model.g", type=float, help="longitudinal field")
-        p.add_argument("--field", dest="model.h", type=float, help="transverse / coupling field h")
-        p.add_argument("--terms", dest="model.terms", type=int, help="random-model term count")
-        p.add_argument("--model-seed", dest="model.seed", type=int, help="random-model seed")
+                       type=_INT, help="qubit / vertex count for built-in models")
+        p.add_argument("--g", dest="model.g", type=_FLOAT, help="longitudinal field")
+        p.add_argument("--field", dest="model.h", type=_FLOAT, help="transverse / coupling field h")
+        p.add_argument("--terms", dest="model.terms", type=_INT, help="random-model term count")
+        p.add_argument("--model-seed", dest="model.seed", type=_INT, help="random-model seed")
         # after the other model flags, since flags merge in this order: a file
         # replaces the whole model section
         p.add_argument("--model-file", dest="model", metavar="PATH",
                        type=lambda path: {"kind": "file", "path": path},
                        help="Hamiltonian text file")
-        p.add_argument("--seed-state", dest="state.kind", choices=sorted(_STATE_KINDS))
-        p.add_argument("--layers", dest="state.layers", type=int)
-        p.add_argument("--anneal-time", dest="state.anneal_time", type=float)
-        p.add_argument("--circuit-seed", dest="state.circuit_seed", type=int)
-        p.add_argument("--krylov-order", dest="ansatz.krylov_order", type=int)
-        p.add_argument("--n-states", dest="ansatz.n_states", type=int)
+        p.add_argument("--seed-state", dest="state.kind", help=f"one of {sorted(_STATE_KINDS)}")
+        p.add_argument("--layers", dest="state.layers", type=_INT)
+        p.add_argument("--anneal-time", dest="state.anneal_time", type=_FLOAT)
+        p.add_argument("--circuit-seed", dest="state.circuit_seed", type=_INT)
+        p.add_argument("--krylov-order", dest="ansatz.krylov_order", type=_INT)
+        p.add_argument("--n-states", dest="ansatz.n_states", type=_INT)
         p.add_argument("--m-sweep", dest="ansatz.m_sweep", type=_parse_m_sweep,
                        help="comma list or start:stop[:step]")
-        p.add_argument("--mode", choices=["exact", "shots"])
-        p.add_argument("--shots", type=int)
-        p.add_argument("--sample-seed", type=int)
-        p.add_argument("--tol-feas", dest="solver.tol_feas", type=float)
-        p.add_argument("--tol-gap", dest="solver.tol_gap", type=float)
+        p.add_argument("--mode", help="exact or shots")
+        p.add_argument("--shots", type=_INT)
+        p.add_argument("--sample-seed", type=_INT)
+        p.add_argument("--tol-feas", dest="solver.tol_feas", type=_FLOAT)
+        p.add_argument("--tol-gap", dest="solver.tol_gap", type=_FLOAT)
         if command == "excited":
-            p.add_argument("--n-excited", type=int)
+            p.add_argument("--n-excited", type=_INT)
         if command == "symmetry":
-            p.add_argument("--symmetry", choices=_SYMMETRIES)
-            p.add_argument("--sector", dest="sector_value", type=float)
+            p.add_argument("--symmetry", help=f"one of {_SYMMETRIES}")
+            p.add_argument("--sector", dest="sector_value", type=_FLOAT)
             p.add_argument("--sectors", dest="sector_values", type=_parse_numbers,
                            help="comma list of sector values")
         if command == "discriminate":
-            p.add_argument("--angle", type=float)
+            p.add_argument("--angle", type=_FLOAT)
             p.add_argument("--angles", type=_parse_numbers, help="comma list of angles")
-            p.add_argument("--error-budget", type=float)
-            p.add_argument("--n-strings", type=int)
-            p.add_argument("--instance-seed", type=int)
+            p.add_argument("--error-budget", type=_FLOAT)
+            p.add_argument("--n-strings", type=_INT)
+            p.add_argument("--instance-seed", type=_INT)
         if command == "lovasz":
             p.add_argument("--graph", type=_parse_graph_flag,
                            help="cycle:N, complete:N, chsh, or an edge-list file")
@@ -852,8 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     const="ansatz")
         if command == "figures":
             p.add_argument("--figure", help="figure name or 'all' (the default)")
-            p.add_argument("--max-qubits", type=int)
-            p.add_argument("--n-seeds", type=int)
+            p.add_argument("--max-qubits", type=_INT)
+            p.add_argument("--n-seeds", type=_INT)
             p.add_argument("--t-grid", type=_parse_numbers, help="comma list of annealing times")
     return parser
 

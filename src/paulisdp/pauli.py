@@ -11,11 +11,13 @@ Conventions used throughout the package:
   a string carries its ``x`` and ``z`` bits (X = x, Z = z, Y = both) as
   uint64 words, and a product is an XOR of words plus an i-exponent from
   four popcounts (:func:`multiply_words`), vectorized over string arrays.
+  On a statevector, rows of words act through one kernel, :func:`dense_action`,
+  which the dense backend, ``apply``, the dense matrices and the annealing diagonal share.
 - Letters are also stored packed two bits per qubit; the packed bytes are
   the hash key and the sort key that fixes every string ordering.
 - Qubit 0 corresponds to the leftmost letter in a label such as ``"ZZI"``
   and to the most significant bit of a computational-basis index, and of
-  the masks the words hold.  With this choice ``matrix()`` equals the
+  the bit masks the words hold.  With this choice ``matrix()`` equals the
   Kronecker product of the letters taken left to right.
 
 A :class:`PauliSum` is a complex-weighted set of phase-free strings in
@@ -38,6 +40,7 @@ LETTERS = "IXYZ"
 ZERO_COEFF = 1e-15
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+_PHASE_VALUES = np.array(_PHASES)
 
 DENSE_QUBIT_CAP = 14
 
@@ -92,6 +95,18 @@ def multiply_words(x1, z1, x2, z2):
     z3 = z1 ^ z2
     exp = _popcount(x1 & z1) + _popcount(x2 & z2) - _popcount(x3 & z3) + 2 * _popcount(z1 & x2)
     return x3, z3, exp & 3
+
+
+def dense_action(x: np.ndarray, z: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """How each phase-free string, given as rows of x and z words, acts on a 2^n statevector.
+
+    Returns ``(source, factor)``, both of shape (rows, 2^n), with
+    ``P|psi>[j] = factor[j] * psi[source[j]]``: the source is ``k = j ^ x``
+    and the factor ``i^|x & z| (-1)^|k & z|`` (|.| a popcount; x & z marks the Y sites).
+    """
+    source = np.arange(1 << n_qubits, dtype=np.uint64) ^ x
+    signs = 1.0 - 2.0 * (np.bitwise_count(source & z) & 1)
+    return source, _PHASE_VALUES[_popcount(x & z) & 3, None] * signs
 
 
 def word_codes(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -211,45 +226,16 @@ class PauliString:
         prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_power]
         return f"PauliString({prefix}{self.label})"
 
-    def masks(self) -> tuple[int, int]:
-        """Bit masks (x_mask, zy_mask) with qubit 0 as the most significant bit.
-
-        ``x_mask`` marks sites that flip a basis state (X or Y); ``zy_mask``
-        marks sites that contribute a (-1)^bit sign (Z or Y).
-        """
-        return int.from_bytes(self.x.tobytes(), "little"), int.from_bytes(self.z.tobytes(), "little")
-
-    def _basis_action(self, scale: complex) -> tuple[np.ndarray, np.ndarray]:
-        """``scale`` times the phase-free string P on every basis state |k>.
-
-        Returns ``(rows, values)`` with ``scale * P|k> = values[k] |rows[k]>``:
-        ``rows = k ^ x_mask`` and
-        ``values = scale * i^(n_y) * (-1)^popcount(k & zy_mask)``.
-        """
-        x_mask, zy_mask = self.masks()
-        n_y = int(np.count_nonzero(self.codes == 2))
-        cols = np.arange(1 << self.n_qubits, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & np.uint64(zy_mask)) & 1)
-        return cols ^ np.uint64(x_mask), scale * _PHASES[n_y & 3] * signs
-
     def matrix(self, max_qubits: int = DENSE_QUBIT_CAP) -> np.ndarray:
         """Dense 2^n x 2^n realization (oracle support at small n)."""
-        n = self.n_qubits
-        if n > max_qubits:
-            raise DenseLimitError(f"dense realization capped at {max_qubits} qubits, got {n}")
-        rows, values = self._basis_action(self.phase)
-        out = np.zeros((1 << n, 1 << n), dtype=complex)
-        out[rows, np.arange(1 << n)] = values
-        return out
+        return PauliSum(self.n_qubits, [(1.0, self)]).matrix(max_qubits)
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Apply the string to a dense statevector (index arithmetic, O(2^n))."""
         if amplitudes.size != 1 << self.n_qubits:
             raise DimensionMismatchError("statevector length does not match qubit count")
-        rows, values = self._basis_action(self.phase)
-        out = np.empty_like(amplitudes)
-        out[rows] = values * amplitudes
-        return out
+        source, factor = dense_action(self.x[None], self.z[None], self.n_qubits)
+        return self.phase * factor[0] * amplitudes[source[0]]
 
 
 class PauliSum:
@@ -359,10 +345,10 @@ class PauliSum:
         if n > max_qubits:
             raise DenseLimitError(f"dense realization capped at {max_qubits} qubits, got {n}")
         out = np.zeros((1 << n, 1 << n), dtype=complex)
-        cols = np.arange(1 << n)
+        rows = np.arange(1 << n)
         for coeff, string in self.terms():
-            rows, values = string._basis_action(coeff)
-            out[rows, cols] += values
+            source, factor = dense_action(string.x[None], string.z[None], n)
+            out[rows, source[0]] += coeff * factor[0]
         return out
 
     def to_text(self) -> str:
@@ -387,6 +373,10 @@ class PauliSum:
                 coeff = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ValueError(f"line {lineno}: bad coefficient in {raw!r}")
+            if not cmath.isfinite(coeff):
+                raise ValueError(
+                    f"line {lineno}: coefficient {coeff:.12g} of {parts[2]} is not finite"
+                )
             try:
                 string = PauliString.from_label(parts[2])
             except ValueError as exc:

@@ -25,9 +25,10 @@ import numpy as np
 import scipy.linalg
 
 from . import models, oracle
-from .ansatz import AnsatzSet, OverlapSet, build_overlaps, krylov_ansatz, x_string_ansatz
+from .ansatz import (AnsatzSet, OverlapSet, _stacked_words, build_overlaps, krylov_ansatz,
+                     x_string_ansatz)
 from .base import BaseSolver
-from .pauli import PauliString, PauliSum, SettingError
+from .pauli import PauliString, PauliSum, SettingError, dense_action
 from .sdp import (
     BLOCK,
     MatrixConstraint,
@@ -323,6 +324,8 @@ class ExcitedStatesSolver(_KrylovSolver):
     tol_gap: float = 1e-8
 
     def fit_overlaps(self, overlaps: OverlapSet) -> "ExcitedStatesSolver":
+        if self.n_excited < 0:
+            raise ValueError(f"n_excited must be an integer >= 0, got {self.n_excited}")
         if self.n_excited > overlaps.n_states - 1:
             raise SettingError(f"n_excited={self.n_excited} exceeds ansatz size minus one "
                                f"({overlaps.n_states - 1})")
@@ -652,12 +655,14 @@ class _XStringSolver(BaseSolver):
             raise SettingError(
                 "ansatz mode needs a real-valued seed: zero state or y-rotation circuit"
             )
-        ansatz = x_string_ansatz(max(1, math.ceil(math.log2(self._size(instance)))), seed)
+        n = max(1, math.ceil(math.log2(self._size(instance))))
+        ansatz = x_string_ansatz(n, seed)
         if self.n_states is not None:
             ansatz = ansatz.take(check_positive_int(self.n_states, "n_states"))
-        state = prepare(seed, ansatz.n_qubits)
+        state = prepare(seed, n)
         psi = (state.to_dense() if isinstance(state, ProductState) else state).amplitudes
-        u = np.stack([p.apply(psi) for p in ansatz.strings], axis=1)
+        source, factor = dense_action(*_stacked_words(ansatz.strings, n), n)
+        u = (factor * psi[source]).T
         coords = gram_basis(u.conj().T @ u, self.rank_tol).vectors
         return ansatz, coords, u @ coords
 
@@ -772,6 +777,8 @@ def energy_sweep(hamiltonian: PauliSum, seed_state, krylov_order: int, m_values,
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
     m_values = sorted({int(m) for m in m_values})
+    if not m_values or m_values[0] < 1:
+        raise ValueError(f"m_values must be a non-empty list of positive sizes, got {m_values}")
     solver = (GroundStateSolver if sense == "min" else LargestEigenvalueSolver)(
         seed_state=seed_state, krylov_order=krylov_order, n_states=max(m_values), **settings
     )

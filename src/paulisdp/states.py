@@ -3,7 +3,9 @@
 Two backends realize a prepared state:
 
 - :class:`DenseState` holds the full 2^n statevector (capped at
-  ``pauli.DENSE_QUBIT_CAP`` = 14 qubits, roughly 256 KB of amplitudes).
+  ``pauli.DENSE_QUBIT_CAP`` = 14 qubits, roughly 256 KB of amplitudes)
+  and applies strings through the one dense kernel, ``pauli.dense_action``,
+  as the annealing circuit's diagonal does.
 - :class:`ProductState` holds one 2-component vector per qubit and
   evaluates Pauli expectations in O(n), which is what makes the
   1000-qubit largest-eigenvalue runs possible.
@@ -34,15 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (
-    _PHASES,
-    DENSE_QUBIT_CAP,
-    DenseLimitError,
-    DimensionMismatchError,
-    PauliString,
-    PauliSum,
-    word_codes,
-)
+from .pauli import (DENSE_QUBIT_CAP, DenseLimitError, DimensionMismatchError, PauliString,
+                    PauliSum, dense_action, word_codes)
 
 # ---------------------------------------------------------------------------
 # state specifications
@@ -111,7 +106,6 @@ StateSpec = ZeroState | PlusState | HardwareEfficientCircuit | QuantumAnnealingS
 
 # Amplitudes (dense) or sites (product) per chunk of a batch evaluation: temporaries stay ~1 MB.
 _CHUNK = 1 << 14
-_PHASE_VALUES = np.array(_PHASES)
 
 
 def _expectation(state, p: PauliString) -> complex:
@@ -299,18 +293,14 @@ class DenseState:
     def expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """<psi|P|psi> of each phase-free string P given as rows of x and z words.
 
-        Row by row, P|psi> is built as ``PauliString.apply`` builds it and takes one ``np.vdot``.
+        Chunk by chunk, ``pauli.dense_action`` gives each P|psi> and each row takes one ``np.vdot``.
         """
         psi = self.amplitudes
-        cols = np.arange(psi.size, dtype=np.uint64)
-        phases = _PHASE_VALUES[np.bitwise_count(x & z).sum(axis=-1) & 3]
         step = max(1, _CHUNK // psi.size)
         out = np.empty(len(x), dtype=complex)
         for lo in range(0, len(x), step):
-            k = cols ^ x[lo : lo + step]  # row j of P|psi> takes its amplitude from k = j ^ x
-            signs = 1.0 - 2.0 * (np.bitwise_count(k & z[lo : lo + step]) & 1)
-            applied = phases[lo : lo + step, None] * signs * psi[k]
-            out[lo : lo + step] = [np.vdot(psi, row) for row in applied]
+            source, factor = dense_action(x[lo : lo + step], z[lo : lo + step], self.n_qubits)
+            out[lo : lo + step] = [np.vdot(psi, row) for row in factor * psi[source]]
         return out
 
     expectation = _expectation
@@ -348,9 +338,9 @@ def diagonal_values(op: PauliSum) -> np.ndarray:
     n = op.n_qubits
     diag = np.zeros(1 << n, dtype=complex)
     for coeff, string in op.terms():
-        if np.any((string.codes == 1) | (string.codes == 2)):
+        if string.x.any():
             raise ValueError("operator is not diagonal in the computational basis")
-        diag += string._basis_action(coeff)[1]
+        diag += coeff * dense_action(string.x[None], string.z[None], n)[1][0]
     if np.max(np.abs(diag.imag), initial=0.0) > 1e-12:
         raise ValueError("diagonal operator has complex coefficients")
     return diag.real

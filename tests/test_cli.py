@@ -229,7 +229,7 @@ class TestConfigValidation:
             (["lovasz", "--ansatz", "--seed-state", "plus"], {},
              "ansatz mode needs a real-valued seed"),
             (["nse", "--model-file", "{dir}/h.txt"], {"h.txt": "nan 0 XZ\n"},
-             "{dir}/h.txt: coefficient (nan+nanj) of XZ is not finite"),
+             "{dir}/h.txt: line 1: coefficient nan+0j of XZ is not finite"),
         ],
     )
     def test_rejected_input_exits_with_message(self, tmp_path, capsys, argv, files, message):
@@ -257,6 +257,16 @@ class TestConfigValidation:
             **GroundStateSolver().get_params(), "seed_state": "random", "layers": 2,
             "krylov_order": 1, "mode": "shots", "shots": 50, "max_iter": 9,
         }
+
+    def test_bad_flag_values_reported_together(self, capsys):
+        assert cli.main(["nse", "--model", "isin", "--n", "abc", "--shots", "x"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: <config>: model.n must be an integer >= 2, got 'abc'",
+            "config error: <config>: shots must be a positive integer, got 'x'",
+            "config error: <config>: model.kind must be one of "
+            "['file', 'heisenberg', 'ising', 'random_pauli'], got 'isin'",
+        ]
 
     def test_bad_lists_reported_with_every_other_violation(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

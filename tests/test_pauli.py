@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from paulisdp.pauli import (
     hermitian_elementary,
     multiply_words,
 )
+from paulisdp.states import DenseState
 
 # Per-qubit letter tables (codes 0=I, 1=X, 2=Y, 3=Z): the product letter
 # and the exponent of i it acquires, e.g. X*Y = iZ, Y*X = -iZ.
@@ -184,7 +188,8 @@ class TestSymplecticKernel:
         for _ in range(10):
             p = random_string(rng, n)
             assert PauliString.from_words(p.x, p.z, n, p.phase_power) == p
-            assert p.masks() == reference_masks(p)
+            words = tuple(int.from_bytes(w.tobytes(), "little") for w in (p.x, p.z))
+            assert words == reference_masks(p)
 
     def test_matrix_and_apply_match_kronecker_reference(self):
         rng = np.random.default_rng(23)
@@ -195,6 +200,24 @@ class TestSymplecticKernel:
             np.testing.assert_array_equal(p.matrix(), expected)
             psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             np.testing.assert_allclose(p.apply(psi), expected @ psi, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dense_expectations_match_kronecker_reference(self, n):
+        rng = np.random.default_rng(300 + n)
+        if n <= 3:
+            codes = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.uint8)
+        else:
+            codes = rng.integers(0, 4, size=(64, n)).astype(np.uint8)
+        strings = [PauliString(c, phase) for c in codes for phase in range(4)]
+        state = DenseState(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+        psi = state.amplitudes
+        expected = [np.vdot(psi, reference_matrix(p) @ psi) for p in strings]
+        x, z = np.stack([p.x for p in strings]), np.stack([p.z for p in strings])
+        phases = np.array([p.phase for p in strings])
+        batch = phases * state.expectations(x, z)
+        np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-13)
+        one_by_one = [state.expectation(p) for p in strings]
+        np.testing.assert_allclose(one_by_one, expected, rtol=0, atol=1e-13)
 
 
 class TestPauliSum:
@@ -281,6 +304,11 @@ class TestPauliSum:
             finite + PauliSum.from_terms([(1.0, x), (bad, PauliString.from_label("ZZ"))])
         with pytest.raises(ValueError, match="XZ is not finite"):
             PauliSum.from_text(f"{bad.real} {bad.imag} XZ\n")
+        # the line number and the value the line holds, not one multiplied by a phase
+        written = {"nan": "nan+0j", "inf": "inf+0j", "-inf": "-inf+0j", "nanj": "0+nanj"}[str(bad)]
+        message = f"line 2: coefficient {written} of ZZ is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PauliSum.from_text(f"1 0 XZ\n{bad.real} {bad.imag} ZZ\n")
 
     def test_nan_field_is_not_dropped_from_a_model(self):
         with pytest.raises(ValueError, match="XIII is not finite"):

@@ -162,6 +162,10 @@ class TestGroundState:
         with pytest.raises(ValueError, match="sense must be"):
             energy_sweep(h, "plus", 1, [2], sense="maximum")
 
+    def test_empty_sweep_is_rejected(self):
+        with pytest.raises(ValueError, match="m_values must be a non-empty list"):
+            energy_sweep(models.ising_hamiltonian(4), "plus", 1, [])
+
 
 class TestLargestEigenvalue:
     def test_single_state_zero_seed(self):
@@ -243,6 +247,11 @@ class TestExcitedStates:
         ex = ExcitedStatesSolver(n_excited=2, seed_state="plus", krylov_order=1, n_states=3)
         ex.fit(h)
         assert len(ex.statuses_) >= len(ex.energies_)
+
+    def test_negative_level_count_is_rejected(self):
+        ex = ExcitedStatesSolver(n_excited=-2, seed_state="plus", krylov_order=1)
+        with pytest.raises(ValueError, match="n_excited must be an integer >= 0, got -2"):
+            ex.fit(models.ising_hamiltonian(3))
 
     def test_levels_past_gram_rank_are_infeasible(self):
         # X_i |+> = |+>, so the X strings add no direction: Gram rank < M
