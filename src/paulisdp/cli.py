@@ -47,6 +47,8 @@ COMMANDS = (
     "rank1",
     "figures",
 )
+# the commands that read a model, and so take the model flags
+MODEL_COMMANDS = ("nse", "excited", "symmetry", "eigmax", "rank1")
 
 
 class ConfigError(Exception):
@@ -806,21 +808,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)  # no --n read as --n-states
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--out", dest="output", help="output CSV path (default stdout)")
-        p.add_argument("--model", dest="model.kind", help=f"one of {sorted(_MODEL_KINDS)}")
-        p.add_argument("--n", dest="n_qubits" if command == "discriminate" else "model.n",
-                       type=_INT, help="qubit / vertex count for built-in models")
-        p.add_argument("--g", dest="model.g", type=_FLOAT, help="longitudinal field")
-        p.add_argument("--field", dest="model.h", type=_FLOAT, help="transverse / coupling field h")
-        p.add_argument("--terms", dest="model.terms", type=_INT, help="random-model term count")
-        p.add_argument("--model-seed", dest="model.seed", type=_INT, help="random-model seed")
-        # after the other model flags, since flags merge in this order: a file
-        # replaces the whole model section
-        p.add_argument("--model-file", dest="model", metavar="PATH",
-                       type=lambda path: {"kind": "file", "path": path},
-                       help="Hamiltonian text file")
+        if command in MODEL_COMMANDS:
+            p.add_argument("--model", dest="model.kind", help=f"one of {sorted(_MODEL_KINDS)}")
+            p.add_argument("--n", dest="model.n", type=_INT,
+                           help="qubit count of a built-in model")
+            p.add_argument("--g", dest="model.g", type=_FLOAT, help="longitudinal field")
+            p.add_argument("--field", dest="model.h", type=_FLOAT,
+                           help="transverse / coupling field h")
+            p.add_argument("--terms", dest="model.terms", type=_INT, help="random-model term count")
+            p.add_argument("--model-seed", dest="model.seed", type=_INT, help="random-model seed")
+            # after the other model flags, since flags merge in this order: a
+            # file replaces the whole model section
+            p.add_argument("--model-file", dest="model", metavar="PATH",
+                           type=lambda path: {"kind": "file", "path": path},
+                           help="Hamiltonian text file")
         p.add_argument("--seed-state", dest="state.kind", help=f"one of {sorted(_STATE_KINDS)}")
         p.add_argument("--layers", dest="state.layers", type=_INT)
         p.add_argument("--anneal-time", dest="state.anneal_time", type=_FLOAT)
@@ -842,6 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sectors", dest="sector_values", type=_parse_numbers,
                            help="comma list of sector values")
         if command == "discriminate":
+            p.add_argument("--n", dest="n_qubits", type=_INT,
+                           help="qubit count of the discrimination instance")
             p.add_argument("--angle", type=_FLOAT)
             p.add_argument("--angles", type=_parse_numbers, help="comma list of angles")
             p.add_argument("--error-budget", type=_FLOAT)

@@ -14,8 +14,10 @@ of the Hermitian basis.  Its rows never exist as dense matrices: the Schur
 block of the family is a fixed change of basis of sum_b P_b (x) Q_b^T with
 P_b = V_b X_b V_b^H and Q_b = V_b Z_b^-1 V_b^H (the structure exploitation of
 Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), assembled from
-row-then-column gathers of P_b and Q_b, and its cross terms with the scalar
-rows cost one congruence per row.
+row-then-column gathers of P_b and Q_b a few dozen entry rows at a time,
+straight into the Schur matrix, and its cross terms with the scalar rows
+cost one congruence per row.  scipy.linalg is imported by the interior-point
+method itself, so the eigen path never loads it.
 
 The returned status is certified: residuals are recomputed from the
 original data after the iteration, and ``OPTIMAL`` is reported only when
@@ -42,10 +44,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_TOL = 1e-10
 BLOCK = "state"  # the one block of a normalized program
+_SCHUR_CHUNK = 32  # entry rows per step of the matrix-constraint Schur block
+_SYMMETRIZE_BLOCK = 128  # rows and columns per block of the in-place Schur symmetrization
 
 
 class SolveStatus(enum.Enum):
@@ -231,8 +234,9 @@ class _MatrixRows:
     an imaginary-part row, the functional of E = i e_ab - i e_ba.  Row j
     reads part ``psi[j] // n`` of entry ``psi[j] % n`` (n entries), times
     ``rho[j]``: the row scale, halved on the diagonal so that both halves of
-    E add up to e_aa.  ``maps[b]`` is V_b, or None for a block the equality
-    leaves out.  No (m, d, d) array is ever formed.
+    E add up to e_aa.  ``psi`` is ascending, so real-part rows come first;
+    ``select`` keeps that order.  ``maps[b]`` is V_b, or None for a block the
+    equality leaves out.  No (m, d, d) array is ever formed.
     """
 
     def __init__(self, maps, a, b, psi, rho):
@@ -264,68 +268,83 @@ class _MatrixRows:
         mat = self.dual_matrix(y)
         return [None if v is None else v.conj().T @ mat @ v for v in self.maps]
 
-    def schur(self, xs, z_invs) -> np.ndarray:
+    def schur(self, xs, z_invs, out=None) -> np.ndarray:
         """M_jl = Re Tr(E_j P E_l Q) summed over blocks, P = V X V^H, Q = V Z^-1 V^H.
 
         With E = c e_ab + conj(c) e_ba and Tr(e_ab P e_cd Q) = P[b,c] Q[d,a],
-        each entry pair needs three gathered products; the first appears
-        twice, once conjugate-transposed, since P and Q are Hermitian.  Each
-        (n, n) factor is gathered rows first, then columns, and the products
-        are summed over blocks in block order.  Their real and imaginary
-        parts are combined in place, in real arithmetic, term by term in the
-        order of the complex sums, so the block keeps the bits of those sums.
-        The r^4 matrix sum_b P_b (x) Q_b^T is never formed: as one complex
-        GEMM it is faster on its own but slower inside the iteration at two
-        BLAS threads.
+        each entry pair (j, l) needs three products of gathered entries,
+        s0 = P[b_j,a_l] Q^T[a_j,b_l], s1 = P[b_j,b_l] Q^T[a_j,a_l] and
+        s2 = P[a_j,a_l] Q^T[b_j,b_l], each summed over blocks in block order;
+        s0 also appears conjugate-transposed, since P and Q are Hermitian.
+        Real-part rows read Re(s0 + s0^H + s1 + s2), imaginary-part rows
+        Re(s1 + s2 - s0 - s0^H), and the cross block is
+        Im(s1 - s2 - s0 + s0^H), each summed term by term in that order.
+
+        Only s0 is held whole, as one (n, n) array, because its transpose is
+        read.  s1 and s2 are formed for ``_SCHUR_CHUNK`` entry rows at a
+        time, combined with s0's rows and transposed columns, and written
+        straight into the (m, m) output in ``psi`` order (real-part rows
+        first, ascending), times ``rho`` on rows, then on columns.  The
+        output is ``out`` when given, such as the matrix rows' block of the
+        whole Schur matrix, else a new array.  So no
+        (3, n, n) sum, no 2n x 2n combined block and no gather of one is
+        formed, and no diagonal imaginary-part row is computed and dropped;
+        the entries keep the bits of the whole-array sums.  The r^4 matrix
+        sum_b P_b (x) Q_b^T is never formed either: as one complex GEMM it
+        is faster on its own but slower inside the iteration at two BLAS
+        threads.
         """
-        full = self._combine(self._products(xs, z_invs)).take(self.psi, 0).take(self.psi, 1)
-        full *= self.rho[:, None]
-        full *= self.rho
-        return full
-
-    def _products(self, xs, z_invs) -> np.ndarray:
-        """s0 = P[b,a] Q^T[a,b], s1 = P[b,b] Q^T[a,a], s2 = P[a,a] Q^T[b,b], summed over blocks."""
         a, b, n = self.a, self.b, self.n
+        pairs = [(v @ x @ v.conj().T, (v @ zi @ v.conj().T).T)
+                 for v, x, zi in zip(self.maps, xs, z_invs) if v is not None]
 
-        def gathered(left, left_cols, right, right_cols):
-            term = left.take(left_cols, 1)
-            term *= right.take(right_cols, 1)
-            return term
+        def product_rows(p_rows, p_cols, qt_rows, qt_cols, rows):
+            """sum over blocks of P[p_rows[rows], p_cols] * Q^T[qt_rows[rows], qt_cols]."""
+            total = np.zeros((len(p_rows[rows]), n), complex if self.complex else float)
+            for p, qt in pairs:
+                term = p.take(p_rows[rows], 0).take(p_cols, 1)
+                term *= qt.take(qt_rows[rows], 0).take(qt_cols, 1)
+                total += term
+            return total
 
-        s = np.zeros((3, n, n), complex if self.complex else float)
-        s0, s1, s2 = s
-        for v, x, zi in zip(self.maps, xs, z_invs):
-            if v is None:
+        chunks = [slice(start, start + _SCHUR_CHUNK) for start in range(0, n, _SCHUR_CHUNK)]
+        if out is None:
+            out = np.empty((self.m, self.m))
+        s0 = np.empty((n, n), complex if self.complex else float)
+        for chunk in chunks:
+            s0[chunk] = product_rows(b, a, a, b, chunk)
+        m_re = int(np.searchsorted(self.psi, n))
+        real_rows, imag_rows = self.psi[:m_re], self.psi[m_re:] - n
+        rho_re, rho_im = self.rho[:m_re, None], self.rho[m_re:, None]
+        for chunk in chunks:
+            start = chunk.start
+            s0_rows, s0_cols = s0[chunk], s0[:, chunk].T
+            s1 = product_rows(b, b, a, a, chunk)
+            s2 = product_rows(a, a, b, b, chunk)
+            # output rows of the chunk's entries, and their rows within the chunk
+            lo, hi = np.searchsorted(real_rows, [start, start + _SCHUR_CHUNK])
+            local = real_rows[lo:hi] - start
+            real_real = np.add(s0_rows.real, s0_cols.real)
+            real_real += s1.real
+            real_real += s2.real
+            out[lo:hi, :m_re] = (real_real.take(local, 0).take(real_rows, 1)
+                                 * rho_re[lo:hi] * rho_re.T)
+            if m_re == self.m:
                 continue
-            p = v @ x @ v.conj().T
-            qt = (v @ zi @ v.conj().T).T
-            p_b, p_a, qt_a, qt_b = p.take(b, 0), p.take(a, 0), qt.take(a, 0), qt.take(b, 0)
-            s0 += gathered(p_b, a, qt_a, b)
-            s1 += gathered(p_b, b, qt_a, a)
-            s2 += gathered(p_a, a, qt_b, b)
-        return s
-
-    def _combine(self, s) -> np.ndarray:
-        """Real-part rows Re(s0 + s0^H + s1 + s2); for complex data, imaginary-part
-        rows Re(s1 + s2 - s0 - s0^H) and the cross block Im(s1 - s2 - s0 + s0^H)."""
-        n = self.n
-        s0_re, s1_re, s2_re = s.real
-        full = np.empty((2 * n, 2 * n) if self.complex else (n, n))
-        real_real = full[:n, :n]
-        np.add(s0_re, s0_re.T, out=real_real)
-        real_real += s1_re
-        real_real += s2_re
-        if self.complex:
-            s0_im, s1_im, s2_im = s.imag
-            real_imag, imag_imag = full[:n, n:], full[n:, n:]
-            np.subtract(s1_im, s2_im, out=real_imag)
-            real_imag -= s0_im
-            real_imag -= s0_im.T
-            np.add(s1_re, s2_re, out=imag_imag)
-            imag_imag -= s0_re
-            imag_imag -= s0_re.T
-            full[n:, :n] = real_imag.T
-        return full
+            real_imag = np.subtract(s1.imag, s2.imag)
+            real_imag -= s0_rows.imag
+            real_imag -= s0_cols.imag
+            real_imag = real_imag.take(local, 0).take(imag_rows, 1)
+            out[lo:hi, m_re:] = real_imag * rho_re[lo:hi] * rho_im.T
+            out[m_re:, lo:hi] = real_imag.T * rho_im * rho_re[lo:hi].T
+            lo, hi = np.searchsorted(imag_rows, [start, start + _SCHUR_CHUNK])
+            imag_imag = np.add(s1.real, s2.real)
+            imag_imag -= s0_rows.real
+            imag_imag -= s0_cols.real
+            out[m_re + lo:m_re + hi, m_re:] = (
+                imag_imag.take(imag_rows[lo:hi] - start, 0).take(imag_rows, 1)
+                * rho_im[lo:hi] * rho_im.T)
+        return out
 
     def row_norms(self) -> np.ndarray:
         """sqrt(sum_b ||V_b^H E_j V_b||^2), with ||V^H E V||^2 = Tr(E G E G), G = V V^H.
@@ -386,7 +405,12 @@ class _Rows:
             if self.matrix is not None:
                 # M_ij = Re Tr(A_j X A_i Z^-1): matrix row j read on t_i = X A_i Z^-1
                 cross = self.matrix.apply(ts)
-                schur = np.block([[schur, cross], [cross.T, self.matrix.schur(xs, z_invs)]])
+                d = self.dense.m
+                dense_schur, schur = schur, np.empty((self.m, self.m))
+                schur[:d, :d] = dense_schur
+                schur[:d, d:] = cross
+                schur[d:, :d] = cross.T
+                self.matrix.schur(xs, z_invs, out=schur[d:, d:])
         if self.column is not None:
             schur += (xs[-1][0, 0] * z_invs[-1][0, 0]) * np.outer(self.column, self.column)
         return schur
@@ -410,8 +434,26 @@ class _Rows:
         return _Rows(dense, matrix)
 
 
+def _symmetrize(s: np.ndarray) -> None:
+    """s <- (s + s^T) / 2 in place, one pair of blocks at a time.
+
+    Each entry is (s_ij + s_ji) / 2 as in the whole-array formula, and IEEE
+    addition commutes, so both halves get the same bits; no (m, m) copy of
+    s is made.
+    """
+    m, step = s.shape[0], _SYMMETRIZE_BLOCK
+    for i in range(0, m, step):
+        for j in range(i, m, step):
+            pair = s[i:i + step, j:j + step] + s[j:j + step, i:i + step].T
+            pair /= 2.0
+            s[i:i + step, j:j + step] = pair
+            s[j:j + step, i:i + step] = pair.T
+
+
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still PSD (x Hermitian PD)."""
+    import scipy.linalg
+
     try:
         chol = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
@@ -442,6 +484,8 @@ class _IpmCore:
         self.converged = converged
 
     def run(self):
+        import scipy.linalg  # loaded here, so that eigen-path fits never load it
+
         scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
         z_scale = max(1.0, self.norm_c / max(1.0, math.sqrt(self.n_total)))
         xs = [scale * np.eye(cb.shape[0], dtype=cb.dtype) for cb in self.c]
@@ -501,8 +545,7 @@ class _IpmCore:
             # Schur complement M_ij = Re sum_b Tr(A_i X A_j Z^-1); symmetric PD,
             # a fresh real array, so it is symmetrized in place
             schur = self.rows.schur(xs, z_invs)
-            schur += schur.T
-            schur /= 2.0
+            _symmetrize(schur)
             if not np.all(np.isfinite(schur)):
                 status = SolveStatus.NUMERICAL_FAILURE
                 break

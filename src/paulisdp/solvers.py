@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import models, oracle
 from .ansatz import (AnsatzSet, OverlapSet, _stacked_words, build_overlaps, krylov_ansatz,
@@ -686,6 +685,8 @@ class LovaszThetaSolver(_XStringSolver):
         J is positive semidefinite, so trace moved from padding to vertex
         coordinates raises <J, V X V^H>: an optimum leaves padding empty.
         """
+        import scipy.linalg  # only the Lovasz cut needs it
+
         ansatz, coords, v = super()._x_string_map(graph)
         vertex = scipy.linalg.null_space(v[graph.n_vertices:])
         return ansatz, coords @ vertex, v[:graph.n_vertices] @ vertex

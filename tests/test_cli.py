@@ -284,13 +284,6 @@ class TestConfigValidation:
 _COMMON_FLAGS = {
     "--config": ("{config}", {"shots": 7}),
     "--out": ("o.csv", {"output": "o.csv"}),
-    "--model": ("ising", {"model.kind": "ising"}),
-    "--n": ("3", {"model.n": 3}),
-    "--g": ("0.5", {"model.g": 0.5}),
-    "--field": ("0.25", {"model.h": 0.25}),
-    "--terms": ("4", {"model.terms": 4}),
-    "--model-seed": ("2", {"model.seed": 2}),
-    "--model-file": ("h.txt", {"model.kind": "file", "model.path": "h.txt"}),
     "--seed-state": ("random", {"state.kind": "random"}),
     "--layers": ("2", {"state.layers": 2}),
     "--anneal-time": ("0.5", {"state.anneal_time": 0.5}),
@@ -304,17 +297,31 @@ _COMMON_FLAGS = {
     "--tol-feas": ("1e-07", {"solver.tol_feas": 1e-7}),
     "--tol-gap": ("1e-06", {"solver.tol_gap": 1e-6}),
 }
+# the model flags, which only the commands that read a model take
+_MODEL_FLAGS = {
+    "--model": ("ising", {"model.kind": "ising"}),
+    "--n": ("3", {"model.n": 3}),
+    "--g": ("0.5", {"model.g": 0.5}),
+    "--field": ("0.25", {"model.h": 0.25}),
+    "--terms": ("4", {"model.terms": 4}),
+    "--model-seed": ("2", {"model.seed": 2}),
+    "--model-file": ("h.txt", {"model.kind": "file", "model.path": "h.txt"}),
+}
 _SOLVE_MODE_FLAGS = {
     "--direct": (None, {"solve_mode": "direct"}),
     "--ansatz": (None, {"solve_mode": "ansatz"}),
 }
 _COMMAND_FLAGS = {
-    "excited": {"--n-excited": ("2", {"n_excited": 2})},
+    "nse": _MODEL_FLAGS,
+    "excited": {**_MODEL_FLAGS, "--n-excited": ("2", {"n_excited": 2})},
     "symmetry": {
+        **_MODEL_FLAGS,
         "--symmetry": ("parity", {"symmetry": "parity"}),
         "--sector": ("1", {"sector_value": 1.0}),
         "--sectors": ("0,2", {"sector_values": [0.0, 2.0]}),
     },
+    "eigmax": _MODEL_FLAGS,
+    "rank1": _MODEL_FLAGS,
     "discriminate": {
         "--n": ("4", {"n_qubits": 4}),
         "--angle": ("0.3", {"angle": 0.3}),
@@ -358,7 +365,26 @@ class TestFlagInventory:
             options -= {"-h", "--help"}
             assert options == {*_COMMON_FLAGS, *_COMMAND_FLAGS.get(command, {})}, command
             total += len(options)
-        assert total == 208
+        assert total == 181
+
+    def test_only_commands_that_read_a_model_take_the_model_flags(self, capsys):
+        for command in cli.COMMANDS:
+            options = {s for a in _subparser(command)._actions for s in a.option_strings}
+            assert (set(_MODEL_FLAGS) <= options) is (command in cli.MODEL_COMMANDS), command
+        # lovasz has --n-states: the flag must not pass as an abbreviation of it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lovasz", "--graph", "chsh", "--n", "5"])
+        assert exc.value.code != cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --n 5" in err and "model.kind" not in err
+        for command in cli.COMMANDS:
+            helps = [a.help for a in _subparser(command)._actions if "--n" in a.option_strings]
+            if command in cli.MODEL_COMMANDS:
+                assert helps == ["qubit count of a built-in model"]
+            elif command == "discriminate":
+                assert helps == ["qubit count of the discrimination instance"]
+            else:
+                assert helps == []
 
     def test_model_file_replaces_the_model_flags(self):
         args = cli.build_parser().parse_args(

@@ -537,24 +537,46 @@ class TestMatrixConstraint:
             for got_b, want_b in zip(got_rows.adjoint(y), want_rows.adjoint(y)):
                 np.testing.assert_allclose(got_b, want_b, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("case", ["complex_all_entries", "real_entry_subset", "selected"])
+    @pytest.mark.parametrize("case", ["complex_all_entries", "real_entry_subset", "selected",
+                                      "complex_r9", "real_r9", "selected_both_parts"])
     def test_schur_block_bits_match_index_grid_formula(self, case):
         rng = np.random.default_rng(49)
-        complex_ = case != "real_entry_subset"
+        complex_ = case not in ("real_entry_subset", "real_r9")
         entries = [(0, 0), (0, 2), (1, 3), (2, 2), (3, 3)] if case == "real_entry_subset" else None
-        problem = random_matrix_instance(rng, [3, 5], 4, complex_, 1, entries)
+        # r = 9 gives 45 entries: more than one chunk of entry rows, the last one partial
+        r = 9 if case in ("complex_r9", "real_r9", "selected_both_parts") else 4
+        problem = random_matrix_instance(rng, [3, 5], r, complex_, 1, entries)
         c_blocks, rows, _b, _sign = _build_data(problem)
         matrix = rows.matrix
         if case == "complex_all_entries":  # no imaginary-part rows on the diagonal
             assert matrix.n == 10 and matrix.m == 16
+        if r == 9:
+            assert matrix.n == 45 > sdp._SCHUR_CHUNK and matrix.n % sdp._SCHUR_CHUNK
+            assert matrix.m == (81 if complex_ else 45)
         if case == "selected":
             keep = np.ones(matrix.m, dtype=bool)
             keep[4] = False
             matrix = matrix.select(keep, rng.uniform(0.5, 2.0, size=matrix.m - 1))
+        if case == "selected_both_parts":
+            # real-part rows of entries in both chunks, imaginary-part rows in both chunks
+            dropped = [3, 40, 50, 78]
+            assert [matrix.psi[j] // matrix.n for j in dropped] == [0, 0, 1, 1]
+            keep = np.ones(matrix.m, dtype=bool)
+            keep[dropped] = False
+            matrix = matrix.select(keep, rng.uniform(0.5, 2.0, size=matrix.m - len(dropped)))
         xs = [random_psd(rng, cb.shape[0], np.iscomplexobj(cb)) for cb in c_blocks]
         z_invs = [random_psd(rng, cb.shape[0], np.iscomplexobj(cb)) for cb in c_blocks]
         np.testing.assert_array_equal(matrix.schur(xs, z_invs),
                                       index_grid_schur(matrix, xs, z_invs))
+
+    def test_symmetrize_bits_match_whole_array_formula(self):
+        rng = np.random.default_rng(50)
+        m = 2 * sdp._SYMMETRIZE_BLOCK + 37  # a last block pair that is not square
+        s = rng.normal(size=(m, m)) * np.exp(rng.uniform(-30.0, 30.0, size=(m, m)))
+        s[rng.random((m, m)) < 0.01] = -0.0
+        expected = (s + s.T) / 2.0
+        sdp._symmetrize(s)
+        assert s.tobytes() == expected.tobytes()
 
     def test_infeasible_equality_goes_through_feasibility_phase(self, monkeypatch):
         # X = diag(1, -1) is forced and not PSD
