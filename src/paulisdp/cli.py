@@ -5,9 +5,9 @@ tool version, timestamp) followed by a header naming every column.  Runs
 are reproducible: identical config and seeds give byte-identical output
 except for the timestamp line.
 
-Exit codes: 0 success, 1 configuration error, 2 infeasible result on a
-single-point run (sweeps record per-row statuses instead), 3 numerical
-failure.
+Exit codes: 0 success (and ``--help``), 1 configuration or usage error,
+2 infeasible result on a single-point run (sweeps record per-row statuses
+instead), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -904,7 +904,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     source = "<config>"
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse printed help (0) or a usage error (2, not infeasible)
+            return EXIT_OK if exc.code == 0 else EXIT_CONFIG
         source = args.config or source
         cfg = validate_config(_merge_args(args), source=source)
         return _RUNNERS[cfg.command](cfg)

@@ -14,10 +14,9 @@ of the Hermitian basis.  Its rows never exist as dense matrices: the Schur
 block of the family is a fixed change of basis of sum_b P_b (x) Q_b^T with
 P_b = V_b X_b V_b^H and Q_b = V_b Z_b^-1 V_b^H (the structure exploitation of
 Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), assembled from
-row-then-column gathers of P_b and Q_b a few dozen entry rows at a time,
-straight into the Schur matrix, and its cross terms with the scalar rows
-cost one congruence per row.  scipy.linalg is imported by the interior-point
-method itself, so the eigen path never loads it.
+row-then-column gathers of P_b and Q_b, and its cross terms with the scalar
+rows cost one congruence per row.  scipy.linalg is imported by the
+interior-point method itself, so the eigen path never loads it.
 
 The returned status is certified: residuals are recomputed from the
 original data after the iteration, and ``OPTIMAL`` is reported only when
@@ -47,8 +46,6 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 BLOCK = "state"  # the one block of a normalized program
-_SCHUR_CHUNK = 32  # entry rows per step of the matrix-constraint Schur block
-_SYMMETRIZE_BLOCK = 128  # rows and columns per block of the in-place Schur symmetrization
 
 
 class SolveStatus(enum.Enum):
@@ -268,7 +265,7 @@ class _MatrixRows:
         mat = self.dual_matrix(y)
         return [None if v is None else v.conj().T @ mat @ v for v in self.maps]
 
-    def schur(self, xs, z_invs, out=None) -> np.ndarray:
+    def schur(self, xs, z_invs) -> np.ndarray:
         """M_jl = Re Tr(E_j P E_l Q) summed over blocks, P = V X V^H, Q = V Z^-1 V^H.
 
         With E = c e_ab + conj(c) e_ba and Tr(e_ab P e_cd Q) = P[b,c] Q[d,a],
@@ -278,73 +275,27 @@ class _MatrixRows:
         s0 also appears conjugate-transposed, since P and Q are Hermitian.
         Real-part rows read Re(s0 + s0^H + s1 + s2), imaginary-part rows
         Re(s1 + s2 - s0 - s0^H), and the cross block is
-        Im(s1 - s2 - s0 + s0^H), each summed term by term in that order.
-
-        Only s0 is held whole, as one (n, n) array, because its transpose is
-        read.  s1 and s2 are formed for ``_SCHUR_CHUNK`` entry rows at a
-        time, combined with s0's rows and transposed columns, and written
-        straight into the (m, m) output in ``psi`` order (real-part rows
-        first, ascending), times ``rho`` on rows, then on columns.  The
-        output is ``out`` when given, such as the matrix rows' block of the
-        whole Schur matrix, else a new array.  So no
-        (3, n, n) sum, no 2n x 2n combined block and no gather of one is
-        formed, and no diagonal imaginary-part row is computed and dropped;
-        the entries keep the bits of the whole-array sums.  The r^4 matrix
-        sum_b P_b (x) Q_b^T is never formed either: as one complex GEMM it
-        is faster on its own but slower inside the iteration at two BLAS
-        threads.
+        Im(s1 - s2 - s0 + s0^H); the rows in ``psi`` order are then scaled
+        by ``rho``.  The r^4 matrix sum_b P_b (x) Q_b^T is never formed: as
+        one complex GEMM it is faster on its own but slower inside the
+        iteration at two BLAS threads.
         """
-        a, b, n = self.a, self.b, self.n
-        pairs = [(v @ x @ v.conj().T, (v @ zi @ v.conj().T).T)
-                 for v, x, zi in zip(self.maps, xs, z_invs) if v is not None]
-
-        def product_rows(p_rows, p_cols, qt_rows, qt_cols, rows):
-            """sum over blocks of P[p_rows[rows], p_cols] * Q^T[qt_rows[rows], qt_cols]."""
-            total = np.zeros((len(p_rows[rows]), n), complex if self.complex else float)
-            for p, qt in pairs:
-                term = p.take(p_rows[rows], 0).take(p_cols, 1)
-                term *= qt.take(qt_rows[rows], 0).take(qt_cols, 1)
-                total += term
-            return total
-
-        chunks = [slice(start, start + _SCHUR_CHUNK) for start in range(0, n, _SCHUR_CHUNK)]
-        if out is None:
-            out = np.empty((self.m, self.m))
-        s0 = np.empty((n, n), complex if self.complex else float)
-        for chunk in chunks:
-            s0[chunk] = product_rows(b, a, a, b, chunk)
-        m_re = int(np.searchsorted(self.psi, n))
-        real_rows, imag_rows = self.psi[:m_re], self.psi[m_re:] - n
-        rho_re, rho_im = self.rho[:m_re, None], self.rho[m_re:, None]
-        for chunk in chunks:
-            start = chunk.start
-            s0_rows, s0_cols = s0[chunk], s0[:, chunk].T
-            s1 = product_rows(b, b, a, a, chunk)
-            s2 = product_rows(a, a, b, b, chunk)
-            # output rows of the chunk's entries, and their rows within the chunk
-            lo, hi = np.searchsorted(real_rows, [start, start + _SCHUR_CHUNK])
-            local = real_rows[lo:hi] - start
-            real_real = np.add(s0_rows.real, s0_cols.real)
-            real_real += s1.real
-            real_real += s2.real
-            out[lo:hi, :m_re] = (real_real.take(local, 0).take(real_rows, 1)
-                                 * rho_re[lo:hi] * rho_re.T)
-            if m_re == self.m:
+        a, b = self.a, self.b
+        s0 = s1 = s2 = 0.0
+        for v, x, zi in zip(self.maps, xs, z_invs):
+            if v is None:
                 continue
-            real_imag = np.subtract(s1.imag, s2.imag)
-            real_imag -= s0_rows.imag
-            real_imag -= s0_cols.imag
-            real_imag = real_imag.take(local, 0).take(imag_rows, 1)
-            out[lo:hi, m_re:] = real_imag * rho_re[lo:hi] * rho_im.T
-            out[m_re:, lo:hi] = real_imag.T * rho_im * rho_re[lo:hi].T
-            lo, hi = np.searchsorted(imag_rows, [start, start + _SCHUR_CHUNK])
-            imag_imag = np.add(s1.real, s2.real)
-            imag_imag -= s0_rows.real
-            imag_imag -= s0_cols.real
-            out[m_re + lo:m_re + hi, m_re:] = (
-                imag_imag.take(imag_rows[lo:hi] - start, 0).take(imag_rows, 1)
-                * rho_im[lo:hi] * rho_im.T)
-        return out
+            p = v @ x @ v.conj().T
+            qt = (v @ zi @ v.conj().T).T
+            s0 = s0 + p.take(b, 0).take(a, 1) * qt.take(a, 0).take(b, 1)
+            s1 = s1 + p.take(b, 0).take(b, 1) * qt.take(a, 0).take(a, 1)
+            s2 = s2 + p.take(a, 0).take(a, 1) * qt.take(b, 0).take(b, 1)
+        s0h = np.conj(s0).T
+        full = (s0 + s0h + s1 + s2).real
+        if self.complex:
+            real_imag = (s1 - s2 - s0 + s0h).imag
+            full = np.block([[full, real_imag], [real_imag.T, (s1 + s2 - s0 - s0h).real]])
+        return self.rho[:, None] * full.take(self.psi, 0).take(self.psi, 1) * self.rho
 
     def row_norms(self) -> np.ndarray:
         """sqrt(sum_b ||V_b^H E_j V_b||^2), with ||V^H E V||^2 = Tr(E G E G), G = V V^H.
@@ -405,12 +356,7 @@ class _Rows:
             if self.matrix is not None:
                 # M_ij = Re Tr(A_j X A_i Z^-1): matrix row j read on t_i = X A_i Z^-1
                 cross = self.matrix.apply(ts)
-                d = self.dense.m
-                dense_schur, schur = schur, np.empty((self.m, self.m))
-                schur[:d, :d] = dense_schur
-                schur[:d, d:] = cross
-                schur[d:, :d] = cross.T
-                self.matrix.schur(xs, z_invs, out=schur[d:, d:])
+                schur = np.block([[schur, cross], [cross.T, self.matrix.schur(xs, z_invs)]])
         if self.column is not None:
             schur += (xs[-1][0, 0] * z_invs[-1][0, 0]) * np.outer(self.column, self.column)
         return schur
@@ -432,22 +378,6 @@ class _Rows:
         if self.matrix is not None:
             matrix = self.matrix.select(keep_matrix, scale[n_dense:])
         return _Rows(dense, matrix)
-
-
-def _symmetrize(s: np.ndarray) -> None:
-    """s <- (s + s^T) / 2 in place, one pair of blocks at a time.
-
-    Each entry is (s_ij + s_ji) / 2 as in the whole-array formula, and IEEE
-    addition commutes, so both halves get the same bits; no (m, m) copy of
-    s is made.
-    """
-    m, step = s.shape[0], _SYMMETRIZE_BLOCK
-    for i in range(0, m, step):
-        for j in range(i, m, step):
-            pair = s[i:i + step, j:j + step] + s[j:j + step, i:i + step].T
-            pair /= 2.0
-            s[i:i + step, j:j + step] = pair
-            s[j:j + step, i:i + step] = pair.T
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -542,10 +472,9 @@ class _IpmCore:
                 for zb, ch in zip(zs, z_chols)
             ]
 
-            # Schur complement M_ij = Re sum_b Tr(A_i X A_j Z^-1); symmetric PD,
-            # a fresh real array, so it is symmetrized in place
+            # Schur complement M_ij = Re sum_b Tr(A_i X A_j Z^-1); symmetric PD
             schur = self.rows.schur(xs, z_invs)
-            _symmetrize(schur)
+            schur = (schur + schur.T) / 2.0
             if not np.all(np.isfinite(schur)):
                 status = SolveStatus.NUMERICAL_FAILURE
                 break

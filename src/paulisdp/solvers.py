@@ -457,7 +457,9 @@ class UnambiguousDiscriminator(BaseSolver):
     fit(instance) maximizes the mean correct-identification probability
     subject to a per-state misclassification budget and the leftover effect
     staying PSD.  Sets ``q_correct_``, ``q_unknown_``, ``povms_`` (ansatz
-    coefficient matrices), ``error_rates_`` and ``status_``.
+    coefficient matrices), ``error_rates_`` and ``status_``.  The program is
+    posed on the support of the whitened states, so ``solution_`` holds
+    blocks of that dimension; ``povms_`` are lifted back.
     """
 
     error_budget: float = 0.0
@@ -471,12 +473,20 @@ class UnambiguousDiscriminator(BaseSolver):
         basis = gram_basis(instance.gram, self.rank_tol)
         betas = [basis.state(b) for b in instance.betas]
         n_s = len(betas)
-        r = basis.rank
         complex_data = any(np.max(np.abs(b.imag)) > 1e-14 for b in betas) or (
             np.max(np.abs(np.asarray(instance.gram).imag)) > 1e-14
         )
         if not complex_data:  # a real program needs no imaginary-part rows
             betas = [b.real for b in betas]
+
+        # The objective and the budget rows read the effects only through the
+        # states, so compressing every block X to Q^H X Q, with Q spanning the
+        # range of sum_k beta_k, keeps the optimum (facial reduction, Borwein
+        # and Wolkowicz 1981); completeness becomes identity on range(Q).
+        evals, evecs = np.linalg.eigh(sum(betas))
+        support = evecs[:, evals > 1e-10 * float(evals[-1])]
+        betas = [support.conj().T @ b @ support for b in betas]
+        r = support.shape[1]
 
         # With a zero error budget the misclassification traces vanish, and
         # for PSD effects that is exactly a range condition: effect n lives
@@ -485,7 +495,7 @@ class UnambiguousDiscriminator(BaseSolver):
         subspaces: list[np.ndarray | None] = []
         for n in range(n_s):
             if eps > 0.0:
-                subspaces.append(np.eye(r, dtype=complex))
+                subspaces.append(np.eye(r))
                 continue
             others = sum(betas[k] for k in range(n_s) if k != n)
             evals, evecs = np.linalg.eigh(others)
@@ -548,7 +558,7 @@ class UnambiguousDiscriminator(BaseSolver):
                 for k in range(n_s)
             ]
         )
-        self.povms_ = [basis.lift_state(g) for g in gammas]
+        self.povms_ = [basis.lift_state(support @ g @ support.conj().T) for g in gammas]
         return self
 
 

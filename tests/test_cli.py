@@ -372,9 +372,7 @@ class TestFlagInventory:
             options = {s for a in _subparser(command)._actions for s in a.option_strings}
             assert (set(_MODEL_FLAGS) <= options) is (command in cli.MODEL_COMMANDS), command
         # lovasz has --n-states: the flag must not pass as an abbreviation of it
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["lovasz", "--graph", "chsh", "--n", "5"])
-        assert exc.value.code != cli.EXIT_OK
+        assert cli.main(["lovasz", "--graph", "chsh", "--n", "5"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "unrecognized arguments: --n 5" in err and "model.kind" not in err
         for command in cli.COMMANDS:
@@ -479,6 +477,16 @@ class TestCommands:
         )
         with pytest.raises(cli.ConfigError, match="over the 32-vertex cap"):
             cli.run_lovasz(cfg)
+
+    def test_usage_error_and_infeasible_result_exit_differently(self, tmp_path, capsys):
+        assert cli.main(["lovasz", "--graph", "chsh", "--n", "5"]) == cli.EXIT_CONFIG
+        assert "error: unrecognized arguments: --n 5" in capsys.readouterr().err
+        argv = ["lovasz", "--graph", "cycle:5", "--ansatz", "--seed-state", "random",
+                "--circuit-seed", "0", "--n-states", "6", "--out", str(tmp_path / "l.csv")]
+        assert cli.main(argv) == cli.EXIT_INFEASIBLE
+        assert cli.main(["lovasz", "--help"]) == cli.EXIT_OK
+        assert "usage: paulisdp lovasz" in capsys.readouterr().out
+        assert cli.main(["nope"]) == cli.EXIT_CONFIG
 
     def test_symmetry_infeasible_exit_code(self, tmp_path):
         out = tmp_path / "sym.csv"

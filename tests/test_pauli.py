@@ -10,11 +10,11 @@ from paulisdp.pauli import (
     DenseLimitError,
     PauliString,
     PauliSum,
-    basis_state_projector,
-    hermitian_elementary,
     multiply_words,
 )
 from paulisdp.states import DenseState
+
+from elementary import basis_state_projector, hermitian_elementary
 
 # Per-qubit letter tables (codes 0=I, 1=X, 2=Y, 3=Z): the product letter
 # and the exponent of i it acquires, e.g. X*Y = iZ, Y*X = -iZ.

@@ -451,8 +451,8 @@ def as_scalar_rows(problem: SdpProblem) -> SdpProblem:
 def index_grid_schur(rows, xs, z_invs) -> np.ndarray:
     """``_MatrixRows.schur`` as ``np.ix_`` gathers and complex sums, term by term.
 
-    The gathered assembly must reproduce these bits: the same products, the
-    same order over blocks, the same association in each combination.
+    The assembly must reproduce these bits: the same products, the same
+    order over blocks, the same association in each combination.
     """
     a, b = rows.a, rows.b
     s0 = s1 = s2 = 0.0
@@ -543,7 +543,7 @@ class TestMatrixConstraint:
         rng = np.random.default_rng(49)
         complex_ = case not in ("real_entry_subset", "real_r9")
         entries = [(0, 0), (0, 2), (1, 3), (2, 2), (3, 3)] if case == "real_entry_subset" else None
-        # r = 9 gives 45 entries: more than one chunk of entry rows, the last one partial
+        # r = 9 gives 45 entries
         r = 9 if case in ("complex_r9", "real_r9", "selected_both_parts") else 4
         problem = random_matrix_instance(rng, [3, 5], r, complex_, 1, entries)
         c_blocks, rows, _b, _sign = _build_data(problem)
@@ -551,14 +551,14 @@ class TestMatrixConstraint:
         if case == "complex_all_entries":  # no imaginary-part rows on the diagonal
             assert matrix.n == 10 and matrix.m == 16
         if r == 9:
-            assert matrix.n == 45 > sdp._SCHUR_CHUNK and matrix.n % sdp._SCHUR_CHUNK
+            assert matrix.n == 45
             assert matrix.m == (81 if complex_ else 45)
         if case == "selected":
             keep = np.ones(matrix.m, dtype=bool)
             keep[4] = False
             matrix = matrix.select(keep, rng.uniform(0.5, 2.0, size=matrix.m - 1))
         if case == "selected_both_parts":
-            # real-part rows of entries in both chunks, imaginary-part rows in both chunks
+            # real-part rows and imaginary-part rows of early and late entries
             dropped = [3, 40, 50, 78]
             assert [matrix.psi[j] // matrix.n for j in dropped] == [0, 0, 1, 1]
             keep = np.ones(matrix.m, dtype=bool)
@@ -568,15 +568,6 @@ class TestMatrixConstraint:
         z_invs = [random_psd(rng, cb.shape[0], np.iscomplexobj(cb)) for cb in c_blocks]
         np.testing.assert_array_equal(matrix.schur(xs, z_invs),
                                       index_grid_schur(matrix, xs, z_invs))
-
-    def test_symmetrize_bits_match_whole_array_formula(self):
-        rng = np.random.default_rng(50)
-        m = 2 * sdp._SYMMETRIZE_BLOCK + 37  # a last block pair that is not square
-        s = rng.normal(size=(m, m)) * np.exp(rng.uniform(-30.0, 30.0, size=(m, m)))
-        s[rng.random((m, m)) < 0.01] = -0.0
-        expected = (s + s.T) / 2.0
-        sdp._symmetrize(s)
-        assert s.tobytes() == expected.tobytes()
 
     def test_infeasible_equality_goes_through_feasibility_phase(self, monkeypatch):
         # X = diag(1, -1) is forced and not PSD

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paulisdp import models, oracle, sdp, solvers
-from paulisdp.pauli import PauliString, PauliSum, basis_state_projector, hermitian_elementary
+from paulisdp.pauli import PauliString, PauliSum
 from paulisdp.sdp import SolveStatus, generalized_min_eig
 from paulisdp.solvers import (
     ExcitedStatesSolver,
@@ -23,6 +23,8 @@ from paulisdp.solvers import (
 )
 from paulisdp.ansatz import OverlapSet, build_overlaps, krylov_ansatz
 from paulisdp.states import HardwareEfficientCircuit, PlusState, ZeroState, prepare
+
+from elementary import basis_state_projector, hermitian_elementary
 
 
 _KRYLOV_PARAMS = dict(
@@ -523,7 +525,91 @@ class TestReducedProgram:
         assert np.array_equal(solver.beta_, np.outer(alpha, alpha.conj()))
 
 
+def full_space_discrimination(instance, eps):
+    """The discrimination program with every block on the whole whitened space.
+
+    Completeness is imposed on every r x r entry, and the zero-budget range
+    step is taken in the whitened space.  Returns the status, q_correct,
+    q_unknown and the error rates.
+    """
+    basis = sdp.gram_basis(instance.gram)
+    betas = [basis.state(b) for b in instance.betas]
+    if all(np.max(np.abs(np.imag(m))) <= 1e-14 for m in [instance.gram, *betas]):
+        betas = [b.real for b in betas]
+    n_s, r = len(betas), basis.rank
+    subspaces = []
+    for n in range(n_s):
+        evals, evecs = np.linalg.eigh(sum(betas[k] for k in range(n_s) if k != n))
+        keep = evals <= 1e-10 * max(float(evals[-1]), 1.0)
+        subspaces.append(np.eye(r) if eps > 0 else evecs[:, keep] if np.any(keep) else None)
+    names = {n: f"povm_{n}" for n in range(n_s) if subspaces[n] is not None}
+
+    def compress(n, beta):
+        return subspaces[n].conj().T @ beta @ subspaces[n]
+
+    maps = {name: subspaces[n] for n, name in names.items()}
+    maps["leftover"] = np.eye(r)
+    budgets = [sdp.SdpConstraint({name: compress(n, betas[k]) for n, name in names.items()
+                                  if n != k}, eps, "<=") for k in range(n_s)] if eps > 0 else []
+    problem = sdp.SdpProblem(
+        blocks=[(name, subspaces[n].shape[1]) for n, name in names.items()] + [("leftover", r)],
+        sense="max", objective={name: compress(n, betas[n]) / n_s for n, name in names.items()},
+        constraints=budgets, matrix_constraint=sdp.MatrixConstraint(maps, np.eye(r)))
+    sol = sdp.solve(problem, tol_feas=1e-8, tol_gap=1e-8)
+    gammas = [subspaces[n] @ sol.blocks[name] @ subspaces[n].conj().T
+              for n, name in names.items()]
+    rates = [sum(np.trace(betas[k] @ g).real for n, g in zip(names, gammas) if n != k)
+             for k in range(n_s)]
+    q_unknown = np.mean([np.trace(sol.blocks["leftover"] @ b).real for b in betas])
+    return sol.status, sol.objective_value, q_unknown, np.array(rates)
+
+
+def mixed_discrimination_instance(rank, seed):
+    """Two mixed states of the given rank, complex, in a 10-string ansatz space."""
+    gram = two_state_discrimination_instance(angle=0.7, n_qubits=4, n_strings=10, seed=7).gram
+    rng = np.random.default_rng(seed)
+    betas = []
+    for _ in range(2):
+        vecs = rng.normal(size=(rank, 10)) + 1j * rng.normal(size=(rank, 10))
+        weights = rng.uniform(0.2, 1.0, size=rank)
+        weights /= weights.sum()
+        betas.append(sum(w * np.outer(v, v.conj()) / (v.conj() @ gram @ v).real
+                         for w, v in zip(weights, vecs)))
+    return models.DiscriminationInstance(gram=gram, betas=tuple(betas))
+
+
+_PURE = [(seed, angle) for seed in (1, 2) for angle in (0.3, 1.2)]
+
+
 class TestDiscrimination:
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("case", [*_PURE, "mixed_rank_2", "mixed_full_rank"], ids=str)
+    def test_support_program_matches_full_space(self, case, eps):
+        if case == "mixed_rank_2":
+            inst = mixed_discrimination_instance(2, seed=3)
+        elif case == "mixed_full_rank":
+            inst = mixed_discrimination_instance(10, seed=4)
+        else:
+            inst = two_state_discrimination_instance(angle=case[1], n_qubits=5, n_strings=12,
+                                                     seed=case[0], error_budget=eps)
+        disc = UnambiguousDiscriminator(error_budget=eps).fit(inst)
+        status, q_correct, q_unknown, rates = full_space_discrimination(inst, eps)
+        support = disc.solution_.blocks["leftover"].shape[0]
+        if case == "mixed_rank_2":
+            assert 2 < support < disc.basis_.rank
+        elif case == "mixed_full_rank":
+            assert support == disc.basis_.rank
+        else:
+            assert support == 2 < disc.basis_.rank
+        assert disc.status_ is status is SolveStatus.OPTIMAL
+        assert abs(disc.q_correct_ - q_correct) <= 1e-7
+        assert abs(disc.q_unknown_ - q_unknown) <= 1e-7
+        assert abs(disc.error_rates_.sum() - rates.sum()) <= 1e-7
+        # on the rank-2 mixed states the 0.05 budgets are slack, and the
+        # optimum does not fix how the errors split between the states
+        if (case, eps) != ("mixed_rank_2", 0.05):
+            np.testing.assert_allclose(disc.error_rates_, rates, rtol=0, atol=1e-7)
+
     def test_instance_needs_enough_distinct_strings(self):
         with pytest.raises(ValueError, match="n_strings=5 exceeds the 4 distinct"):
             two_state_discrimination_instance(angle=0.5, n_qubits=1, n_strings=5)
