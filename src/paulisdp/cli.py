@@ -26,10 +26,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__, models, oracle, solvers
-from .ansatz import krylov_strings
 from .pauli import PauliSum, SettingError
 from .sdp import SolveStatus
-from .states import QuantumAnnealingState, prepare
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -435,26 +433,14 @@ def _solver_settings(cfg: RunConfig, solver_class, **defaults) -> dict:
     return settings
 
 
-def _sweep_values(cfg: RunConfig, available: int) -> list[int]:
-    m_sweep = cfg.ansatz.get("m_sweep")
-    n_states = cfg.ansatz.get("n_states")
-    if m_sweep:
-        values = sorted({int(m) for m in m_sweep})
-    elif n_states:
-        values = [int(n_states)]
-    else:
-        values = [available]
-    bad = [m for m in values if m > available]
-    if bad:
-        raise ConfigError(
-            [f"requested ansatz sizes {bad} exceed the {available} generated strings"]
-        )
-    return values
-
-
-def _n_krylov_strings(h: PauliSum, krylov_order: int) -> int:
-    """Size of the Krylov ansatz, which sets the range of an m sweep."""
-    return len(krylov_strings(h, krylov_order)[0])
+def _sector_reference(h: PauliSum, symmetry: PauliSum, value: float, max_qubits: int) -> float:
+    """``oracle.sector_minimum``, NaN above ``max_qubits`` or for a sector no eigenstate has."""
+    if h.n_qubits > max_qubits:
+        return math.nan
+    try:
+        return oracle.sector_minimum(h, symmetry, value)
+    except oracle.EmptySectorError:
+        return math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +458,11 @@ def run_eigmax(cfg: RunConfig) -> int:
 def _run_eig(cfg: RunConfig, sense: str, value_name: str) -> int:
     h = _build_hamiltonian(cfg)
     settings = _solver_settings(cfg, solvers.GroundStateSolver)
-    del settings["n_states"]  # _sweep_values reads it as the one sweep size
-    m_values = _sweep_values(cfg, _n_krylov_strings(h, settings["krylov_order"]))
+    n_states = settings.pop("n_states")
+    m_values = cfg.ansatz.get("m_sweep") or (None if n_states is None else [n_states])
     results = solvers.energy_sweep(h, m_values=m_values, sense=sense, **settings)
-
-    reference = math.nan
-    if h.n_qubits <= 10:
-        evals = np.linalg.eigvalsh(h.matrix())
-        reference = float(evals[0] if sense == "min" else evals[-1])
-    rows = []
-    for m, value, status, dual in results:
-        delta = abs(value - reference) if not math.isnan(reference) else math.nan
-        rows.append((m, value, delta, dual, status))
+    reference = oracle.extreme_eigenvalue(h, sense) if h.n_qubits <= 10 else math.nan
+    rows = [(m, value, abs(value - reference), dual, status) for m, value, status, dual in results]
     return _write_result(cfg, ["m", value_name, f"delta_{value_name}", "dual_residual", "status"],
                          rows)
 
@@ -505,17 +484,11 @@ def run_symmetry(cfg: RunConfig) -> int:
     settings = _solver_settings(cfg, solvers.SymmetrySectorSolver)
     solver = solvers.SymmetrySectorSolver(**settings).fit(h)
     overlaps = solver.overlaps_  # every sector value is solved on one measurement
+    symmetry = solver._resolve_symmetry(h)
     rows = []
     for sector in cfg.extra.get("sector_values", [settings["sector_value"]]):
         solver.set_params(sector_value=float(sector)).fit_overlaps(overlaps)
-        reference = math.nan
-        if h.n_qubits <= 10:
-            try:
-                reference = oracle.sector_minimum(
-                    h, solver._resolve_symmetry(h), float(sector)
-                )
-            except oracle.EmptySectorError:
-                reference = math.nan
+        reference = _sector_reference(h, symmetry, float(sector), max_qubits=10)
         rows.append((sector, len(solver.ansatz_), solver.energy_, reference,
                      solver.status_.value))
     return _write_result(cfg, ["sector", "m", "energy", "sector_minimum", "status"], rows)
@@ -556,23 +529,21 @@ def _load_graph(spec: dict) -> models.Graph:
         raise ConfigError([f"{spec['path']}: {exc}"]) from None
 
 
-def _x_string_fits(cfg: RunConfig, solver_class, instance, dim: int) -> list[tuple]:
+def _x_string_fits(cfg: RunConfig, solver_class, instance) -> list[tuple]:
     """(m, fitted solver) pairs of a graph or game command.
 
     One direct solve, with "direct" in place of m, or one X-string ansatz
-    solve per requested size.  The tolerances default to 1e-8, looser than
-    the solvers' own 1e-9.
+    solve per requested size (by default the whole ansatz), m read from the
+    fit.  The tolerances default to 1e-8, looser than the solvers' own 1e-9.
     """
     settings = _solver_settings(
         cfg, solver_class, mode=cfg.extra.get("solve_mode", "direct"), tol_feas=1e-8, tol_gap=1e-8
     )
     if settings["mode"] == "direct":
         return [("direct", solver_class(**settings).fit(instance))]
-    n_qubits = max(1, math.ceil(math.log2(dim)))
-    return [
-        (m, solver_class(**{**settings, "n_states": m}).fit(instance))
-        for m in _sweep_values(cfg, 1 << n_qubits)
-    ]
+    fits = [solver_class(**{**settings, "n_states": m}).fit(instance)
+            for m in sorted(set(cfg.ansatz.get("m_sweep") or [settings["n_states"]]))]
+    return [(len(fit.ansatz_), fit) for fit in fits]
 
 
 def run_lovasz(cfg: RunConfig) -> int:
@@ -582,14 +553,14 @@ def run_lovasz(cfg: RunConfig) -> int:
         errors = _direct_theta_violations(spec.get("path", "<graph>"), graph.n_vertices)
         if errors:
             raise ConfigError(errors)
-    fits = _x_string_fits(cfg, solvers.LovaszThetaSolver, graph, graph.n_vertices)
+    fits = _x_string_fits(cfg, solvers.LovaszThetaSolver, graph)
     rows = [(m, graph.n_vertices, s.theta_, s.status_.value) for m, s in fits]
     return _write_result(cfg, ["m", "n_vertices", "theta", "status"], rows)
 
 
 def run_xor(cfg: RunConfig) -> int:
     game = models.XorGame.from_config(cfg.extra.get("game", {"name": "chsh"}))
-    fits = _x_string_fits(cfg, solvers.XorGameSolver, game, game.h_matrix().shape[0])
+    fits = _x_string_fits(cfg, solvers.XorGameSolver, game)
     classical = oracle.classical_xor_value(game.pi, game.f)
     rows = [(m, s.bias_, s.value_, s.status_.value, classical) for m, s in fits]
     return _write_result(cfg, ["m", "bias", "value", "status", "classical_value"], rows)
@@ -608,18 +579,29 @@ def run_rank1(cfg: RunConfig) -> int:
 # canned figure sweeps
 
 
+def _prefix_fits(solver, problem, sizes):
+    """Yield (m, solver) at each size ``sizes(M)`` picks for the measured ansatz of M strings.
+
+    One fit measures the whole ansatz; each size is solved on its prefix slice.
+    """
+    full = solver.fit(problem).overlaps_
+    for m in sizes(len(solver.ansatz_)):
+        yield m, solver.fit_overlaps(full.restricted(m))
+
+
 def _figure_fig2a(cfg: RunConfig):
     n = int(cfg.extra.get("max_qubits", 8))
     h = models.ising_hamiltonian(n, 1.0, 1.0)
-    exact = float(np.linalg.eigvalsh(h.matrix())[0]) if n <= 10 else math.nan
-    m_values = sorted(set(np.linspace(1, _n_krylov_strings(h, 2), 16, dtype=int).tolist()))
+    exact = oracle.extreme_eigenvalue(h) if n <= 10 else math.nan
     # the config may set the annealing time and circuit seed; the rest is fixed
     seed_settings = {k: v for k, v in cfg.state.items() if k in ("anneal_time", "circuit_seed")}
     rows = []
     for kind in ("plus", "random", "annealing"):
-        sweep = solvers.energy_sweep(h, kind, 2, m_values, **seed_settings)
-        for m, value, status, _dual in sweep:
-            rows.append((kind, m, value, abs(value - exact), status))
+        solver = solvers.GroundStateSolver(seed_state=kind, krylov_order=2, **seed_settings)
+        for m, fit in _prefix_fits(
+            solver, h, lambda size: sorted(set(np.linspace(1, size, 16, dtype=int).tolist()))
+        ):
+            rows.append((kind, m, fit.energy_, abs(fit.energy_ - exact), fit.status_.value))
     return ["seed", "m", "energy", "delta_e", "status"], rows
 
 
@@ -630,23 +612,20 @@ def _figure_scaling(cfg: RunConfig, variants):
     for label, h_field, layer_rule in variants:
         for n in range(4, max_n + 1, 2):
             h = models.ising_hamiltonian(n, g=1.0, h=h_field)
-            exact = float(np.linalg.eigvalsh(h.matrix())[0])
-            layers = max(1, layer_rule(n))
-            hz, hx = models.ising_split(n, g=1.0, h=h_field)
-            n_strings = _n_krylov_strings(h, 1)
-            m_values = sorted(
-                m for m in {max(1, int(round(f * 3 * n))) for f in (1 / 3, 2 / 3, 1.0)}
-                if m <= n_strings
-            )
+            exact = oracle.extreme_eigenvalue(h)
             for t in t_grid:
-                seed = QuantumAnnealingState(layers=layers, total_time=float(t), hz=hz, hx=hx)
-                state = prepare(seed, n)
-                e_qa = sum((coeff * state.expectation(string)).real for coeff, string in h.terms())
-                delta_qa = float(e_qa) - exact
-                for m, value, status, _dual in solvers.energy_sweep(h, seed, 1, m_values):
-                    delta_nse = max(value - exact, 1e-16)
+                solver = solvers.GroundStateSolver(
+                    seed_state="annealing", layers=max(1, layer_rule(n)), anneal_time=float(t),
+                    krylov_order=1,
+                )
+                for m, fit in _prefix_fits(
+                    solver, h, lambda size: [m for m in (n, 2 * n, 3 * n) if m <= size]
+                ):
+                    # <H> of the annealed seed, measured on the identity string
+                    delta_qa = float(fit.overlaps_.objective[0, 0].real) - exact
+                    delta_nse = max(fit.energy_ - exact, 1e-16)
                     rows.append((label, n, float(t), m, m / (3.0 * n), delta_qa, delta_nse,
-                                 delta_qa / delta_nse, status))
+                                 delta_qa / delta_nse, fit.status_.value))
     return (
         ["variant", "n", "t", "m", "m_star", "delta_qa", "delta_nse", "ratio", "status"],
         rows,
@@ -686,10 +665,7 @@ def _figure_fig3(cfg: RunConfig):
         full = solver.overlaps_
         m_values = sorted(set(np.linspace(2, len(solver.ansatz_), 8, dtype=int).tolist()))
         for sector in sectors:
-            try:
-                e0 = oracle.sector_minimum(h, sym, sector)
-            except oracle.EmptySectorError:
-                e0 = math.nan
+            e0 = _sector_reference(h, sym, sector, max_qubits=12)
             solver.set_params(sector_value=sector)
             for m in m_values:
                 solver.fit_overlaps(full.restricted(m))
@@ -705,13 +681,13 @@ def _figure_fig4(cfg: RunConfig):
             continue
         for seed in range(n_seeds):
             c = models.random_pauli_operator(n, 8, seed=seed)
-            exact = float(np.linalg.eigvalsh(c.matrix())[-1])
-            n_strings = _n_krylov_strings(c, 8)
-            m_values = sorted(
-                {2, 4, 8, 16, 32, 64, 128, 256} & set(range(1, n_strings + 1))
-            ) or [n_strings]
-            for m, value, status, _dual in solvers.energy_sweep(c, "zero", 8, m_values, "max"):
-                rows.append((n, seed, m, max(exact - value, 0.0), status))
+            exact = oracle.extreme_eigenvalue(c, "max")
+            solver = solvers.LargestEigenvalueSolver(seed_state="zero", krylov_order=8)
+            for m, fit in _prefix_fits(
+                solver, c,
+                lambda size: [m for m in (2, 4, 8, 16, 32, 64, 128, 256) if m <= size] or [size],
+            ):
+                rows.append((n, seed, m, max(exact - fit.eigenvalue_, 0.0), fit.status_.value))
     return ["n", "seed", "m", "delta_lambda", "status"], rows
 
 
@@ -729,32 +705,30 @@ def _figure_fig5(cfg: RunConfig):
     return ["angle", "error_budget", "q_correct", "q_unknown", "pure_optimum", "status"], rows
 
 
-def _figure_fig6a(cfg: RunConfig):
-    graph = models.chsh_graph()
-    exact = 2.0 + math.sqrt(2.0)
+def _x_string_figure(solver_class, instance, exact: float, max_m: int, value_name: str):
+    """Ansatz-mode value and error at every size 1..max_m, for the zero and random seeds."""
     rows = []
     for kind in ("zero", "random"):
-        for m in range(1, 9):
-            solver = solvers.LovaszThetaSolver(
+        for m in range(1, max_m + 1):
+            solver = solver_class(
                 mode="ansatz", seed_state=kind, n_states=m, circuit_seed=2
-            ).fit(graph)
-            err = abs(solver.theta_ - exact) if solver.status_ is SolveStatus.OPTIMAL else math.nan
-            rows.append((kind, m, solver.theta_, err, solver.status_.value))
-    return ["seed", "m", "theta", "error", "status"], rows
+            ).fit(instance)
+            value = getattr(solver, f"{value_name}_")
+            err = abs(value - exact) if solver.status_ is SolveStatus.OPTIMAL else math.nan
+            rows.append((kind, m, value, err, solver.status_.value))
+    return ["seed", "m", value_name, "error", "status"], rows
+
+
+def _figure_fig6a(cfg: RunConfig):
+    return _x_string_figure(
+        solvers.LovaszThetaSolver, models.chsh_graph(), 2.0 + math.sqrt(2.0), 8, "theta"
+    )
 
 
 def _figure_fig6b(cfg: RunConfig):
-    game = models.XorGame.chsh()
-    exact = math.cos(math.pi / 8) ** 2
-    rows = []
-    for kind in ("zero", "random"):
-        for m in range(1, 5):
-            solver = solvers.XorGameSolver(
-                mode="ansatz", seed_state=kind, n_states=m, circuit_seed=2
-            ).fit(game)
-            err = abs(solver.value_ - exact) if solver.status_ is SolveStatus.OPTIMAL else math.nan
-            rows.append((kind, m, solver.value_, err, solver.status_.value))
-    return ["seed", "m", "value", "error", "status"], rows
+    return _x_string_figure(
+        solvers.XorGameSolver, models.XorGame.chsh(), math.cos(math.pi / 8) ** 2, 4, "value"
+    )
 
 
 _FIGURES = {

@@ -41,6 +41,14 @@ def spectrum(op: PauliSum, max_qubits: int = 14) -> DenseSpectrum:
     return DenseSpectrum(eigenvalues=evals, eigenvectors=evecs)
 
 
+def extreme_eigenvalue(op: PauliSum, sense: str = "min") -> float:
+    """Lowest (``sense="min"``) or highest (``"max"``) eigenvalue of a Hermitian operator, dense."""
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    evals = np.linalg.eigvalsh(op.matrix())
+    return float(evals[0] if sense == "min" else evals[-1])
+
+
 def sector_minimum(
     hamiltonian: PauliSum,
     symmetry: PauliSum,
@@ -48,39 +56,18 @@ def sector_minimum(
     tol: float = 1e-8,
     max_qubits: int = 12,
 ) -> float:
-    """Lowest eigenenergy among simultaneous eigenstates with <S> = value.
+    """Lowest eigenvalue of H on the eigenspace of S with eigenvalue ``value``.
 
-    Degenerate energy levels are rotated to diagonalize the symmetry inside
-    each level first, since raw eigenvectors of a degenerate Hamiltonian need
-    not be symmetry eigenstates.  Both <S> and <S^2> are pinned, matching the
-    constrained programs this checks.
+    S commutes with H, so that eigenspace is invariant under H and its lowest
+    energy is the lowest over simultaneous eigenstates with S = ``value``.
     """
     if not symmetry.commutes_with(hamiltonian):
         raise ValueError("symmetry does not commute with the Hamiltonian")
-    h = hamiltonian.matrix(max_qubits)
-    s = symmetry.matrix(max_qubits)
-    evals, evecs = np.linalg.eigh(h)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    best = None
-    start = 0
-    while start < evals.size:
-        stop = start + 1
-        while stop < evals.size and evals[stop] - evals[start] <= 1e-9 * scale:
-            stop += 1
-        block = evecs[:, start:stop]
-        s_block = block.conj().T @ s @ block
-        _, rot = np.linalg.eigh((s_block + s_block.conj().T) / 2.0)
-        rotated = block @ rot
-        s_vals = np.einsum("ik,ij,jk->k", rotated.conj(), s, rotated).real
-        s2_vals = np.einsum("ik,ij,jk->k", rotated.conj(), s @ s, rotated).real
-        hit = (np.abs(s_vals - value) <= tol) & (np.abs(s2_vals - value**2) <= tol)
-        if np.any(hit):
-            energy = float(evals[start])
-            best = energy if best is None else min(best, energy)
-        start = stop
-    if best is None:
+    s_vals, s_vecs = np.linalg.eigh(symmetry.matrix(max_qubits))
+    sector = s_vecs[:, np.abs(s_vals - value) <= tol]
+    if sector.shape[1] == 0:
         raise EmptySectorError(f"no eigenstate with conserved value {value}")
-    return best
+    return float(np.linalg.eigvalsh(sector.conj().T @ hamiltonian.matrix(max_qubits) @ sector)[0])
 
 
 def classical_xor_value(pi, f) -> float:

@@ -772,7 +772,7 @@ class RankOneReducer(_KrylovSolver):
         return self
 
 
-def energy_sweep(hamiltonian: PauliSum, seed_state, krylov_order: int, m_values,
+def energy_sweep(hamiltonian: PauliSum, seed_state, krylov_order: int, m_values=None,
                  sense: str = "min", **settings):
     """Normalized-program values over an ansatz-size sweep.
 
@@ -780,22 +780,25 @@ def energy_sweep(hamiltonian: PauliSum, seed_state, krylov_order: int, m_values,
     ``LargestEigenvalueSolver``) settings, such as ``layers``, ``mode``,
     ``rank_tol`` or ``method``, with that class's defaults; an unknown name
     raises ``TypeError``.  One ``fit`` measures at the largest requested size
-    and ``fit_overlaps`` solves each prefix slice, which is how nested prefix
+    (``m_values=None``: the whole ansatz, giving one row at its size) and
+    ``fit_overlaps`` solves each prefix slice, which is how nested prefix
     sets behave on a device.  Returns (m, value, status_name, dual_residual)
     rows ordered by m, the dual residual being that of the solution's
     certificate.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    m_values = sorted({int(m) for m in m_values})
-    if not m_values or m_values[0] < 1:
-        raise ValueError(f"m_values must be a non-empty list of positive sizes, got {m_values}")
+    if m_values is not None:
+        m_values = sorted({int(m) for m in m_values})
+        if not m_values or m_values[0] < 1:
+            raise ValueError(f"m_values must be a non-empty list of positive sizes, got {m_values}")
     solver = (GroundStateSolver if sense == "min" else LargestEigenvalueSolver)(
-        seed_state=seed_state, krylov_order=krylov_order, n_states=max(m_values), **settings
+        seed_state=seed_state, krylov_order=krylov_order,
+        n_states=None if m_values is None else max(m_values), **settings
     )
     full = solver.fit(hamiltonian).overlaps_
     rows = []
-    for m in m_values:
+    for m in m_values or [len(solver.ansatz_)]:
         solution = solver.fit_overlaps(full.restricted(m)).solution_
         rows.append((m, solution.objective_value, solution.status.value, solution.dual_residual))
     return rows

@@ -49,34 +49,21 @@ def reference_krylov(h, max_order):
 
 
 def reference_overlaps(ansatz, objective=None, constraints=(), shots=None, sample_seed=0):
-    """The per-entry overlap loop: one letter-table product and cache lookup per entry.
+    """The per-entry overlap loop: one letter-table product and table lookup per entry.
 
-    Returns the matrices (gram, objective, then constraints in order) and
-    the number of distinct reduced strings evaluated.
+    The loop collects the distinct reduced strings; one batch call then
+    evaluates them, each sampled from its own blake2b seed.  Returns the
+    matrices (gram, objective, then constraints in order) and the number of
+    distinct reduced strings evaluated.
     """
     state = prepare(ansatz.seed, ansatz.n_qubits)
-    cache = {}
-
-    def value(codes):
-        key = codes.tobytes()
-        if key not in cache:
-            string = PauliString(codes)
-            if shots is None:
-                cache[key] = float(state.expectation(string).real)
-            else:
-                digest = hashlib.blake2b(
-                    key + sample_seed.to_bytes(8, "little", signed=True), digest_size=8
-                ).digest()
-                cache[key] = state.sampled_expectation(
-                    string, shots, seed=int.from_bytes(digest, "little")
-                )
-        return cache[key]
-
+    distinct = {}  # reduced string's code bytes -> its row in the batch call
     m = len(ansatz)
     rows = np.stack([s.codes for s in ansatz.strings])
 
-    def matrix_for(op):
-        out = np.zeros((m, m), dtype=complex)
+    def entries_for(op):
+        """(row a, coefficient times i^exps, batch rows) of each term's row of entries."""
+        entries = []
         terms = [(1.0 + 0j, None)] if op is None else op.terms()
         for coeff, u in terms:
             for a in range(m):
@@ -85,12 +72,30 @@ def reference_overlaps(ansatz, objective=None, constraints=(), shots=None, sampl
                     left_exp = int(MUL_PHASE[left, u.codes].sum()) & 3
                     left = left ^ u.codes
                 exps = (MUL_PHASE[left[None, :], rows].sum(axis=1, dtype=np.int64) + left_exp) & 3
-                vals = np.array([value(row) for row in left[None, :] ^ rows])
-                out[a, :] += coeff * (1j ** exps) * vals
-        return (out + out.conj().T) / 2.0
+                reduced = left[None, :] ^ rows
+                keys = [distinct.setdefault(row.tobytes(), len(distinct)) for row in reduced]
+                entries.append((a, coeff * (1j ** exps), keys))
+        return entries
 
     ops = [None] + ([objective] if objective is not None else []) + [op for _n, op in constraints]
-    return [matrix_for(op) for op in ops], len(cache)
+    pending = [entries_for(op) for op in ops]
+    strings = [PauliString(np.frombuffer(key, dtype=np.uint8)) for key in distinct]
+    x, z = (np.stack([getattr(s, w) for s in strings]) for w in "xz")
+    if shots is None:
+        values = state.expectations(x, z).real
+    else:
+        salt = sample_seed.to_bytes(8, "little", signed=True)
+        seeds = [int.from_bytes(hashlib.blake2b(key + salt, digest_size=8).digest(), "little")
+                 for key in distinct]
+        values = state.sampled_expectations(x, z, shots, seeds)
+
+    def matrix_for(entries):
+        out = np.zeros((m, m), dtype=complex)
+        for a, phased, keys in entries:
+            out[a, :] += phased * values[keys]
+        return (out + out.conj().T) / 2.0
+
+    return [matrix_for(entries) for entries in pending], len(distinct)
 
 
 class TestKrylovExpansion:

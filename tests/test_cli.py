@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import paulisdp.ansatz
 from paulisdp import cli, models, solvers
 from paulisdp.solvers import GroundStateSolver, RankOneReducer, XorGameSolver, energy_sweep
 from paulisdp.states import PlusState
@@ -62,7 +63,7 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="shots"):
             cli.parse_config(str(path))
 
-    def test_m_exceeding_strings_cites_limit(self, tmp_path):
+    def test_m_exceeding_strings_cites_limit(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         code = cli.main(
             [
@@ -71,6 +72,12 @@ class TestConfigValidation:
             ]
         )
         assert code == cli.EXIT_CONFIG
+        assert "m must be in 1..10, got 500" in capsys.readouterr().err
+        # X strings: cycle:5 sits on 3 qubits, so 8 strings
+        code = cli.main(["lovasz", "--graph", "cycle:5", "--ansatz", "--m-sweep", "2,16",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "m must be in 1..8, got 16" in capsys.readouterr().err
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -677,6 +684,33 @@ class TestFigures:
         for r in last.values():  # the full Krylov size reaches every sector minimum
             energy, reference = (float(r[header.index(k)]) for k in ("energy", "sector_minimum"))
             assert abs(energy - reference) < 1e-6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nse", "--model", "ising", "--n", "4", "--seed-state", "plus", "--krylov-order", "2"],
+            ["eigmax", "--model", "random_pauli", "--n", "60", "--terms", "6", "--model-seed", "1",
+             "--seed-state", "zero", "--krylov-order", "4"],
+            ["figures", "--figure", "fig2a", "--max-qubits", "4"],
+            ["figures", "--figure", "fig2b", "--max-qubits", "4", "--t-grid", "0.2,0.5"],
+            ["figures", "--figure", "fig4", "--max-qubits", "4", "--n-seeds", "2"],
+        ],
+    )
+    def test_krylov_strings_expanded_once_per_fit(self, tmp_path, monkeypatch, argv):
+        """Sizes come from the measured ansatz, not from a second expansion."""
+        fits = count_measurements(monkeypatch)
+        expansions = []
+        real = paulisdp.ansatz.krylov_strings
+
+        def counted(*args, **kwargs):
+            expansions.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(paulisdp.ansatz, "krylov_strings", counted)
+        if hasattr(cli, "krylov_strings"):
+            monkeypatch.setattr(cli, "krylov_strings", counted)
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert len(expansions) == len(fits) > 0
 
     def test_unknown_figure_rejected(self, tmp_path, capsys):
         code = cli.main(["figures", "--figure", "fig99", "--out", str(tmp_path)])

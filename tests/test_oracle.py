@@ -49,6 +49,20 @@ class TestSectorMinimum:
         with pytest.raises(ValueError):
             oracle.sector_minimum(h, models.magnetization(3), 1.0)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_heisenberg_sectors_match_z_sum_blocks(self, n):
+        """Against H's submatrix on the basis states of Z-sum s, degenerate multiplets included."""
+        h, mag = models.heisenberg_hamiltonian(n), models.magnetization(n)
+        dense = h.matrix()
+        z_sum = n - 2 * np.array([bin(k).count("1") for k in range(1 << n)])
+        for s in range(-n, n + 1, 2):
+            block = np.flatnonzero(z_sum == s)
+            expected = np.linalg.eigvalsh(dense[np.ix_(block, block)])[0]
+            assert abs(oracle.sector_minimum(h, mag, float(s)) - expected) < 1e-10
+        for empty in (n - 1.0, n + 2.0):
+            with pytest.raises(oracle.EmptySectorError):
+                oracle.sector_minimum(h, mag, empty)
+
     def test_parity_sectors_cover_spectrum(self):
         h = models.ising_hamiltonian(4, g=0.0, h=1.0)
         p = models.spin_flip_parity(4)
