@@ -7,8 +7,9 @@ parity of the sites where u and s_b anticommute.  :func:`build_overlaps`
 forms the M^2 Gram products s_a s_b once, as x/z word arrays, and
 multiplies each term only into their distinct strings.  Strings are keyed
 by XORs of per-string GF(2)-linear keys (hashed and row-checked above 32
-qubits); each distinct string is measured once per call, in one batch
-backend call per block, and no ``PauliString`` is built for it.
+qubits) in one sorted key table; each distinct string is measured once,
+all of them in one batch backend call per build, and no ``PauliString`` is
+built for it.  Blocks of rows bound only the memory of the word temporaries.
 """
 
 from __future__ import annotations
@@ -82,29 +83,30 @@ def krylov_strings(h: PauliSum, max_order: int) -> tuple[list[PauliString], list
     gx, gz = _stacked_words([s for _c, s in h.terms()], n)
     gkeys = _string_keys(gx, gz, n)
     strings, orders = [PauliString.identity(n)], [0]
-    seen = {strings[0].packed}
     lkeys, lx, lz = gkeys[:1] * 0, gx[:1] * 0, gz[:1] * 0  # the identity
-    table = (lkeys, lx, lz)
+    seen = {lx.tobytes() + lz.tobytes()}  # x and z words of every string so far
     for k in range(1, max_order + 1):
         x, z, _exp = multiply_words(lx[:, None], lz[:, None], gx, gz)
         x, z = x.reshape(-1, gx.shape[1]), z.reshape(-1, gx.shape[1])
         keys = (lkeys[:, None] ^ gkeys).ravel()
-        table, first, new, _index, clashed = _dedupe(keys, x, z, n, table)
-        level = np.concatenate([first, clashed])  # every product string, clashed ones maybe twice
+        (_keys, level), index = _register((keys[:0], np.arange(0)), keys, np.arange(keys.size))
+        if n > 32:  # each row whose key another string holds, too
+            level = np.concatenate([level, _differs(x, z, x[level[index]], z[level[index]])])
         lx, lz, lkeys = x[level], z[level], keys[level]
-        fresh = np.concatenate([first[new], clashed])
-        fx, fz = x[fresh], z[fresh]
+        flat, size = np.concatenate([lx, lz], axis=1).tobytes(), 16 * gx.shape[1]
+        words = {flat[i * size : (i + 1) * size]: i for i in range(level.size)}
+        fresh = [i for row, i in words.items() if row not in seen]
+        seen.update(words)
+        fx, fz = lx[fresh], lz[fresh]
         codes = word_codes(fx, fz, n)
         packed = pack_code_rows(codes)
         for a in (fx, fz, codes):
             a.flags.writeable = False
         flat, size = packed.tobytes(), packed.shape[1]
-        keys = [flat[i * size : (i + 1) * size] for i in range(fresh.size)]
-        for i in sorted(range(fresh.size), key=keys.__getitem__):
-            if keys[i] not in seen:
-                seen.add(keys[i])
-                strings.append(PauliString._from_parts(codes[i], keys[i], fx[i], fz[i]))
-                orders.append(k)
+        packed = [flat[i * size : (i + 1) * size] for i in range(len(fresh))]
+        for i in sorted(range(len(fresh)), key=packed.__getitem__):
+            strings.append(PauliString._from_parts(codes[i], packed[i], fx[i], fz[i]))
+            orders.append(k)
     return strings, orders
 
 
@@ -138,6 +140,8 @@ class OverlapSet:
     Index convention: ``matrix[a, b] = <psi_a| Op |psi_b>``, so the reduced
     programs read Tr(beta * matrix).  ``gram`` is always present and is
     Hermitian PSD up to tolerance in exact mode with unit diagonal.
+    ``n_measured`` counts the distinct strings the build measured, the
+    method's device cost; a prefix keeps the count of the build it came from.
     """
 
     gram: np.ndarray
@@ -145,6 +149,7 @@ class OverlapSet:
     constraints: dict[str, np.ndarray]
     shots: int | None = None
     sample_seed: int | None = None
+    n_measured: int | None = None
 
     @property
     def n_states(self) -> int:
@@ -160,6 +165,7 @@ class OverlapSet:
             constraints={k: v[:m, :m] for k, v in self.constraints.items()},
             shots=self.shots,
             sample_seed=self.sample_seed,
+            n_measured=self.n_measured,
         )
 
     def export_csv(self, directory) -> list[str]:
@@ -205,24 +211,68 @@ def _string_keys(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
     return np.bitwise_xor.reduce(_key_table(x.shape[1])[np.arange(octets.shape[1]), octets], axis=1)
 
 
-def _dedupe(keys, x, z, n_qubits: int, seen):
-    """Group rows of x/z words by key against ``seen`` = (sorted keys, x rows, z rows[, values]).
+def _register(table, keys, sources):
+    """Merge keyed rows into ``table`` = (sorted distinct keys, one source per key).
 
-    Returns ``seen`` with new keys inserted (values NaN), a row per distinct key, which are
-    new, each row's index into ``seen`` and the rows whose words differ from their key's
-    stored row: above 32 qubits a key can collide, and such a row holds another string.
+    A key already in the table keeps its source; a new key takes one of its
+    rows'.  Returns the merged table and each row's index into it.
     """
-    keys, inverse = np.unique(keys, return_inverse=True)  # return_index would sort stably: slower
-    first = np.empty(keys.size, dtype=np.intp)
-    first[inverse] = np.arange(inverse.size)  # a row holding each distinct key
-    at = np.searchsorted(seen[0], keys)
-    new = at == seen[0].size
-    new[~new] = seen[0][at[~new]] != keys[~new]
-    added = (keys[new], x[first[new]], z[first[new]], np.nan)
-    seen = tuple(np.insert(a, at[new], b, axis=0) for a, b in zip(seen, added))
-    index = (at + np.cumsum(new) - new)[inverse]
-    clashed = n_qubits > 32 and ((x != seen[1][index]) | (z != seen[2][index])).any(axis=1)
-    return seen, first, new, index, np.flatnonzero(clashed)
+    held = table[0].size
+    merged, inverse = np.unique(np.concatenate([table[0], keys]), return_inverse=True)
+    kept = np.empty(merged.size, dtype=np.intp)
+    kept[inverse[held:]] = sources
+    kept[inverse[:held]] = table[1]
+    return (merged, kept), inverse[held:]
+
+
+def _differs(x, z, rx, rz) -> np.ndarray:
+    """Rows whose words differ from the stored rows: above 32 qubits a key can collide."""
+    return np.flatnonzero(((x != rx) | (z != rz)).any(axis=-1))
+
+
+def _products(left, right, chunk: int, check: bool):
+    """Distinct strings among the products of a left and a right row, each given as (keys, x, z).
+
+    Returns (sorted keys, x and z words of a string of each key, spill), a
+    chunk of the grid of products keyed at a time.  ``spill`` maps the x + z
+    bytes of each string whose key another holds to its row after the keys';
+    with ``check`` every such product is in it.
+    """
+    (lk, lx, lz), (rk, rx, rz) = left, right
+    table, spill, size = (lk[:0], np.arange(0)), {}, rk.size
+    for lo in range(0, lk.size * size, chunk):
+        grid = np.arange(lo, min(lo + chunk, lk.size * size))
+        i, j = np.divmod(grid, size)
+        table, index = _register(table, lk[i] ^ rk[j], grid)
+        if check:
+            x, z = lx[i] ^ rx[j], lz[i] ^ rz[j]
+            i, j = np.divmod(table[1][index], size)
+            for r in _differs(x, z, lx[i] ^ rx[j], lz[i] ^ rz[j]):
+                spill.setdefault(x[r].tobytes() + z[r].tobytes(), len(spill))
+    i, j = np.divmod(table[1], size)
+    return table[0], lx[i] ^ rx[j], lz[i] ^ rz[j], spill
+
+
+def _lookup(found, keys, x, z, n_qubits: int) -> np.ndarray:
+    """Each string's row in ``found``: its key's row, or above 32 qubits its spilled row.
+
+    A string whose words differ from its key's row, and that has no spilled row yet, gets one.
+    """
+    table, fx, fz, spill = found
+    at = np.searchsorted(table, keys)
+    if n_qubits > 32:
+        for r in _differs(x, z, np.take(fx, at, axis=0), np.take(fz, at, axis=0)):
+            at[r] = table.size + spill.setdefault(x[r].tobytes() + z[r].tobytes(), len(spill))
+    return at
+
+
+def _rows(found, n_qubits: int):
+    """Keys, x and z words of every row of ``found``: its keys' strings, then its spilled ones."""
+    keys, fx, fz, spill = found
+    spilled = np.frombuffer(b"".join(spill), dtype=np.uint64).reshape(-1, 2, fx.shape[1])
+    sx, sz = spilled[:, 0], spilled[:, 1]
+    keys = np.concatenate([keys, _string_keys(sx, sz, n_qubits)])
+    return keys, np.vstack([fx, sx]), np.vstack([fz, sz])
 
 
 def build_overlaps(
@@ -234,9 +284,11 @@ def build_overlaps(
 ) -> OverlapSet:
     """Measure the Gram matrix plus objective/constraint overlap matrices.
 
-    A Gram pass measures and tables the distinct g of s_a s_b = i^e g, a
-    clashed entry on a row of its own; a term pass multiplies a term u into
-    that table only, g u = i^f r, and gathers s_a u s_b = (-1)^c i^(e + f) r.
+    Register: the distinct g of the Gram products s_a s_b = i^e g, then of
+    each term u's products g u with them, keyed in one sorted table.
+    Measure: every distinct string, in one backend call.  Assemble: each term
+    multiplies into the distinct g again, g u = i^f r, and gathers
+    s_a u s_b = (-1)^c i^(e + f) r.
 
     Exact mode evaluates statevector expectations; shots mode estimates each
     distinct reduced Pauli string from ``shots`` parity measurements, drawn
@@ -255,64 +307,59 @@ def build_overlaps(
     sx, sz = _stacked_words(ansatz.strings, n)
     width = sx.shape[1]
     block = max(1, _BLOCK_WORDS // (m * width))
-    seed_bytes = sample_seed.to_bytes(8, "little", signed=True)
-    string_keys = _string_keys(sx, sz, n)
-    # distinct reduced strings of this call, sorted by key, and their values
-    seen = (string_keys[:0], sx[:0], sz[:0], np.empty(0))
+    chunk, blocks = block * m, [slice(a, a + block) for a in range(0, m, block)]
+    ops = [[(1.0, PauliString.identity(n))]]  # the Gram's
+    ops += [op.terms() for op in ([objective] if objective is not None else [])]
+    ops += [op.terms() for op in constraints.values()]
+    ux, uz = _stacked_words([u for op in ops for _c, u in op], n)
+    keys = _string_keys(sx, sz, n)
 
-    def measure(x, z):
-        if shots is None:
-            return state.expectations(x, z).real
-        digests = b"".join(
-            hashlib.blake2b(codes.tobytes() + seed_bytes, digest_size=8).digest()
-            for codes in word_codes(x, z, n)
-        )
-        return state.sampled_expectations(x, z, shots, np.frombuffer(digests, "<u8"))
-
-    def measured(keys, x, z):
-        # only strings this call has not seen are measured; clashed rows on their own
-        nonlocal seen
-        seen, first, new, index, clashed = _dedupe(keys, x, z, n, seen)
-        seen[3][index[first[new]]] = measure(x[first[new]], z[first[new]])
-        vals = seen[3][index]
-        vals[clashed] = measure(x[clashed], z[clashed])
-        return vals, clashed
-
-    gram, e = np.zeros((m, m), dtype=complex), np.empty((m, m), dtype=np.uint8)
-    keys = string_keys[:, None] ^ string_keys
-    blocks = [slice(a, a + block) for a in range(0, m, block)]
-    spilled = []  # clashed entries and their words: the Gram table's rows after seen's distinct g
+    # Register the distinct Gram strings, a string whose key another holds on a row of its own.
+    found = _products((keys, sx, sz), (keys, sx, sz), chunk, check=False)
+    e, g_index = np.empty((m, m), dtype=np.uint8), np.empty((m, m), dtype=np.intp)
     for rows in blocks:
         x, z, e[rows] = multiply_words(sx[rows, None], sz[rows, None], sx, sz)
         x, z = x.reshape(-1, width), z.reshape(-1, width)
-        vals, clashed = measured(keys[rows].ravel(), x, z)
-        gram[rows] += _PHASE_VALUES[e[rows]] * vals.reshape(-1, m)
-        spilled.append((clashed + rows.start * m, x[clashed], z[clashed]))
-    at, cx, cz = (np.concatenate(p) for p in zip(*spilled))
-    g_index = np.searchsorted(seen[0], keys)
-    g_index.flat[at] = seen[0].size + np.arange(at.size)
-    gkeys, gx, gz = (np.concatenate(p) for p in zip(seen[:3], (keys.flat[at], cx, cz)))
+        g_index[rows] = _lookup(found, (keys[rows, None] ^ keys).ravel(), x, z, n).reshape(-1, m)
+    (gkeys, gx, gz), ukeys = _rows(found, n), _string_keys(ux, uz, n)
+    found = _products((ukeys, ux, uz), (gkeys, gx, gz), chunk, check=n > 32)
 
-    def matrix_for(op: PauliSum) -> np.ndarray:
-        out = np.zeros((m, m), dtype=complex)
-        for coeff, u in op.terms():
-            f, vals = np.empty(gkeys.size, dtype=np.uint8), np.empty(gkeys.size)
-            for d in range(0, gkeys.size, block * m):
-                rows = slice(d, d + block * m)
-                x, z, f[rows] = multiply_words(gx[rows], gz[rows], u.x, u.z)
-                vals[rows] = measured(gkeys[rows] ^ _string_keys(u.x[None], u.z[None], n), x, z)[0]
-            c = np.bitwise_count(u.x & sz).sum(axis=-1) + np.bitwise_count(u.z & sx).sum(axis=-1)
-            for rows in blocks:
-                g = g_index[rows]
-                out[rows] += coeff * _PHASE_VALUES[(e[rows] + f[g] + 2 * c) & 3] * vals[g]
-        return (out + out.conj().T) / 2.0
+    # Measure every distinct string in one backend call.
+    _keys, mx, mz = _rows(found, n)
+    if shots is None:
+        values = state.expectations(mx, mz).real
+    else:
+        seed_bytes, digests = sample_seed.to_bytes(8, "little", signed=True), []
+        for lo in range(0, len(mx), chunk):  # each string's seed: a hash of its letter codes
+            codes = word_codes(mx[lo : lo + chunk], mz[lo : lo + chunk], n).tobytes()
+            digests += [
+                hashlib.blake2b(codes[i : i + n] + seed_bytes, digest_size=8).digest()
+                for i in range(0, len(codes), n)
+            ]
+        values = state.sampled_expectations(mx, mz, shots, np.frombuffer(b"".join(digests), "<u8"))
 
-    obj_matrix = None if objective is None else matrix_for(objective)
-    con_matrices = {name: matrix_for(op) for name, op in constraints.items()}
+    # Assemble: g u = i^f r for each Gram-table row g, gathered into s_a u s_b.
+    matrices = [np.zeros((m, m), dtype=complex) for _op in ops]
+    for t, (k, (coeff, u)) in enumerate((k, term) for k, op in enumerate(ops) for term in op):
+        f, at = np.zeros(gkeys.size, dtype=np.uint8), np.empty(gkeys.size, dtype=np.intp)
+        for lo in range(0, gkeys.size, chunk):
+            rows = slice(lo, lo + chunk)
+            x, z = gx[rows], gz[rows]
+            if t:  # the Gram's identity multiplies nothing
+                x, z, f[rows] = multiply_words(x, z, ux[t], uz[t])
+            at[rows] = _lookup(found, gkeys[rows] ^ ukeys[t], x, z, n)
+        vals, phases = values[at], coeff * _PHASE_VALUES  # exact: each entry keeps its bits
+        c = np.bitwise_count(u.x & sz).sum(axis=-1) + np.bitwise_count(u.z & sx).sum(axis=-1)
+        c = (2 * c).astype(np.uint8)  # the index only matters mod 4
+        for rows in blocks:
+            g = g_index[rows]
+            matrices[k][rows] += phases[(e[rows] + f[g] + c) & 3] * vals[g]
+    gram, *matrices = [(a + a.conj().T) / 2.0 for a in matrices]
     return OverlapSet(
-        gram=(gram + gram.conj().T) / 2.0,
-        objective=obj_matrix,
-        constraints=con_matrices,
+        gram=gram,
+        objective=None if objective is None else matrices.pop(0),
+        constraints=dict(zip(constraints, matrices)),
         shots=shots,
         sample_seed=sample_seed if shots is not None else None,
+        n_measured=values.size,
     )

@@ -295,6 +295,8 @@ class DiscriminationInstance:
 
     Each beta is PSD with Tr(gram @ beta) = 1, so it represents a valid
     density matrix in the shared ansatz space described by ``gram``.
+    ``error_budget`` is the per-state misclassification budget the instance
+    is posed with; a discriminator fits it only at that same budget.
     """
 
     gram: np.ndarray

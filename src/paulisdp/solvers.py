@@ -459,7 +459,8 @@ class UnambiguousDiscriminator(BaseSolver):
     staying PSD.  Sets ``q_correct_``, ``q_unknown_``, ``povms_`` (ansatz
     coefficient matrices), ``error_rates_`` and ``status_``.  The program is
     posed on the support of the whitened states, so ``solution_`` holds
-    blocks of that dimension; ``povms_`` are lifted back.
+    blocks of that dimension; ``povms_`` are lifted back.  An instance posed
+    with another ``error_budget`` than the solver's raises ``SettingError``.
     """
 
     error_budget: float = 0.0
@@ -470,6 +471,9 @@ class UnambiguousDiscriminator(BaseSolver):
 
     def fit(self, instance: "models.DiscriminationInstance") -> "UnambiguousDiscriminator":
         eps = check_probability(self.error_budget, "error_budget")
+        if instance.error_budget != eps:
+            raise SettingError(f"the instance's error_budget {instance.error_budget} differs "
+                               f"from the solver's {eps}")
         basis = gram_basis(instance.gram, self.rank_tol)
         betas = [basis.state(b) for b in instance.betas]
         n_s = len(betas)

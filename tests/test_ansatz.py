@@ -406,6 +406,40 @@ class TestOverlapRegression:
 
     @pytest.mark.parametrize("shots", [None, 300])
     @pytest.mark.parametrize(
+        "n, seed, backend",
+        [
+            (6, HardwareEfficientCircuit(layers=2, seed=9), DenseState),
+            (40, PlusState(), ProductState),
+        ],
+    )
+    def test_one_backend_call_per_build(self, monkeypatch, n, seed, backend, shots):
+        """Every distinct string of a build, and only those, go to the backend in one call."""
+        h = ising_hamiltonian(n, g=1.0, h=1.0)
+        ansatz = krylov_ansatz(h, seed, 2).take(40)
+        constraints = {"mag": magnetization(n)}
+        name = "expectations" if shots is None else "sampled_expectations"
+        calls = []
+        measure = getattr(backend, name)
+
+        def counted(self, x, z, *args):
+            calls.append([row.tobytes() for row in np.concatenate([x, z], axis=1)])
+            return measure(self, x, z, *args)
+
+        monkeypatch.setattr(backend, name, counted)
+        overlaps = build_overlaps(ansatz, h, constraints, shots=shots, sample_seed=17)
+        monkeypatch.undo()
+        expected, n_distinct = reference_overlaps(
+            ansatz, h, list(constraints.items()), shots=shots, sample_seed=17
+        )
+        got = [overlaps.gram, overlaps.objective, overlaps.constraints["mag"]]
+        for mat, ref in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(mat, ref)
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == n_distinct == overlaps.n_measured
+        assert overlaps.restricted(7).n_measured == n_distinct
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    @pytest.mark.parametrize(
         "n, seed", [(5, HardwareEfficientCircuit(layers=2, seed=4)), (70, PlusState())]
     )
     def test_one_row_blocks_match_default_blocks(self, monkeypatch, n, seed, shots):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paulisdp import models, oracle, sdp, solvers
-from paulisdp.pauli import PauliString, PauliSum
+from paulisdp.pauli import PauliString, PauliSum, SettingError
 from paulisdp.sdp import SolveStatus, generalized_min_eig
 from paulisdp.solvers import (
     ExcitedStatesSolver,
@@ -564,7 +564,7 @@ def full_space_discrimination(instance, eps):
     return sol.status, sol.objective_value, q_unknown, np.array(rates)
 
 
-def mixed_discrimination_instance(rank, seed):
+def mixed_discrimination_instance(rank, seed, error_budget=0.0):
     """Two mixed states of the given rank, complex, in a 10-string ansatz space."""
     gram = two_state_discrimination_instance(angle=0.7, n_qubits=4, n_strings=10, seed=7).gram
     rng = np.random.default_rng(seed)
@@ -575,7 +575,7 @@ def mixed_discrimination_instance(rank, seed):
         weights /= weights.sum()
         betas.append(sum(w * np.outer(v, v.conj()) / (v.conj() @ gram @ v).real
                          for w, v in zip(weights, vecs)))
-    return models.DiscriminationInstance(gram=gram, betas=tuple(betas))
+    return models.DiscriminationInstance(gram=gram, betas=tuple(betas), error_budget=error_budget)
 
 
 _PURE = [(seed, angle) for seed in (1, 2) for angle in (0.3, 1.2)]
@@ -586,9 +586,9 @@ class TestDiscrimination:
     @pytest.mark.parametrize("case", [*_PURE, "mixed_rank_2", "mixed_full_rank"], ids=str)
     def test_support_program_matches_full_space(self, case, eps):
         if case == "mixed_rank_2":
-            inst = mixed_discrimination_instance(2, seed=3)
+            inst = mixed_discrimination_instance(2, seed=3, error_budget=eps)
         elif case == "mixed_full_rank":
-            inst = mixed_discrimination_instance(10, seed=4)
+            inst = mixed_discrimination_instance(10, seed=4, error_budget=eps)
         else:
             inst = two_state_discrimination_instance(angle=case[1], n_qubits=5, n_strings=12,
                                                      seed=case[0], error_budget=eps)
@@ -609,6 +609,14 @@ class TestDiscrimination:
         # optimum does not fix how the errors split between the states
         if (case, eps) != ("mixed_rank_2", 0.05):
             np.testing.assert_allclose(disc.error_rates_, rates, rtol=0, atol=1e-7)
+
+    def test_instance_budget_must_match_the_solvers(self):
+        inst = two_state_discrimination_instance(angle=0.9, n_qubits=4, n_strings=8, seed=3,
+                                                 error_budget=0.05)
+        for eps in (0.0, 0.1):
+            with pytest.raises(SettingError, match="error_budget 0.05 differs from the solver's"):
+                UnambiguousDiscriminator(error_budget=eps).fit(inst)
+        assert UnambiguousDiscriminator(error_budget=0.05).fit(inst).status_ is SolveStatus.OPTIMAL
 
     def test_instance_needs_enough_distinct_strings(self):
         with pytest.raises(ValueError, match="n_strings=5 exceeds the 4 distinct"):
