@@ -15,8 +15,11 @@ block of the family is a fixed change of basis of sum_b P_b (x) Q_b^T with
 P_b = V_b X_b V_b^H and Q_b = V_b Z_b^-1 V_b^H (the structure exploitation of
 Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), assembled from
 row-then-column gathers of P_b and Q_b, and its cross terms with the scalar
-rows cost one congruence per row.  scipy.linalg is imported by the
-interior-point method itself, so the eigen path never loads it.
+rows cost one congruence per row.  The interior-point method calls LAPACK's
+potrf, potrs and trtrs directly (``scipy.linalg.lapack``) with the arguments
+that scipy.linalg's cho_factor, cho_solve and solve_triangular pass, so its
+iterates are theirs bit for bit without their per-call checks; scipy.linalg
+is loaded by its first step, so the eigen path never loads it.
 
 The returned status is certified: residuals are recomputed from the
 original data after the iteration, and ``OPTIMAL`` is reported only when
@@ -39,10 +42,14 @@ independent part of an overlap Gram matrix.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .validation import check_positive_int
 
 HERMITIAN_TOL = 1e-10
 BLOCK = "state"  # the one block of a normalized program
@@ -185,30 +192,49 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
+_XAZ = "pq,iqr,rs->ips"  # X_b A_ib Z_b^-1 for every row i of a block
+
+
 class _DenseRows:
     """The generic row family: row i is one Hermitian matrix A_ib per block.
 
     ``arrays[b]`` has shape (m, d_b, d_b) in block b's dtype, zero where a
-    row leaves the block out; with m = 0 it still records the block shapes.
+    row leaves the block out; with m = 0 it still records the block shapes,
+    and the family's maps do no contraction at all.
     """
 
     def __init__(self, arrays):
         self.arrays = arrays
         self.m = arrays[0].shape[0]
+        self.paths = None  # einsum's contraction order per block, planned by the first ``schur``
 
     def apply(self, xs) -> np.ndarray:
         """(A(X))_i = sum_b Re Tr(A_ib X_b)."""
+        if not self.m:
+            return np.zeros(0)
         return sum(np.einsum("ipq,qp->i", ab, xb).real for ab, xb in zip(self.arrays, xs))
 
     def adjoint(self, y) -> list[np.ndarray]:
+        if not self.m:
+            return [np.zeros(ab.shape[1:], ab.dtype) for ab in self.arrays]
         return [np.tensordot(y, ab, axes=(0, 0)) for ab in self.arrays]
 
     def schur(self, xs, z_invs):
-        """M_ij = Re sum_b Tr(A_ib X_b A_jb Z_b^-1), and the X_b A_ib Z_b^-1 it used."""
+        """M_ij = Re sum_b Tr(A_ib X_b A_jb Z_b^-1), and the X_b A_ib Z_b^-1 it used.
+
+        einsum's ``optimize=True`` order for X_b A_ib Z_b^-1 depends only on
+        the shapes, which are the family's own, so it is planned once and
+        then replayed with the same contractions.
+        """
+        if not self.m:
+            return np.zeros((0, 0)), [np.zeros(ab.shape, ab.dtype) for ab in self.arrays]
+        if self.paths is None:
+            self.paths = [np.einsum_path(_XAZ, xb, ab, zib, optimize=True)[0]
+                          for ab, xb, zib in zip(self.arrays, xs, z_invs)]
         schur = np.zeros((self.m, self.m))
         ts = []
-        for ab, xb, zib in zip(self.arrays, xs, z_invs):
-            t = np.einsum("pq,iqr,rs->ips", xb, ab, zib, optimize=True)
+        for ab, xb, zib, path in zip(self.arrays, xs, z_invs, self.paths):
+            t = np.einsum(_XAZ, xb, ab, zib, optimize=path)
             d2 = ab.shape[1] ** 2
             schur += (ab.reshape(self.m, d2).conj() @ t.reshape(self.m, d2).T).real
             ts.append(t)
@@ -380,16 +406,62 @@ class _Rows:
         return _Rows(dense, matrix)
 
 
+@functools.cache
+def _lapack(name: str, dtype: np.dtype):
+    """LAPACK routine ``name`` for data of ``dtype``, as scipy.linalg picks it.
+
+    The interior-point method calls potrf, potrs and trtrs directly, with the
+    arguments scipy.linalg's wrappers pass, so each step costs the LAPACK
+    call and not the wrapper's checks and batching.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs((name,), dtype=dtype)[0]
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of ``a``, a's entries below: ``scipy.linalg.cho_factor(a)[0]``."""
+    factor, info = _lapack("potrf", a.dtype)(a, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """A^-1 b from the Cholesky factor of A: ``scipy.linalg.cho_solve((factor, lower), b)``."""
+    x, info = _lapack("potrs", np.result_type(factor, b))(factor, b, lower=lower)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b: ``scipy.linalg.solve_triangular(chol, b, lower=True)``.
+
+    A non-finite ``b`` raises ValueError, as its finiteness check does.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    trtrs = _lapack("trtrs", np.result_type(chol, b))
+    if chol.flags.f_contiguous:
+        x, info = trtrs(chol, b, lower=1)
+    else:  # LAPACK reads a C-ordered L as its transpose, an upper factor
+        x, info = trtrs(chol.T, b, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"trtrs failed at diagonal {info - 1}")
+    return x
+
+
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still PSD (x Hermitian PD)."""
-    import scipy.linalg
-
     try:
         chol = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         return 0.0
-    a = scipy.linalg.solve_triangular(chol, dx, lower=True)
-    w = scipy.linalg.solve_triangular(chol, a.conj().T, lower=True)  # L^-1 dx L^-H
+    a = _solve_lower(chol, dx)
+    w = _solve_lower(chol, a.conj().T)  # L^-1 dx L^-H
     lam_min = float(np.linalg.eigvalsh(_hermitize(w)).min())
     if lam_min >= 0.0:
         return math.inf
@@ -414,8 +486,6 @@ class _IpmCore:
         self.converged = converged
 
     def run(self):
-        import scipy.linalg  # loaded here, so that eigen-path fits never load it
-
         scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
         z_scale = max(1.0, self.norm_c / max(1.0, math.sqrt(self.n_total)))
         xs = [scale * np.eye(cb.shape[0], dtype=cb.dtype) for cb in self.c]
@@ -468,7 +538,7 @@ class _IpmCore:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
             z_invs = [
-                _hermitize(scipy.linalg.cho_solve((ch, True), np.eye(zb.shape[0])))
+                _hermitize(_cho_solve(ch, np.eye(zb.shape[0]), lower=True))
                 for zb, ch in zip(zs, z_chols)
             ]
 
@@ -483,7 +553,7 @@ class _IpmCore:
                 try:
                     shift = jitter * (1.0 + float(np.trace(schur)) / self.m)
                     shifted = schur + shift * np.eye(self.m) if jitter else schur
-                    schur_f = scipy.linalg.cho_factor(shifted, check_finite=False)
+                    schur_f = _cho_factor(shifted)
                     break
                 except np.linalg.LinAlgError:
                     continue
@@ -493,9 +563,9 @@ class _IpmCore:
 
             # schur is finite (checked above); a non-finite rhs fails in _max_step
             def solve_schur(rhs):
-                dy = scipy.linalg.cho_solve(schur_f, rhs, check_finite=False)
+                dy = _cho_solve(schur_f, rhs, lower=False)
                 # one step of iterative refinement keeps feasibility tight
-                dy += scipy.linalg.cho_solve(schur_f, rhs - schur @ dy, check_finite=False)
+                dy += _cho_solve(schur_f, rhs - schur @ dy, lower=False)
                 return dy
 
             def directions(r3s):
@@ -639,7 +709,15 @@ def solve(
     tol_gap: float = 1e-8,
     max_iter: int = 200,
 ) -> SdpSolution:
-    """Solve the SDP; returns a certified status rather than raising on infeasibility."""
+    """Solve the SDP; returns a certified status rather than raising on infeasibility.
+
+    Raises ValueError unless ``max_iter`` is a positive integer and both
+    tolerances are positive and finite: no other setting can certify anything.
+    """
+    check_positive_int(max_iter, "max_iter")
+    for name, tol in (("tol_feas", tol_feas), ("tol_gap", tol_gap)):
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be a positive finite number, got {tol!r}")
     c_blocks, all_rows, b, sign = _build_data(problem)
 
     # presolve: a row below 1e-12 of the largest row norm is zero up to rounding, so it

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .pauli import PauliSum
@@ -42,7 +44,7 @@ def check_probability(value, name: str = "probability") -> float:
 
 
 def check_positive_int(value, name: str) -> int:
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return value
+    """``value`` as an int; only integers (not bool) of at least 1 pass, with no rounding."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

@@ -29,6 +29,12 @@ FITS = {
     "solve": "sdp.solve(sdp.normalized_program(np.diag([3.0, 1.0, 2.0]), 'min'))",
     "lovasz": "solvers.LovaszThetaSolver(mode='ansatz', seed_state='zero')"
               ".fit(models.cycle_graph(5))",
+    # scalar (budget) rows and matrix (completeness) rows
+    "discriminate": "solvers.UnambiguousDiscriminator(error_budget=0.05).fit("
+                    "solvers.two_state_discrimination_instance("
+                    "0.8, n_qubits=6, n_strings=24, seed=1, error_budget=0.05))",
+    "xor": "solvers.XorGameSolver(mode='ansatz', seed_state='random', circuit_seed=1,"
+           " n_states=4).fit(models.XorGame.chsh())",
 }
 
 # the bits of a solution: status, iterations, objective, blocks, y and the matrix multiplier
@@ -86,4 +92,14 @@ def test_interior_point_and_lovasz_cut_load_scipy_linalg(name, value):
     sol = solution_here(name)
     assert sol.is_optimal and sol.iterations > 0
     assert abs(sol.objective_value - value) < 1e-6
+    assert out[name] == {"loaded": True, "bits": bits(sol)}
+
+
+@pytest.mark.parametrize("name", ["discriminate", "xor"])
+def test_interior_point_bits_do_not_depend_on_earlier_calls(name):
+    # the fresh interpreter plans every contraction from scratch; this
+    # process has already run other fits
+    out = run_fresh([name])
+    sol = solution_here(name)
+    assert sol.is_optimal and sol.iterations > 0
     assert out[name] == {"loaded": True, "bits": bits(sol)}

@@ -1,8 +1,10 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from paulisdp import sdp
 from paulisdp.sdp import (
@@ -207,6 +209,27 @@ class TestBasics:
         assert a.objective_value == b.objective_value
         np.testing.assert_array_equal(a.blocks["b0"], b.blocks["b0"])
         np.testing.assert_array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(max_iter=0), "max_iter must be a positive integer, got 0"),
+        (dict(max_iter=-1), "max_iter must be a positive integer, got -1"),
+        (dict(max_iter=2.5), "max_iter must be a positive integer, got 2.5"),
+        (dict(max_iter=True), "max_iter must be a positive integer, got True"),
+        (dict(tol_feas=math.nan), "tol_feas must be a positive finite number, got nan"),
+        (dict(tol_feas=-1.0), "tol_feas must be a positive finite number, got -1.0"),
+        (dict(tol_feas=0.0), "tol_feas must be a positive finite number, got 0.0"),
+        (dict(tol_gap=math.inf), "tol_gap must be a positive finite number, got inf"),
+        (dict(tol_gap=math.nan), "tol_gap must be a positive finite number, got nan"),
+    ])
+    def test_rejects_settings_that_cannot_certify(self, settings, message):
+        # max_iter=0 used to report a false INFEASIBLE, tol_feas=nan MAX_ITERATIONS
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve(normalized_program(np.diag([3.0, 1.0, 2.0]), "min"), **settings)
+
+    def test_accepts_numpy_settings(self):
+        program = normalized_program(np.diag([3.0, 1.0, 2.0]), "min")
+        sol = solve(program, tol_feas=np.float64(1e-8), max_iter=np.int64(50))
+        assert sol.is_optimal and solution_bits(sol) == solution_bits(solve(program))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -603,6 +626,153 @@ class TestMatrixConstraint:
             SdpProblem(blocks=[("x", 2)], sense="min", objective={"x": np.eye(2)},
                        constraints=[],
                        matrix_constraint=MatrixConstraint(maps, rhs, entries))
+
+
+def same_bits(a, b) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+# The scipy.linalg calls the interior-point method made before it called LAPACK directly.
+def scipy_solve_lower(chol, b):
+    return scipy.linalg.solve_triangular(chol, b, lower=True)
+
+
+def scipy_cho_solve(factor, b, lower):
+    return scipy.linalg.cho_solve((factor, lower), b)
+
+
+def scipy_cho_factor(a):
+    return scipy.linalg.cho_factor(a, check_finite=False)[0]
+
+
+def solution_bits(sol: SdpSolution) -> list:
+    arrays = [*sol.blocks.values(), sol.y, sol.y_matrix]
+    return [sol.status, sol.iterations, float(sol.objective_value).hex(),
+            *(None if a is None else a.tobytes() for a in arrays)]
+
+
+class TestLapackCalls:
+    """The direct LAPACK calls give the bits of the scipy.linalg wrappers they replace."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_triangular_solves_match_solve_triangular(self, complex_, order):
+        rng = np.random.default_rng(60 + complex_)
+        for d in range(1, 25):
+            chol = np.linalg.cholesky(random_psd(rng, d, complex_) + np.eye(d))
+            chol = np.asarray(chol, order=order)
+            dx = np.asarray(random_hermitian(rng, d, complex_), order=order)
+            a = sdp._solve_lower(chol, dx)
+            assert same_bits(a, scipy_solve_lower(chol, dx))
+            # the second solve of _max_step reads a transposed view
+            assert same_bits(sdp._solve_lower(chol, a.conj().T), scipy_solve_lower(chol, a.conj().T))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_cholesky_factor_and_solves_match_cho_factor_and_cho_solve(self, complex_, order):
+        rng = np.random.default_rng(70 + complex_)
+        for d in range(1, 25):
+            a = np.asarray(random_psd(rng, d, complex_) + np.eye(d), order=order)
+            factor = sdp._cho_factor(a)
+            assert same_bits(factor, scipy_cho_factor(a))
+            rhs = rng.normal(size=d)
+            assert same_bits(sdp._cho_solve(factor, rhs, lower=False),
+                             scipy_cho_solve(factor, rhs, lower=False))
+            # Z^-1 from the lower factor numpy returns, against a real identity
+            chol = np.asarray(np.linalg.cholesky(a), order=order)
+            assert same_bits(sdp._cho_solve(chol, np.eye(d), lower=True),
+                             scipy_cho_solve(chol, np.eye(d), lower=True))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_raises_value_error(self, bad):
+        x = np.diag([2.0, 1.0])
+        dx = np.array([[0.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError):
+            scipy_solve_lower(np.linalg.cholesky(x), dx)
+        with pytest.raises(ValueError):
+            sdp._max_step(x, dx)
+
+    def test_non_positive_definite_schur_raises_lin_alg_error(self):
+        schur = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy_cho_factor(schur)
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._cho_factor(schur)
+
+    def test_singular_schur_reaches_the_jitter_loop(self, monkeypatch):
+        # two equal rows make the Schur matrix exactly singular
+        calls = []
+        real = sdp._cho_factor
+
+        def spy(a):
+            calls.append([a, False])
+            try:
+                return real(a)
+            except np.linalg.LinAlgError:
+                calls[-1][1] = True
+                raise
+
+        monkeypatch.setattr(sdp, "_cho_factor", spy)
+        problem = SdpProblem(
+            blocks=[("x", 3)], sense="min", objective={"x": np.diag([3.0, 1.0, 2.0])},
+            constraints=[SdpConstraint({"x": np.eye(3)}, 1.0)] * 2,
+        )
+        sol = solve(problem)
+        assert sol.is_optimal and abs(sol.objective_value - 1.0) < 1e-7
+        failed = [k for k, (_a, raised) in enumerate(calls) if raised]
+        assert failed and failed[-1] + 1 < len(calls)
+        for k in failed:  # the retry adds a positive multiple of the identity
+            shift = calls[k + 1][0] - calls[k][0]
+            assert np.all(np.diag(shift) > 0.0)
+            assert np.count_nonzero(shift - np.diag(np.diag(shift))) == 0
+
+    @pytest.mark.parametrize("case", ["dense_real", "dense_complex", "matrix_only",
+                                      "matrix_and_rows"])
+    def test_interior_point_iterates_match_scipy_wrappers(self, monkeypatch, case):
+        rng = np.random.default_rng(80)
+        if case.startswith("dense"):
+            problem = random_bounded_instance(rng, [3, 4], 3, case == "dense_complex", n_ineq=1)
+        else:
+            problem = random_matrix_instance(rng, [3, 5], 4, True, int(case == "matrix_and_rows"))
+        direct = solve(problem)
+        monkeypatch.setattr(sdp, "_solve_lower", scipy_solve_lower)
+        monkeypatch.setattr(sdp, "_cho_solve", scipy_cho_solve)
+        monkeypatch.setattr(sdp, "_cho_factor", scipy_cho_factor)
+        wrapped = solve(problem)
+        assert direct.is_optimal and direct.iterations > 0
+        assert solution_bits(direct) == solution_bits(wrapped)
+
+
+class TestDenseRows:
+    def test_planned_contraction_matches_einsum_optimize(self):
+        rng = np.random.default_rng(90)
+        for complex_ in (False, True):
+            for m, d in [(1, 1), (2, 3), (5, 8), (24, 24)]:
+                arrays = [np.stack([random_hermitian(rng, d, complex_) for _ in range(m)])]
+                rows = sdp._DenseRows(arrays)
+                for _ in range(2):  # the second call replays the first call's plan
+                    xs = [random_psd(rng, d, complex_)]
+                    z_invs = [random_psd(rng, d, complex_)]
+                    _schur, (t,) = rows.schur(xs, z_invs)
+                    want = np.einsum("pq,iqr,rs->ips", xs[0], arrays[0], z_invs[0], optimize=True)
+                    assert same_bits(t, want)
+
+    def test_empty_family_contracts_nothing(self, monkeypatch):
+        rows = sdp._DenseRows([np.zeros((0, 2, 2), complex), np.zeros((0, 3, 3))])
+        xs = [np.eye(2, dtype=complex), np.eye(3)]
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("contraction over an empty row family")
+
+        monkeypatch.setattr(np, "einsum", boom)
+        monkeypatch.setattr(np, "tensordot", boom)
+        assert rows.apply(xs).shape == (0,)
+        adjoint = rows.adjoint(np.zeros(0))
+        assert [(a.shape, a.dtype) for a in adjoint] == [((2, 2), complex), ((3, 3), float)]
+        assert not any(np.any(a) for a in adjoint)
+        schur, ts = rows.schur(xs, xs)
+        assert schur.shape == (0, 0) and [t.shape for t in ts] == [(0, 2, 2), (0, 3, 3)]
 
 
 class TestGeneralizedEig:

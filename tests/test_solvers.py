@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,27 @@ class TestGroundState:
             energy_sweep(h, "plus", 1, [2], method="eigh")
         with pytest.raises(ValueError, match="sense must be"):
             energy_sweep(h, "plus", 1, [2], sense="maximum")
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(n_states=3.7), "n_states must be a positive integer, got 3.7"),
+        (dict(n_states=True), "n_states must be a positive integer, got True"),
+        (dict(n_states=0), "n_states must be a positive integer, got 0"),
+        (dict(mode="shots", shots=99.9), "shots must be a positive integer, got 99.9"),
+        (dict(mode="shots", shots=True), "shots must be a positive integer, got True"),
+        (dict(method="sdp", max_iter=0), "max_iter must be a positive integer, got 0"),
+    ])
+    def test_rejects_counts_that_are_not_positive_integers(self, settings, message):
+        # these used to be truncated (3.7 strings measured 3, 99.9 shots drew 99)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GroundStateSolver(seed_state="plus", krylov_order=2, **settings).fit(
+                models.ising_hamiltonian(4))
+
+    def test_counts_accept_numpy_integers(self):
+        h = models.ising_hamiltonian(4)
+        settings = dict(seed_state="plus", krylov_order=2, mode="shots", sample_seed=1)
+        a = GroundStateSolver(**settings, n_states=np.int64(5), shots=np.int64(300)).fit(h)
+        b = GroundStateSolver(**settings, n_states=5, shots=300).fit(h)
+        assert len(a.ansatz_) == 5 and a.energy_ == b.energy_
 
     def test_empty_sweep_is_rejected(self):
         with pytest.raises(ValueError, match="m_values must be a non-empty list"):
@@ -582,6 +604,12 @@ _PURE = [(seed, angle) for seed in (1, 2) for angle in (0.3, 1.2)]
 
 
 class TestDiscrimination:
+    def test_rejects_max_iter_below_one(self):
+        # max_iter=0 used to report a false INFEASIBLE
+        inst = two_state_discrimination_instance(0.8, n_qubits=4, n_strings=8, seed=1)
+        with pytest.raises(ValueError, match="max_iter must be a positive integer, got 0"):
+            UnambiguousDiscriminator(max_iter=0).fit(inst)
+
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     @pytest.mark.parametrize("case", [*_PURE, "mixed_rank_2", "mixed_full_rank"], ids=str)
     def test_support_program_matches_full_space(self, case, eps):
@@ -744,6 +772,10 @@ class TestLovaszTheta:
     def test_rejects_complex_seed(self):
         with pytest.raises(ValueError):
             LovaszThetaSolver(mode="ansatz", seed_state="plus").fit(models.cycle_graph(5))
+
+    def test_rejects_fractional_n_states(self):
+        with pytest.raises(ValueError, match="n_states must be a positive integer, got 2.5"):
+            LovaszThetaSolver(mode="ansatz", n_states=2.5).fit(models.cycle_graph(5))
 
 
 def _measured(ansatz, objective, pairs):
