@@ -4,11 +4,11 @@ The ansatz is a seed state |psi> expanded by M phase-free Pauli strings,
 identity first.  An overlap entry <psi_a| u |psi_b> of an operator term u
 is the string s_a u s_b = (-1)^c (s_a s_b) u on the seed state, with c the
 parity of the sites where u and s_b anticommute.  :func:`build_overlaps`
-forms the M^2 Gram products s_a s_b once, as x/z word arrays, and
-multiplies each term only into their distinct strings.  Strings are keyed
-by XORs of per-string GF(2)-linear keys (hashed and row-checked above 32
-qubits) in one sorted key table; each distinct string is measured once,
-all of them in one batch backend call per build, and no ``PauliString`` is
+keys the M^2 Gram products s_a s_b once and multiplies each term only into
+their distinct strings.  Strings are keyed by XORs of per-string GF(2)-linear
+keys (hashed above 32 qubits, and row-checked unless proven one-to-one on the
+span of the build's strings) in one sorted key table; each distinct string is
+measured once, all in one batch backend call per build, with no ``PauliString``
 built for it.  Blocks of rows bound only the memory of the word temporaries.
 """
 
@@ -20,9 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pauli import (_PHASE_VALUES, PauliString, PauliSum, SettingError, multiply_words,
-                    pack_code_rows, word_codes)
+from .pauli import (_PHASE_VALUES, PauliString, PauliSum, SettingError, _popcount,
+                    multiply_words, pack_code_rows, word_codes)
 from .states import StateSpec, prepare
+from .validation import check_sample_seed
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,15 @@ def krylov_strings(h: PauliSum, max_order: int) -> tuple[list[PauliString], list
     n = h.n_qubits
     gx, gz = _stacked_words([s for _c, s in h.terms()], n)
     gkeys = _string_keys(gx, gz, n)
-    strings, orders = [PauliString.identity(n)], [0]
+    strings, orders, check = [PauliString.identity(n)], [0], _keys_checked(gx, gz, gkeys, n)
     lkeys, lx, lz = gkeys[:1] * 0, gx[:1] * 0, gz[:1] * 0  # the identity
     seen = {lx.tobytes() + lz.tobytes()}  # x and z words of every string so far
     for k in range(1, max_order + 1):
-        x, z, _exp = multiply_words(lx[:, None], lz[:, None], gx, gz)
+        x, z = lx[:, None] ^ gx, lz[:, None] ^ gz  # the phase-free products' words
         x, z = x.reshape(-1, gx.shape[1]), z.reshape(-1, gx.shape[1])
         keys = (lkeys[:, None] ^ gkeys).ravel()
         (_keys, level), index = _register((keys[:0], np.arange(0)), keys, np.arange(keys.size))
-        if n > 32:  # each row whose key another string holds, too
+        if check:  # each row whose key another string holds, too
             level = np.concatenate([level, _differs(x, z, x[level[index]], z[level[index]])])
         lx, lz, lkeys = x[level], z[level], keys[level]
         flat, size = np.concatenate([lx, lz], axis=1).tobytes(), 16 * gx.shape[1]
@@ -211,6 +212,25 @@ def _string_keys(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
     return np.bitwise_xor.reduce(_key_table(x.shape[1])[np.arange(octets.shape[1]), octets], axis=1)
 
 
+def _gf2_rank(rows, cap: int) -> int:
+    """GF(2) rank of bit rows given as Python ints, counted no further than cap + 1."""
+    pivots = {}  # leading bit -> the reduced row that has it
+    for row in rows:
+        while row and (lead := row.bit_length()) in pivots:
+            row ^= pivots[lead]
+        if row:
+            pivots[lead] = row
+            if len(pivots) > cap:
+                break
+    return len(pivots)
+
+
+def _keys_checked(x, z, keys, n_qubits: int) -> bool:
+    """Whether XOR-linear ``keys`` can collide on the span of rows x|z: iff they lose rank there."""
+    rows = (int.from_bytes(row.tobytes(), "little") for row in np.concatenate([x, z], axis=1))
+    return n_qubits > 32 and _gf2_rank(keys.tolist(), 64) < _gf2_rank(rows, 64)
+
+
 def _register(table, keys, sources):
     """Merge keyed rows into ``table`` = (sorted distinct keys, one source per key).
 
@@ -226,7 +246,7 @@ def _register(table, keys, sources):
 
 
 def _differs(x, z, rx, rz) -> np.ndarray:
-    """Rows whose words differ from the stored rows: above 32 qubits a key can collide."""
+    """Rows whose words differ from the stored rows: keys not proven one-to-one can collide."""
     return np.flatnonzero(((x != rx) | (z != rz)).any(axis=-1))
 
 
@@ -253,16 +273,16 @@ def _products(left, right, chunk: int, check: bool):
     return table[0], lx[i] ^ rx[j], lz[i] ^ rz[j], spill
 
 
-def _lookup(found, keys, x, z, n_qubits: int) -> np.ndarray:
-    """Each string's row in ``found``: its key's row, or above 32 qubits its spilled row.
+def _lookup(found, keys, xz=None) -> np.ndarray:
+    """Each string's row in ``found``: its key's row, or given its words ``xz`` its spilled row.
 
     A string whose words differ from its key's row, and that has no spilled row yet, gets one.
     """
     table, fx, fz, spill = found
     at = np.searchsorted(table, keys)
-    if n_qubits > 32:
-        for r in _differs(x, z, np.take(fx, at, axis=0), np.take(fz, at, axis=0)):
-            at[r] = table.size + spill.setdefault(x[r].tobytes() + z[r].tobytes(), len(spill))
+    if xz is not None:
+        for r in _differs(*xz, np.take(fx, at, axis=0), np.take(fz, at, axis=0)):
+            at[r] = table.size + spill.setdefault(b"".join(w[r].tobytes() for w in xz), len(spill))
     return at
 
 
@@ -312,24 +332,26 @@ def build_overlaps(
     ops += [op.terms() for op in ([objective] if objective is not None else [])]
     ops += [op.terms() for op in constraints.values()]
     ux, uz = _stacked_words([u for op in ops for _c, u in op], n)
-    keys = _string_keys(sx, sz, n)
+    keys, ukeys = _string_keys(sx, sz, n), _string_keys(ux, uz, n)
+    check = _keys_checked(np.vstack([sx, ux]), np.vstack([sz, uz]), np.append(keys, ukeys), n)
 
-    # Register the distinct Gram strings, a string whose key another holds on a row of its own.
-    found = _products((keys, sx, sz), (keys, sx, sz), chunk, check=False)
-    e, g_index = np.empty((m, m), dtype=np.uint8), np.empty((m, m), dtype=np.intp)
+    # Register the Gram strings s_a s_b = i^e g; e = y_a + y_b - y_g + 2 |z_a & x_b|, y Y counts.
+    found, y = _products((keys, sx, sz), (keys, sx, sz), chunk, check=False), _popcount(sx & sz)
+    e, g_index = np.empty((m, m), dtype=np.int64), np.empty((m, m), dtype=np.intp)
     for rows in blocks:
-        x, z, e[rows] = multiply_words(sx[rows, None], sz[rows, None], sx, sz)
-        x, z = x.reshape(-1, width), z.reshape(-1, width)
-        g_index[rows] = _lookup(found, (keys[rows, None] ^ keys).ravel(), x, z, n).reshape(-1, m)
-    (gkeys, gx, gz), ukeys = _rows(found, n), _string_keys(ux, uz, n)
-    found = _products((ukeys, ux, uz), (gkeys, gx, gz), chunk, check=n > 32)
+        xz = [(w[rows, None] ^ w).reshape(-1, width) for w in (sx, sz)] if check else None
+        g_index[rows] = _lookup(found, (keys[rows, None] ^ keys).ravel(), xz).reshape(-1, m)
+        e[rows] = y[rows, None] + y + 2 * _popcount(sz[rows, None] & sx)
+    gkeys, gx, gz = _rows(found, n)
+    e = ((e - _popcount(gx & gz)[g_index]) & 3).astype(np.uint8)
+    found = _products((ukeys, ux, uz), (gkeys, gx, gz), chunk, check=check)
 
     # Measure every distinct string in one backend call.
     _keys, mx, mz = _rows(found, n)
     if shots is None:
         values = state.expectations(mx, mz).real
     else:
-        seed_bytes, digests = sample_seed.to_bytes(8, "little", signed=True), []
+        seed_bytes, digests = check_sample_seed(sample_seed).to_bytes(8, "little", signed=True), []
         for lo in range(0, len(mx), chunk):  # each string's seed: a hash of its letter codes
             codes = word_codes(mx[lo : lo + chunk], mz[lo : lo + chunk], n).tobytes()
             digests += [
@@ -347,10 +369,9 @@ def build_overlaps(
             x, z = gx[rows], gz[rows]
             if t:  # the Gram's identity multiplies nothing
                 x, z, f[rows] = multiply_words(x, z, ux[t], uz[t])
-            at[rows] = _lookup(found, gkeys[rows] ^ ukeys[t], x, z, n)
+            at[rows] = _lookup(found, gkeys[rows] ^ ukeys[t], (x, z) if check else None)
         vals, phases = values[at], coeff * _PHASE_VALUES  # exact: each entry keeps its bits
-        c = np.bitwise_count(u.x & sz).sum(axis=-1) + np.bitwise_count(u.z & sx).sum(axis=-1)
-        c = (2 * c).astype(np.uint8)  # the index only matters mod 4
+        c = (2 * (_popcount(u.x & sz) + _popcount(u.z & sx))).astype(np.uint8)  # only mod 4 counts
         for rows in blocks:
             g = g_index[rows]
             matrices[k][rows] += phases[(e[rows] + f[g] + c) & 3] * vals[g]

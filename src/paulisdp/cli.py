@@ -173,7 +173,8 @@ _FIELD_RULES = [
     ("solver", "rank_tol", lambda v: v is None or _is_positive(v), "a positive number"),
     ("solver", "max_iter", lambda v: _is_int(v) and v >= 1, "a positive integer"),
     (None, "shots", lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    (None, "sample_seed", _is_int, "an integer"),
+    (None, "sample_seed", lambda v: _is_int(v) and -2**63 <= v < 2**63,
+     "an integer in [-2**63, 2**63)"),
     (None, "n_excited", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     (None, "symmetry", lambda v: v in _SYMMETRIES, f"one of {_SYMMETRIES}"),
     (None, "sector_value", _is_number, "a number"),

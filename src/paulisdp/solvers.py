@@ -50,7 +50,8 @@ from .states import (
     ZeroState,
     prepare,
 )
-from .validation import check_hermitian_operator, check_positive_int, check_probability
+from .validation import (check_hermitian_operator, check_positive_int, check_probability,
+                         check_sample_seed)
 
 # Solver settings: a generated keyword-only __init__ that BaseSolver's
 # get_params/set_params introspect; solvers keep BaseSolver's repr and
@@ -91,11 +92,11 @@ def resolve_seed_state(
     raise ValueError(f"unknown seed state {seed_state!r}")
 
 
-def _shots_kwargs(mode: str, shots: int, sample_seed: int) -> dict:
+def _shots_kwargs(mode: str, shots: int, seed: int) -> dict:
     if mode == "exact":
         return {}
     if mode == "shots":
-        return {"shots": check_positive_int(shots, "shots"), "sample_seed": sample_seed}
+        return dict(shots=check_positive_int(shots, "shots"), sample_seed=check_sample_seed(seed))
     raise ValueError(f"mode must be 'exact' or 'shots', got {mode!r}")
 
 

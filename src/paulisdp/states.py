@@ -38,6 +38,7 @@ import numpy as np
 
 from .pauli import (DENSE_QUBIT_CAP, DenseLimitError, DimensionMismatchError, PauliString,
                     PauliSum, dense_action, word_codes)
+from .validation import check_positive_int
 
 # ---------------------------------------------------------------------------
 # state specifications
@@ -190,8 +191,7 @@ def _sampled_expectations(state, x: np.ndarray, z: np.ndarray, shots: int, seeds
     ``SeedSequence`` does, and each string loads the state PCG64's seeding
     step gives (state 0, one step, add the seed state, one more step).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = check_positive_int(shots, "shots")
     seeds = _seed_array(seeds, len(x))
     out = np.ones(len(x))
     drawn = np.flatnonzero(x.any(axis=-1) | z.any(axis=-1))

@@ -48,3 +48,10 @@ def check_positive_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def check_sample_seed(seed) -> int:
+    """``seed`` as an int; only integers (not bool) in [-2**63, 2**63), 8 signed bytes, pass."""
+    if type(seed) is bool or not isinstance(seed, numbers.Integral) or not -2**63 <= seed < 2**63:
+        raise ValueError(f"sample_seed must be an integer in [-2**63, 2**63), got {seed!r}")
+    return int(seed)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -352,7 +353,7 @@ class TestOverlapRegression:
             np.testing.assert_array_equal(mat, ref)
 
     def test_terms_multiply_only_the_distinct_gram_strings(self, monkeypatch):
-        """Word products: M^2 for the Gram pass, then D per term, not M^2 per term."""
+        """Word products: none for the Gram pass, then D per term, not M^2 per term."""
         op = random_pauli_operator(1000, 8, seed=5)
         ansatz = krylov_ansatz(op, ZeroState(), 8).take(64)
         products = [(s * t).phase_free() for s in ansatz.strings for t in ansatz.strings]
@@ -368,7 +369,7 @@ class TestOverlapRegression:
         m, terms = len(ansatz), len(op)
         x, z = paulisdp.ansatz._stacked_words(products, 1000)
         assert len(set(paulisdp.ansatz._string_keys(x, z, 1000).tolist())) == n_distinct  # no clash
-        assert sum(rows) == m * m + terms * n_distinct
+        assert sum(rows) == terms * n_distinct
         assert sum(rows) < (1 + terms) * m * m / 5
 
     def test_shots_mode_and_one_sample_per_distinct_string(self, monkeypatch):
@@ -453,7 +454,8 @@ class TestOverlapRegression:
 
 
 class TestStringKeys:
-    """The overlap builder's string keys: XOR-linear, and never trusted above 32 qubits."""
+    """The overlap builder's string keys: XOR-linear, exact to 32 qubits, and above that trusted
+    only where proven one-to-one on the span of a build's strings, row-checked otherwise."""
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 1000])
     def test_key_of_product_is_xor_of_keys(self, n):
@@ -507,8 +509,136 @@ class TestStringKeys:
         assert [s.packed for s in strings] == [s.packed for s in ref_strings]
         assert orders == ref_orders
 
+    def test_gf2_rank_matches_brute_force(self):
+        rng = np.random.default_rng(0)
+        for _trial in range(300):
+            bits = int(rng.integers(1, 10))
+            rows = [int(r) for r in rng.integers(0, 1 << bits, size=rng.integers(0, 9))]
+            span = {0}
+            for row in rows:
+                span |= {s ^ row for s in span}
+            rank = len(span).bit_length() - 1
+            for cap in (0, 1, 2, 3, 64):
+                assert paulisdp.ansatz._gf2_rank(rows, cap) == min(rank, cap + 1)
+
+    @staticmethod
+    def checked(strings, n):
+        """``_keys_checked`` on the rows of these strings, with their keys."""
+        x, z = paulisdp.ansatz._stacked_words(strings, n)
+        return paulisdp.ansatz._keys_checked(x, z, paulisdp.ansatz._string_keys(x, z, n), n)
+
+    def test_proof_needs_a_rank_within_the_key_bits(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        strings = [PauliString(c) for c in rng.integers(0, 4, size=(65, 1000), dtype=np.uint8)]
+        assert not self.checked(strings[:40], 1000)
+        assert self.checked(strings, 1000)  # rank 65: no 64-bit key is one-to-one on the span
+        monkeypatch.setattr(paulisdp.ansatz, "_key_table", self.colliding_key_table)
+        assert self.checked(strings[:2], 1000)
+        short = [PauliString(c) for c in rng.integers(0, 4, size=(40, 32), dtype=np.uint8)]
+        assert not self.checked(short, 32)  # keys to 32 qubits are exact
+
+    @staticmethod
+    def planted_key_table(*rows):
+        """A random GF(2)-linear key map, laid out as ``_key_table``'s, whose kernel holds the
+        XOR of the given strings' x|z words."""
+        x, z = paulisdp.ansatz._stacked_words(rows, rows[0].n_qubits)
+        kernel = np.bitwise_xor.reduce(np.concatenate([x, z], axis=1), axis=0)
+        on = np.flatnonzero(np.unpackbits(kernel.view(np.uint8), bitorder="little"))
+
+        def table(width):
+            images = np.random.default_rng(7).integers(0, 1 << 64, 128 * width, dtype=np.uint64)
+            images[on[0]] = np.bitwise_xor.reduce(images[on[1:]])
+            images = images.reshape(16 * width, 8)
+            out = np.zeros((16 * width, 256), dtype=np.uint64)
+            for bit in range(8):
+                out[:, 1 << bit : 2 << bit] = out[:, : 1 << bit] ^ images[:, bit, None]
+            return out
+
+        return table
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    def test_planted_kernel_gives_the_reference_matrices(self, monkeypatch, shots):
+        """No two ansatz strings share a key, but the Gram products a b and c I do.
+
+        a b is an X string, which reads 1 on the plus state, and c reads 0;
+        c has an even Y count, so c I is real and a wrong value shows in the
+        Hermitian part.
+        """
+        rng = np.random.default_rng(4)
+        codes = [rng.integers(1, 4, size=40, dtype=np.uint8) for _ in range(30)]
+        a, b = codes[0], codes[0] ^ rng.integers(0, 2, size=40, dtype=np.uint8)
+        c = next(s for s in codes[1:] if np.count_nonzero(s == 2) % 2 == 0)
+        strings = [PauliString(s) for s in sorted({s.tobytes(): s for s in [b, *codes]}.values(),
+                                                   key=bytes)]
+        ansatz = AnsatzSet(seed=PlusState(), strings=(PauliString.identity(40), *strings),
+                           orders=(0,) + (1,) * len(strings))
+        op = random_pauli_operator(40, 6, seed=2)
+        generators = [*ansatz.strings, *(u for _c, u in op.terms())]
+        assert not self.checked(generators, 40)
+        planted = self.planted_key_table(*(PauliString(s) for s in (a, b, c)))
+        monkeypatch.setattr(paulisdp.ansatz, "_key_table", planted)
+        assert self.checked(generators, 40)
+        x, z = paulisdp.ansatz._stacked_words(ansatz.strings, 40)
+        keys = paulisdp.ansatz._string_keys(x, z, 40)
+        assert len(set(keys.tolist())) == len(ansatz)
+        products = len({(s * t).phase_free().packed for s in ansatz.strings for t in ansatz.strings})
+        assert len(set((keys[:, None] ^ keys).ravel().tolist())) < products
+        overlaps = build_overlaps(ansatz, objective=op, shots=shots, sample_seed=5)
+        (gram, objective), _ = reference_overlaps(ansatz, objective=op, shots=shots, sample_seed=5)
+        np.testing.assert_array_equal(overlaps.gram, gram)
+        np.testing.assert_array_equal(overlaps.objective, objective)
+
+    def test_planted_kernel_gives_the_reference_expansion(self, monkeypatch):
+        """Terms u1 .. u5 and u1 u2, with u1 ^ u2 ^ u3 planted in the kernel: the keys of u3 and
+        u1 u2 clash on the first level."""
+        op = random_pauli_operator(40, 5, seed=3)
+        u = [s for _c, s in op.terms()]
+        op = op + PauliSum(40, [(0.5, (u[0] * u[1]).phase_free())])
+        generators = [s for _c, s in op.terms()]
+        monkeypatch.setattr(paulisdp.ansatz, "_key_table", self.planted_key_table(*u[:3]))
+        assert self.checked(generators, 40)
+        x, z = paulisdp.ansatz._stacked_words(generators, 40)
+        assert len(set(paulisdp.ansatz._string_keys(x, z, 40).tolist())) < len(generators)
+        strings, orders = krylov_strings(op, 3)
+        ref_strings, ref_orders = reference_krylov(op, 3)
+        assert [s.packed for s in strings] == [s.packed for s in ref_strings]
+        assert orders == ref_orders
+
+    @pytest.mark.parametrize("n, terms, order, m, colliding", [(1000, 8, 8, 128, False),
+                                                                (40, 6, 3, 30, True)])
+    def test_rows_are_checked_only_where_keys_are_not_proven(
+        self, monkeypatch, n, terms, order, m, colliding
+    ):
+        """The 1000-qubit M = 128 build checks no row; the zero key table's builds check rows."""
+        op = random_pauli_operator(n, terms, seed=5)
+        calls, differs = [], paulisdp.ansatz._differs
+
+        def counted(*args):
+            calls.append(args)
+            return differs(*args)
+
+        monkeypatch.setattr(paulisdp.ansatz, "_differs", counted)
+        if colliding:
+            monkeypatch.setattr(paulisdp.ansatz, "_key_table", self.colliding_key_table)
+        ansatz = krylov_ansatz(op, ZeroState(), order).take(m)
+        n_krylov = len(calls)
+        build_overlaps(ansatz, objective=op)
+        assert (n_krylov > 0 and len(calls) > n_krylov) if colliding else calls == []
+
 
 class TestShotsMode:
+    @pytest.mark.parametrize("settings, message", [
+        (dict(shots=100.5), "shots must be a positive integer, got 100.5"),
+        (dict(shots=300, sample_seed=1.5), "sample_seed must be an integer in [-2**63, 2**63)"),
+        (dict(shots=300, sample_seed=True), "sample_seed must be an integer in [-2**63, 2**63)"),
+        (dict(shots=300, sample_seed=-(2**63) - 1), "sample_seed must be an integer in [-2**63"),
+    ])
+    def test_rejects_settings_that_would_bias_or_break_the_draws(self, settings, message):
+        h = ising_hamiltonian(3)
+        ansatz = krylov_ansatz(h, HardwareEfficientCircuit(layers=1, seed=2), 1).take(5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_overlaps(ansatz, objective=h, **settings)
+
     def test_diagonal_exact_even_with_shots(self):
         h = ising_hamiltonian(4)
         ansatz = krylov_ansatz(h, HardwareEfficientCircuit(layers=2, seed=5), 1).take(6)

@@ -265,6 +265,19 @@ class TestConfigValidation:
             "krylov_order": 1, "mode": "shots", "shots": 50, "max_iter": 9,
         }
 
+    @pytest.mark.parametrize("value", [2**70, 2**63, -(2**63) - 1, True, 1.5])
+    def test_sample_seed_outside_eight_signed_bytes(self, tmp_path, capsys, value):
+        # the flag's 2**70 used to end in an OverflowError traceback; true drew seed 1
+        expected = f"sample_seed must be an integer in [-2**63, 2**63), got {value!r}"
+        if isinstance(value, int) and not isinstance(value, bool):
+            argv = ["nse", "--mode", "shots", "--sample-seed", str(value)]
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [f"config error: <config>: {expected}"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "nse", "mode": "shots", "sample_seed": value}))
+        assert cli.main(["nse", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"config error: {path}: {expected}"]
+
     def test_bad_flag_values_reported_together(self, capsys):
         assert cli.main(["nse", "--model", "isin", "--n", "abc", "--shots", "x"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err

@@ -179,6 +179,23 @@ class TestGroundState:
             GroundStateSolver(seed_state="plus", krylov_order=2, **settings).fit(
                 models.ising_hamiltonian(4))
 
+    @pytest.mark.parametrize("sample_seed", [1.5, True, 2**63, -(2**63) - 1, 2**70, "3"])
+    def test_rejects_sample_seeds_outside_eight_signed_bytes(self, sample_seed):
+        # 1.5 used to raise AttributeError and 2**70 OverflowError; True drew seed 1
+        message = f"sample_seed must be an integer in [-2**63, 2**63), got {sample_seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GroundStateSolver(seed_state="plus", krylov_order=2, mode="shots",
+                              sample_seed=sample_seed).fit(models.ising_hamiltonian(4))
+
+    def test_sample_seeds_at_the_range_ends_and_numpy_integers(self):
+        h = models.ising_hamiltonian(4)
+        settings = dict(seed_state="plus", krylov_order=2, mode="shots")
+        assert (GroundStateSolver(**settings, sample_seed=np.int64(3)).fit(h).energy_
+                == GroundStateSolver(**settings, sample_seed=3).fit(h).energy_)
+        for sample_seed in (2**63 - 1, -(2**63)):
+            fit = GroundStateSolver(**settings, sample_seed=sample_seed).fit(h)
+            assert fit.overlaps_.sample_seed == sample_seed and math.isfinite(fit.energy_)
+
     def test_counts_accept_numpy_integers(self):
         h = models.ising_hamiltonian(4)
         settings = dict(seed_state="plus", krylov_order=2, mode="shots", sample_seed=1)

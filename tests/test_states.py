@@ -375,6 +375,14 @@ class TestSeededDraws:
         assert st.sampled_expectation(p, 100, seed=2**64 - 1) == want
         assert st.sampled_expectations(p.x[None], p.z[None], 100, np.array([2**64 - 1], np.uint64))[0] == want
 
+    @pytest.mark.parametrize("shots", [100.5, True, 0, -3])
+    def test_shots_must_be_positive_integers(self, shots):
+        # 100.5 used to draw Binomial(100, p) and divide the count by 100.5
+        st = self.state("product")
+        p = PauliString.single(self.N, 3, "X")
+        with pytest.raises(ValueError, match=f"shots must be a positive integer, got {shots!r}"):
+            st.sampled_expectations(p.x[None], p.z[None], shots, [1])
+
     def test_one_seed_per_string(self):
         st = self.state("product")
         p = PauliString.single(self.N, 3, "X")
