@@ -11,8 +11,9 @@ Conventions used throughout the package:
   a string carries its ``x`` and ``z`` bits (X = x, Z = z, Y = both) as
   uint64 words, and a product is an XOR of words plus an i-exponent from
   four popcounts (:func:`multiply_words`), vectorized over string arrays.
-  On a statevector, rows of words act through one kernel, :func:`dense_action`,
-  which the dense backend, ``apply``, the dense matrices and the annealing diagonal share.
+  On a statevector, rows of words act through :func:`dense_action`, shared by ``apply``, the
+  dense matrices, the annealing diagonal and the X-string map; dense expectations take one
+  Walsh-Hadamard transform per x mask instead (see :mod:`paulisdp.states`).
 - Letters are also stored packed two bits per qubit; the packed bytes are
   the hash key and the sort key that fixes every string ordering.
 - Qubit 0 corresponds to the leftmost letter in a label such as ``"ZZI"``

@@ -3,9 +3,9 @@
 Two backends realize a prepared state:
 
 - :class:`DenseState` holds the full 2^n statevector (capped at
-  ``pauli.DENSE_QUBIT_CAP`` = 14 qubits, roughly 256 KB of amplitudes)
-  and applies strings through the one dense kernel, ``pauli.dense_action``,
-  as the annealing circuit's diagonal does.
+  ``pauli.DENSE_QUBIT_CAP`` = 14 qubits, roughly 256 KB of amplitudes);
+  every string of one x mask reads its expectation from one Walsh-Hadamard
+  transform of f[j] = conj(psi[j]) psi[j ^ x].
 - :class:`ProductState` holds one 2-component vector per qubit and
   evaluates Pauli expectations in O(n), which is what makes the
   1000-qubit largest-eigenvalue runs possible.
@@ -13,6 +13,7 @@ Two backends realize a prepared state:
 Each backend evaluates a batch of phase-free strings, given as rows of x
 and z words (the layout of ``PauliString.x`` and ``.z``), in one call:
 ``expectations(x, z)``, of which ``expectation(p)`` is the one-row case.
+Rows that do not fit the state, by word count or a bit at or above n, raise.
 
 Shot sampling measures a Hermitian string's parity ``shots`` times.  Both
 backends draw the odd-parity count in one binomial draw from the exact
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (DENSE_QUBIT_CAP, DenseLimitError, DimensionMismatchError, PauliString,
-                    PauliSum, dense_action, word_codes)
+from .pauli import (_PHASE_VALUES, DENSE_QUBIT_CAP, DenseLimitError, DimensionMismatchError,
+                    PauliString, PauliSum, _popcount, dense_action, word_codes)
 from .validation import check_positive_int
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,15 @@ StateSpec = ZeroState | PlusState | HardwareEfficientCircuit | QuantumAnnealingS
 
 # Amplitudes (dense) or sites (product) per chunk of a batch evaluation: temporaries stay ~1 MB.
 _CHUNK = 1 << 14
+
+
+def _check_rows(state, x: np.ndarray, z: np.ndarray) -> None:
+    """Raise ``DimensionMismatchError`` unless x and z are rows of the state's words."""
+    n = state.n_qubits
+    if x.ndim != 2 or x.shape != z.shape or x.shape[1] != -(-n // 64):
+        raise DimensionMismatchError(f"word rows {x.shape} and {z.shape} do not fit {n} qubits")
+    if n % 64 and ((x[:, -1] | z[:, -1]) >> np.uint64(n % 64)).any():
+        raise DimensionMismatchError(f"a string acts on a qubit at or above {n}")
 
 
 def _expectation(state, p: PauliString) -> complex:
@@ -191,6 +201,7 @@ def _sampled_expectations(state, x: np.ndarray, z: np.ndarray, shots: int, seeds
     ``SeedSequence`` does, and each string loads the state PCG64's seeding
     step gives (state 0, one step, add the seed state, one more step).
     """
+    _check_rows(state, x, z)
     shots = check_positive_int(shots, "shots")
     seeds = _seed_array(seeds, len(x))
     out = np.ones(len(x))
@@ -234,8 +245,10 @@ class ProductState:
 
     def __init__(self, factors: np.ndarray):
         factors = np.asarray(factors, dtype=complex)
-        if factors.ndim != 2 or factors.shape[1] != 2:
-            raise ValueError("factors must have shape (n_qubits, 2)")
+        if factors.ndim != 2 or factors.shape[0] < 1 or factors.shape[1] != 2:
+            raise ValueError("factors must have shape (n_qubits, 2) with n_qubits >= 1")
+        if not np.isfinite(factors).all():
+            raise ValueError("factors must be finite")
         norms = np.linalg.norm(factors, axis=1)
         if np.any(norms == 0):
             raise ValueError("zero single-qubit factor")
@@ -256,6 +269,7 @@ class ProductState:
 
     def expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Real <P> of each phase-free string P given as rows of x and z words."""
+        _check_rows(self, x, z)
         sites = np.arange(self.n_qubits)
         step = max(1, _CHUNK // self.n_qubits)
         out = np.empty(len(x))
@@ -282,8 +296,10 @@ class DenseState:
 
     def __init__(self, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.ndim != 1 or amplitudes.size & (amplitudes.size - 1):
-            raise ValueError("amplitude vector length must be a power of two")
+        if amplitudes.ndim != 1 or amplitudes.size < 2 or amplitudes.size & (amplitudes.size - 1):
+            raise ValueError("amplitude vector length must be a power of two, at least 2")
+        if not np.isfinite(amplitudes).all():
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amplitudes)
         if norm == 0:
             raise ValueError("zero statevector")
@@ -293,14 +309,23 @@ class DenseState:
     def expectations(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """<psi|P|psi> of each phase-free string P given as rows of x and z words.
 
-        Chunk by chunk, ``pauli.dense_action`` gives each P|psi> and each row takes one ``np.vdot``.
+        With f[j] = conj(psi[j]) psi[j ^ x], <P> = (-i)^|x & z| sum_j (-1)^|j & z| f[j], entry z
+        of f's Walsh-Hadamard transform: one per distinct x mask, in chunks of ``_CHUNK``
+        amplitudes.  A string's value depends only on psi, x and z: the same bits in any batch.
         """
+        _check_rows(self, x, z)
         psi = self.amplitudes
+        masks, which = np.unique(x[:, 0].astype(np.intp), return_inverse=True)
+        order = np.argsort(which)
         step = max(1, _CHUNK // psi.size)
+        starts = np.searchsorted(which[order], np.arange(0, masks.size + step, step))
+        phases = _PHASE_VALUES[-_popcount(x & z) & 3]
+        bra, index = psi.conj(), np.arange(psi.size)
         out = np.empty(len(x), dtype=complex)
-        for lo in range(0, len(x), step):
-            source, factor = dense_action(x[lo : lo + step], z[lo : lo + step], self.n_qubits)
-            out[lo : lo + step] = [np.vdot(psi, row) for row in factor * psi[source]]
+        for c, lo in enumerate(range(0, masks.size, step)):
+            f = _walsh_hadamard(bra * psi[index ^ masks[lo : lo + step, None]])
+            rows = order[starts[c] : starts[c + 1]]
+            out[rows] = phases[rows] * f[which[rows] - lo, z[rows, 0]]
         return out
 
     expectation = _expectation
@@ -309,6 +334,20 @@ class DenseState:
 
 
 QuantumState = DenseState | ProductState
+
+
+def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
+    """Rows of sum_j (-1)^|j & z| f[:, j] over z; ``f`` is overwritten.
+
+    Each butterfly stage puts the sums and differences of the two halves (the top index bit) at
+    the even and odd entries (the bottom bit), so after n stages every bit is back in place.
+    """
+    g, half = np.empty_like(f), f.shape[1] // 2
+    for _ in range(half.bit_length()):
+        np.add(f[:, :half], f[:, half:], out=g[:, 0::2])
+        np.subtract(f[:, :half], f[:, half:], out=g[:, 1::2])
+        f, g = g, f
+    return f
 
 
 # ---------------------------------------------------------------------------

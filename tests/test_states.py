@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import paulisdp.states
 from paulisdp.models import ising_hamiltonian, ising_split
 from paulisdp.pauli import DENSE_QUBIT_CAP, DimensionMismatchError, PauliString
 from paulisdp.states import (
@@ -263,8 +266,11 @@ class TestBatchEvaluation:
         st = random_dense_state(rng, n)
         strings = y_heavy_strings(rng, n, 30)
         x, z = stacked(strings)
-        exact = [complex(np.vdot(st.amplitudes, p.apply(st.amplitudes))) for p in strings]
-        assert_bits_equal(st.expectations(x, z), np.array(exact))
+        exact = st.expectations(x, z)
+        one_row = [st.expectations(p.x[None], p.z[None])[0] for p in strings]
+        assert_bits_equal(exact, np.array(one_row))
+        applied = [np.vdot(st.amplitudes, p.apply(st.amplitudes)) for p in strings]
+        np.testing.assert_allclose(exact, applied, rtol=0, atol=1e-13)
         seeds = [int(s) for s in rng.integers(0, 2**63, size=len(strings))]
         sampled = [
             1.0 if p.is_identity else one_string_sample(e.real, self.SHOTS, s)
@@ -301,6 +307,84 @@ class TestBatchEvaluation:
             assert st.sampled_expectation(p, 50, seed=2) == st.sampled_expectations(
                 p.x[None], p.z[None], 50, [2]
             )[0]
+
+
+_LETTER_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+
+
+def letters_applied(p, psi):
+    """``p.matrix() @ psi`` one letter at a time, as the Kronecker product of the letters is."""
+    tensor = psi.reshape([2] * p.n_qubits)
+    for site, code in enumerate(p.codes):
+        tensor = np.moveaxis(np.tensordot(_LETTER_MATRICES[code], tensor, axes=(1, site)), 0, site)
+    return p.phase * tensor.reshape(-1)
+
+
+class TestDenseKernel:
+    """A Walsh-Hadamard transform per x mask: within 1e-13 of the matrix, bits fixed per string."""
+
+    @pytest.mark.parametrize("n", [1, 6, DENSE_QUBIT_CAP])
+    def test_rows_keep_their_bits_in_any_batch(self, monkeypatch, n):
+        rng = np.random.default_rng(50 + n)
+        st = random_dense_state(rng, n)
+        strings = y_heavy_strings(rng, n, 12)
+        one_row = np.array([st.expectations(p.x[None], p.z[None])[0] for p in strings])
+        assert_bits_equal(st.expectations(*stacked(strings)), one_row)
+        superset = strings + y_heavy_strings(rng, n, 40)
+        order = rng.permutation(len(superset))
+        sx, sz = stacked([superset[i] for i in order])
+        rows = np.argsort(order)[: len(strings)]
+        assert_bits_equal(st.expectations(sx, sz)[rows], one_row)
+        monkeypatch.setattr(paulisdp.states, "_CHUNK", 2)  # one mask per chunk
+        assert len(np.unique(sx[:, 0])) > 1
+        assert_bits_equal(st.expectations(sx, sz)[rows], one_row)
+
+    @pytest.mark.parametrize("n", [4, 8, 11, DENSE_QUBIT_CAP])
+    def test_y_heavy_strings_match_the_matrix(self, n):
+        # every string at n <= 3: test_pauli's test_dense_expectations_match_kronecker_reference
+        rng = np.random.default_rng(70 + n)
+        st = random_dense_state(rng, n)
+        strings = y_heavy_strings(rng, n, 20)
+        psi = st.amplitudes
+        want = [np.vdot(psi, letters_applied(p, psi)) for p in strings]
+        if n <= 8:
+            np.testing.assert_allclose(want, [np.vdot(psi, p.matrix() @ psi) for p in strings],
+                                       rtol=0, atol=1e-13)
+        np.testing.assert_allclose(st.expectations(*stacked(strings)), want, rtol=0, atol=1e-13)
+
+
+class TestInputChecks:
+    """Word rows must fit the state; amplitudes and factors are finite, on at least one qubit."""
+
+    @pytest.mark.parametrize("backend", ["product", "dense"])
+    def test_rows_that_do_not_fit_raise(self, backend):
+        st = prepare(ZeroState(), 3)
+        st = st if backend == "product" else st.to_dense()
+        wide = PauliString.single(70, 5, "X")  # two words, an X on qubit 5
+        one, two = np.zeros((1, 1), dtype=np.uint64), np.zeros((1, 2), dtype=np.uint64)
+        past_the_end = (np.array([[1 << 5]], dtype=np.uint64), one)  # bit 5: no qubit of three
+        for x, z in [past_the_end, (one, past_the_end[0]), (two, two), (wide.x[None], wide.z[None]),
+                     (one[0], one[0]), (one, two)]:
+            with pytest.raises(DimensionMismatchError):
+                st.expectations(x, z)
+            with pytest.raises(DimensionMismatchError):
+                st.sampled_expectations(x, z, 10, [0] * len(x))
+        assert st.expectations(np.array([[4]], dtype=np.uint64), one)[0] == 0.0  # X on qubit 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_states_raise(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NaN state behind a RuntimeWarning
+            with pytest.raises(ValueError, match="finite"):
+                DenseState(np.array([bad, bad, 0.0, 0.0]))
+            with pytest.raises(ValueError, match="finite"):
+                ProductState(np.array([[1.0, 0.0], [bad, bad]]))
+
+    def test_states_on_no_qubits_raise(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            DenseState(np.array([1.0]))
+        with pytest.raises(ValueError, match="n_qubits >= 1"):
+            ProductState(np.zeros((0, 2)))
 
 
 class TestSeededDraws:
